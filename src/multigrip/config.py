@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .mechanics import (GearGeometry, MagnetDetent, SurfaceCounts,
+from .mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
+                        GearGeometry, MagnetDetent, SurfaceCounts,
                         validate_antipodal_gearing)
 from .modes import SurfaceKind, SurfaceShape, default_order_3s, default_order_4s
 
@@ -91,19 +92,15 @@ _SURFACE_NAMES = {
     "deformable": SurfaceKind.DEFORMABLE_FLAT,
 }
 
-# Default magnet coefficient from the prototype magnet datasheet model.
-DEFAULT_DETENT_VALUES = {
-    "magnet_coefficient_nmm2": 1.07e-5,
-    "magnet_circle_radius_mm": 14.0,
-    "magnet_gap_mm": 1.0,
-}
+DEFAULT_DETENT_VALUES = {key: getattr(DEFAULT_MAGNET, attr)
+                         for key, attr in _DETENT_KEYS.items()}
 
 
 def default_config() -> RunConfig:
     return RunConfig(
-        gears=GearGeometry(20.0, 15.0, 10.0, 7.5, 12.0, 12.0),
-        magnet=MagnetDetent(1.07e-5, 14.0, 1.0),
-        counts=SurfaceCounts(3, 4),
+        gears=DEFAULT_GEARS,
+        magnet=DEFAULT_MAGNET,
+        counts=DEFAULT_COUNTS,
         order_3s=default_order_3s(10.0),
         order_4s=default_order_4s(10.0),
     )
@@ -201,8 +198,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     try:
-        counts = SurfaceCounts(n_3s=_integer(surf_sec, "count_3s", 3),
-                               n_4s=_integer(surf_sec, "count_4s", 4))
+        counts = SurfaceCounts(n_3s=_integer(surf_sec, "count_3s", DEFAULT_COUNTS.n_3s),
+                               n_4s=_integer(surf_sec, "count_4s", DEFAULT_COUNTS.n_4s))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

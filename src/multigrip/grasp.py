@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import points_in_polygon, points_to_polygon_distance
 from .modes import SurfaceKind, SurfaceShape
@@ -322,6 +321,8 @@ def _effective_contacts(cset: ContactSet) -> list[Contact]:
 
 
 def _origin_strictly_inside(points: np.ndarray, margin: float = _HULL_MARGIN) -> bool:
+    from scipy.spatial import ConvexHull, QhullError
+
     points = np.asarray(points, dtype=float)
     dim = points.shape[1]
     if len(points) < dim + 1:

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from scipy.optimize import minimize_scalar
-
 __all__ = [
     "GearGeometry",
     "MagnetDetent",
@@ -171,6 +169,7 @@ DEFAULT_GEARS = GearGeometry(
     body_gear_radius_3s=12.0,
     body_gear_radius_4s=12.0,
 )
+# Magnet coefficient from the prototype magnet datasheet model.
 DEFAULT_MAGNET = MagnetDetent(
     magnet_coefficient=1.07e-5,
     circle_radius=14.0,
@@ -235,34 +234,23 @@ def detent_torque(body_angle: float, magnet: MagnetDetent) -> float:
     return magnet.magnet_coefficient * r * (r + d) * math.sin(body_angle) / base ** 1.5
 
 
-def detent_peak(magnet: MagnetDetent,
-                search_limit: float = math.pi,
-                grid_step: float = math.radians(0.01)) -> tuple[float, float]:
+def detent_peak(magnet: MagnetDetent) -> tuple[float, float]:
     """Locate the holding-torque maximum of the detent curve.
 
-    Searches body angles in (0, search_limit] with a dense sweep, then
-    refines the bracket numerically.  Returns (angle at peak [rad],
-    peak torque [N*mm]).  The peak angle does not depend on the magnet
-    coefficient, only on the detent geometry.
+    With c = cos(theta), A = d^2 + 2r^2 + 2dr and B = 2r(r + d), the detent
+    torque is proportional to sin(theta) / (A - B c)^1.5.  Its derivative
+    is proportional to c (A - B c) - 3/2 B (1 - c^2), which vanishes when
+    1/2 B c^2 + A c - 3/2 B = 0.  The positive root, rationalized so that
+    nothing cancels, is c* = 3B / (A + sqrt(A^2 + 3B^2)); it lies in (0, 1)
+    because A - B = d^2 > 0, so the peak angle lies in (0, pi/2).  Returns
+    (angle at peak [rad], peak torque [N*mm]).  The peak angle does not
+    depend on the magnet coefficient, only on the detent geometry.
     """
-    if not 0 < search_limit <= 2.0 * math.pi:
-        raise ValueError(f"search_limit must be in (0, 2*pi], got {search_limit}")
-    n = max(int(search_limit / grid_step), 8)
-    best_angle = 0.0
-    best_torque = -math.inf
-    for i in range(1, n + 1):
-        angle = i * search_limit / n
-        torque = detent_torque(angle, magnet)
-        if torque > best_torque:
-            best_angle, best_torque = angle, torque
-    if best_torque <= 0.0:
-        raise ValueError("detent torque is non-positive over the search interval")
-    lo = max(best_angle - search_limit / n, 0.0)
-    hi = min(best_angle + search_limit / n, search_limit)
-    result = minimize_scalar(lambda a: -detent_torque(a, magnet),
-                             bounds=(lo, hi), method="bounded",
-                             options={"xatol": 1e-12})
-    angle = float(result.x)
+    r = magnet.circle_radius
+    d = magnet.nominal_gap
+    a = d * d + 2.0 * r * r + 2.0 * d * r
+    b = 2.0 * r * (r + d)
+    angle = math.acos(3.0 * b / (a + math.sqrt(a * a + 3.0 * b * b)))
     return angle, detent_torque(angle, magnet)
 
 

@@ -35,8 +35,8 @@ class Circle:
     radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ValueError("circle radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError("circle radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class Box:
     height: float
 
     def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("box dimensions must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.width, self.height)):
+            raise ValueError("box dimensions must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class ThinPlate:
     thickness: float
 
     def __post_init__(self) -> None:
-        if not (self.length > 0 and self.thickness > 0):
-            raise ValueError("plate dimensions must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.length, self.thickness)):
+            raise ValueError("plate dimensions must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ class ObjectSpec:
     mu: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError("friction coefficient must be >= 0")
+        if not (self.mu >= 0 and math.isfinite(self.mu)):
+            raise ValueError("friction coefficient must be finite and >= 0")
 
     @property
     def closing_extent(self) -> float:
@@ -311,10 +311,14 @@ def parse_object_file(text: str) -> ObjectDescription:
         if key not in values:
             return None
         try:
-            return float(values[key])
+            value = float(values[key])
         except ValueError:
             raise ObjectFileError(f"non-numeric value for {key}: {values[key]!r}",
                                   lines[key]) from None
+        if not math.isfinite(value):
+            raise ObjectFileError(f"non-finite value for {key}: {values[key]!r}",
+                                  lines[key])
+        return value
 
     def require(key: str) -> float:
         v = number(key)

@@ -18,7 +18,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .control import (ControllerState, Direction, MotorCommand, PositionMove,
@@ -214,16 +213,6 @@ class SimTrace:
         return tuple(e for e in self.events if e.kind == kind)
 
 
-@lru_cache(maxsize=64)
-def _breakaway(gears: GearGeometry, magnet: MagnetDetent) -> float:
-    return breakaway_motor_torque(gears, magnet)
-
-
-@lru_cache(maxsize=64)
-def _peak_angle(magnet: MagnetDetent) -> float:
-    return detent_peak(magnet)[0]
-
-
 def _binding_side(gears: GearGeometry) -> str:
     """Finger whose detent sets the breakaway threshold (smaller torque arm)."""
     return "3s" if gears.torque_arm_3s <= gears.torque_arm_4s else "4s"
@@ -367,7 +356,7 @@ def _resolve_reversal(state: GripperState, sc: Scenario) -> ReversalDuringRotati
     offset = _rotation_offset_motor(state, sc)
     ratio = g.rotation_ratio_3s if _binding_side(g) == "3s" else g.rotation_ratio_4s
     snap_forward = (offset > _EPS_ANGLE
-                    and offset * ratio > _peak_angle(sc.magnet))
+                    and offset * ratio > detent_peak(sc.magnet)[0])
     k = _switch_count(state, sc)
     events: tuple[tuple[str, str], ...] = ()
     mode = state.mode_index
@@ -454,7 +443,7 @@ def _step_opening_torque(state: GripperState, d_inc: float, t_inc: float,
         return _rotate(state, d_inc, sc, held_torque=state.tau_m)
     if state.d_f_3s > _EPS_TRAVEL:
         return _translate_open(state, d_inc, sc)
-    threshold = _breakaway(sc.gears, sc.magnet) + sc.friction_torque
+    threshold = breakaway_motor_torque(sc.gears, sc.magnet) + sc.friction_torque
     tau = min(state.tau_m + t_inc, cmd.target_torque)
     if tau > threshold:
         return _begin_rotation(state, tau_at_onset=tau)

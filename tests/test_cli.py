@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,14 @@ class TestPlanAndClassify:
         assert "k_goal=4" in out
         assert "fallback_used=true" in out
 
+    def test_classify_rejects_non_finite_friction(self, capsys, tmp_path):
+        obj = tmp_path / "nan.object"
+        obj.write_text("shape = box\nwidth_mm = 20\nheight_mm = 25\nmu = nan\n")
+        rc, out, err = run(capsys, "classify", "--object", str(obj), "--mode", "1")
+        assert rc == 1
+        assert out == ""
+        assert "line 4: non-finite value for mu" in err
+
     def test_classify_large_cylinder(self, capsys, fixtures_dir, tmp_path):
         contacts = tmp_path / "contacts.csv"
         rc, out, _ = run(capsys, "classify", "--object",
@@ -204,3 +216,45 @@ class TestSweep:
 
 def test_unknown_subcommand_nonzero(capsys):
     assert dispatch(["frobnicate"]) != 0
+
+
+SRC = Path(__file__).parent.parent / "src"
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120, check=False)
+
+
+class TestColdStart:
+    """The package and the non-grasp CLI paths import numpy but not scipy."""
+
+    LIST_SCIPY = ("print(sorted(m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
+
+    def test_import_loads_no_scipy(self):
+        proc = _run_python("-c", "import sys, multigrip, multigrip.cli; " + self.LIST_SCIPY)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[]"
+
+    def test_validate_gears_loads_no_scipy(self):
+        code = ("import sys\n"
+                "from multigrip.cli import main\n"
+                "sys.argv = ['multigrip', 'validate-gears']\n"
+                "try:\n"
+                "    main()\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                + self.LIST_SCIPY)
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert "delta_theta_sw_deg=108" in proc.stdout
+        assert proc.stderr.strip() == "[]"
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        proc = _run_python("-m", "multigrip", "validate-gears")
+        rc, out, _ = run(capsys, "validate-gears")
+        assert proc.returncode == rc == 0
+        assert proc.stdout == out

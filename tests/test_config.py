@@ -2,10 +2,13 @@ import math
 
 import pytest
 
-from multigrip.config import (ConfigError, default_config, load_config,
-                              parse_config, set_config_value)
-from multigrip.mechanics import gc_mode_count, switch_interval
-from multigrip.objects import ObjectFileError, parse_object_file
+from multigrip.config import (DEFAULT_DETENT_VALUES, ConfigError,
+                              default_config, load_config, parse_config,
+                              set_config_value)
+from multigrip.mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
+                                 gc_mode_count, switch_interval)
+from multigrip.objects import (Box, Circle, ObjectFileError, ObjectSpec,
+                               ThinPlate, parse_object_file)
 
 MINIMAL = """
 [gears]
@@ -33,6 +36,18 @@ class TestParseConfig:
 
     def test_matches_built_in_defaults(self, fixtures_dir):
         assert load_config(fixtures_dir / "default.cfg") == default_config()
+
+    def test_defaults_come_from_mechanics(self):
+        cfg = default_config()
+        assert (cfg.gears, cfg.magnet, cfg.counts) == (
+            DEFAULT_GEARS, DEFAULT_MAGNET, DEFAULT_COUNTS)
+        assert DEFAULT_DETENT_VALUES == {
+            "magnet_coefficient_nmm2": DEFAULT_MAGNET.magnet_coefficient,
+            "magnet_circle_radius_mm": DEFAULT_MAGNET.circle_radius,
+            "magnet_gap_mm": DEFAULT_MAGNET.nominal_gap,
+        }
+        minimal = parse_config(MINIMAL)
+        assert (minimal.magnet, minimal.counts) == (DEFAULT_MAGNET, DEFAULT_COUNTS)
 
     def test_missing_required_gear_key(self):
         text = "\n".join(line for line in MINIMAL.splitlines()
@@ -119,3 +134,27 @@ class TestObjectFiles:
     def test_bad_face_name(self):
         with pytest.raises(ObjectFileError, match="left_face"):
             parse_object_file("shape = circle\nradius_mm = 5\nleft_face = wavy\n")
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("shape = circle\nradius_mm = 5\nmu = nan\n", 3),
+        ("shape = circle\nradius_mm = 5\nmu = inf\n", 3),
+        ("shape = circle\nradius_mm = inf\n", 2),
+        ("shape = box\nwidth_mm = -inf\nheight_mm = 5\n", 2),
+        ("shape = circle\nradius_mm = 5\nheight_mm = NaN\n", 3),
+    ])
+    def test_non_finite_value_line_number(self, text, lineno):
+        with pytest.raises(ObjectFileError, match=f"line {lineno}: non-finite"):
+            parse_object_file(text)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: ObjectSpec(Circle(5.0), mu=v),
+        lambda v: Circle(radius=v),
+        lambda v: Box(width=v, height=5.0),
+        lambda v: Box(width=5.0, height=v),
+        lambda v: ThinPlate(length=v, thickness=1.0),
+        lambda v: ThinPlate(length=30.0, thickness=v),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_shape_values_rejected(self, build, value):
+        with pytest.raises(ValueError, match="finite"):
+            build(value)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigrip.mechanics import (GearGeometry, MagnetDetent, SurfaceCounts,
                                  body_torques, breakaway_motor_torque,
@@ -107,6 +109,26 @@ class TestDetent:
                            100.0 * magnet.circle_radius)
         angle, _ = detent_peak(far)
         assert math.degrees(angle) > 80.0
+        _assert_stationary(far)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(radius=st.floats(8.0, 20.0), gap=st.floats(0.5, 2.0),
+           coefficient=st.floats(1e-5, 1e-2))
+    def test_closed_form_peak_matches_sweep_oracle(self, radius, gap, coefficient):
+        magnet = MagnetDetent(coefficient, radius, gap)
+        angle, torque = detent_peak(magnet)
+        oracle_angle, oracle_torque = sweep_peak(magnet)
+        assert abs(math.degrees(angle - oracle_angle)) < 0.01
+        assert torque >= oracle_torque * (1.0 - 1e-12)
+        _assert_stationary(magnet)
+
+
+def _assert_stationary(magnet: MagnetDetent) -> None:
+    """The torque just either side of the peak angle is no higher than the peak."""
+    angle, torque = detent_peak(magnet)
+    assert 0.0 < angle < math.pi / 2
+    assert detent_torque(angle * (1.0 - 1e-4), magnet) <= torque
+    assert detent_torque(angle * (1.0 + 1e-4), magnet) <= torque
 
 
 class TestBreakaway:
