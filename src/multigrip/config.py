@@ -72,17 +72,25 @@ _DETENT_KEYS = {
     "magnet_circle_radius_mm": "circle_radius",
     "magnet_gap_mm": "nominal_gap",
 }
-_SURFACE_KEYS = {"count_3s", "count_4s", "order_3s", "order_4s",
-                 "face_radius_mm", "face_width_mm"}
-_PLANNER_KEYS = {"small_object_height_mm", "thin_object_mm"}
-_SIM_KEYS = {"stroke_limit_mm", "step_deg", "friction_torque_nmm",
-             "torque_step_nmm"}
+# Scalar keys per section: the RunConfig field each sets (its default is the
+# field's default) and the domain its value must lie in besides being finite.
+_SCALAR_KEYS = {
+    "surfaces": {"face_radius_mm": ("face_radius", "positive"),
+                 "face_width_mm": ("face_width", "positive")},
+    "planner": {"small_object_height_mm": ("small_object_height", None),
+                "thin_object_mm": ("thin_object", None)},
+    "sim": {"stroke_limit_mm": ("stroke_limit", "positive"),
+            "step_deg": ("step_deg", "positive"),
+            "friction_torque_nmm": ("friction_torque", "non-negative"),
+            "torque_step_nmm": ("torque_step", "positive")},
+}
 _SECTIONS = {
     "gears": set(_GEAR_KEYS),
     "detent": set(_DETENT_KEYS),
-    "surfaces": _SURFACE_KEYS,
-    "planner": _PLANNER_KEYS,
-    "sim": _SIM_KEYS,
+    "surfaces": {"count_3s", "count_4s", "order_3s", "order_4s",
+                 *_SCALAR_KEYS["surfaces"]},
+    "planner": set(_SCALAR_KEYS["planner"]),
+    "sim": set(_SCALAR_KEYS["sim"]),
 }
 
 _SURFACE_NAMES = {
@@ -101,8 +109,8 @@ def default_config() -> RunConfig:
         gears=DEFAULT_GEARS,
         magnet=DEFAULT_MAGNET,
         counts=DEFAULT_COUNTS,
-        order_3s=default_order_3s(10.0),
-        order_4s=default_order_4s(10.0),
+        order_3s=default_order_3s(RunConfig.face_radius),
+        order_4s=default_order_4s(RunConfig.face_radius),
     )
 
 
@@ -134,17 +142,23 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _number(section: dict[str, tuple[str, int]], key: str,
-            default: float | None = None) -> float:
+            default: float | None = None, domain: str | None = None) -> float:
     if key not in section:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
     value, lineno = section[key]
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"non-numeric value for {key}: {value!r}",
                           lineno) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"non-finite value for {key}: {value!r}", lineno)
+    if (domain == "positive" and number <= 0
+            or domain == "non-negative" and number < 0):
+        raise ConfigError(f"{key} must be {domain}, got {value!r}", lineno)
+    return number
 
 
 def _integer(section: dict[str, tuple[str, int]], key: str, default: int) -> int:
@@ -180,8 +194,6 @@ def parse_config(text: str) -> RunConfig:
     gears_sec = sections.get("gears", {})
     detent_sec = sections.get("detent", {})
     surf_sec = sections.get("surfaces", {})
-    plan_sec = sections.get("planner", {})
-    sim_sec = sections.get("sim", {})
 
     gear_kwargs = {attr: _number(gears_sec, key)
                    for key, attr in _GEAR_KEYS.items()}
@@ -203,7 +215,12 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    face_radius = _number(surf_sec, "face_radius_mm", 10.0)
+    # class attributes of a dataclass hold its fields' defaults
+    scalars = {field: _number(sections.get(sec, {}), key,
+                              getattr(RunConfig, field), domain)
+               for sec, keys in _SCALAR_KEYS.items()
+               for key, (field, domain) in keys.items()}
+    face_radius = scalars["face_radius"]
     order_3s = _surface_order(surf_sec, "order_3s", face_radius,
                               default_order_3s(face_radius) if counts.n_3s == 3 else ())
     order_4s = _surface_order(surf_sec, "order_4s", face_radius,
@@ -212,18 +229,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("non-default surface counts need explicit "
                           "order_3s/order_4s lists")
 
-    return RunConfig(
-        gears=gears, magnet=magnet, counts=counts,
-        order_3s=order_3s, order_4s=order_4s,
-        face_radius=face_radius,
-        face_width=_number(surf_sec, "face_width_mm", 20.0),
-        stroke_limit=_number(sim_sec, "stroke_limit_mm", 40.0),
-        step_deg=_number(sim_sec, "step_deg", 0.1),
-        friction_torque=_number(sim_sec, "friction_torque_nmm", 0.0),
-        torque_step=_number(sim_sec, "torque_step_nmm", 10.0),
-        small_object_height=_number(plan_sec, "small_object_height_mm", 10.0),
-        thin_object=_number(plan_sec, "thin_object_mm", 3.0),
-    )
+    return RunConfig(gears=gears, magnet=magnet, counts=counts,
+                     order_3s=order_3s, order_4s=order_4s, **scalars)
 
 
 def load_config(path) -> RunConfig:

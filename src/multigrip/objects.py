@@ -221,7 +221,7 @@ def side_boundary(spec: ObjectSpec, side: int) -> SideBoundary:
 
 
 def object_polygon(spec: ObjectSpec, samples_per_arc: int = 64) -> np.ndarray:
-    """Closed outline of the object as a vertex array (circles excluded)."""
+    """Closed outline of the object as a vertex array (a circle as a polygon)."""
     s = spec.shape
     if isinstance(s, Circle):
         angles = np.linspace(0.0, 2.0 * math.pi, 4 * samples_per_arc, endpoint=False)
@@ -318,7 +318,17 @@ def parse_object_file(text: str) -> ObjectDescription:
         if not math.isfinite(value):
             raise ObjectFileError(f"non-finite value for {key}: {values[key]!r}",
                                   lines[key])
+        if key.endswith("_mm") and value <= 0:
+            raise ObjectFileError(f"{key} must be positive, got {values[key]!r}",
+                                  lines[key])
         return value
+
+    def build(cls, key: str, **kwargs):
+        """Construct cls; a failed check of its own is reported at key's line."""
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ObjectFileError(str(exc), lines.get(key)) from exc
 
     def require(key: str) -> float:
         v = number(key)
@@ -343,17 +353,16 @@ def parse_object_file(text: str) -> ObjectDescription:
                 # Geometry unknown; treat the flank as flat and let the
                 # planner react to the declared complex face.
                 kind = "flat"
-            return FaceArc(kind=kind, radius=number(f"{prefix}_face_radius_mm"))
-        shape = CompositeFaces(left=face("left"), right=face("right"),
-                               width=require("width_mm"), height=require("height_mm"))
+            return build(FaceArc, f"{prefix}_face_shape", kind=kind,
+                         radius=number(f"{prefix}_face_radius_mm"))
+        shape = build(CompositeFaces, "height_mm", left=face("left"),
+                      right=face("right"), width=require("width_mm"),
+                      height=require("height_mm"))
     else:
         raise ObjectFileError(f"unknown shape {shape_name!r}", lines["shape"])
 
     mu = number("mu")
-    try:
-        spec = ObjectSpec(shape=shape, mu=mu if mu is not None else 0.5)
-    except ValueError as exc:
-        raise ObjectFileError(str(exc)) from exc
+    spec = build(ObjectSpec, "mu", shape=shape, mu=mu if mu is not None else 0.5)
 
     for key in ("left_face", "right_face"):
         if key in values and values[key].lower() not in _FACE_NAMES:

@@ -75,6 +75,19 @@ class TestSimulate:
         assert ev_rows[0] == EVENTS_HEADER
         assert any(r[1] == "ObjectContact" for r in ev_rows[1:])
 
+    def test_config_with_nan_friction_torque_rejected(self, capsys, tmp_path,
+                                                      fixtures_dir):
+        cfg = tmp_path / "nan.cfg"
+        lines = (fixtures_dir / "default.cfg").read_text().splitlines()
+        lineno = lines.index("friction_torque_nmm = 0") + 1
+        lines[lineno - 1] = "friction_torque_nmm = nan"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc, out, err = run(capsys, "--config", str(cfg), "simulate", "switch",
+                           "--from", "1", "--to", "2")
+        assert rc == 1
+        assert out == ""
+        assert f"line {lineno}: non-finite value for friction_torque_nmm" in err
+
     def test_switch_single_step(self, capsys, tmp_path):
         out_file = tmp_path / "trace.csv"
         ev_file = tmp_path / "events.csv"
@@ -139,6 +152,14 @@ class TestPlanAndClassify:
         assert rc == 1
         assert out == ""
         assert "line 4: non-finite value for mu" in err
+
+    def test_classify_rejects_negative_radius(self, capsys, tmp_path):
+        obj = tmp_path / "neg.object"
+        obj.write_text("shape = circle\nradius_mm = -1\n")
+        rc, out, err = run(capsys, "classify", "--object", str(obj), "--mode", "1")
+        assert rc == 1
+        assert out == ""
+        assert "line 2: radius_mm must be positive" in err
 
     def test_classify_large_cylinder(self, capsys, fixtures_dir, tmp_path):
         contacts = tmp_path / "contacts.csv"

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from multigrip.config import (DEFAULT_DETENT_VALUES, ConfigError,
+from multigrip.config import (DEFAULT_DETENT_VALUES, ConfigError, RunConfig,
                               default_config, load_config, parse_config,
                               set_config_value)
 from multigrip.mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
@@ -100,6 +101,39 @@ order_4s = flat, convex, convex, deformable
         with pytest.raises(ConfigError, match="3S"):
             parse_config(text)
 
+    def test_scalar_defaults_are_the_field_defaults(self):
+        cfg = parse_config(MINIMAL)
+        fields = {f.name: f.default for f in dataclasses.fields(RunConfig)
+                  if f.default is not dataclasses.MISSING}
+        assert {name: getattr(cfg, name) for name in fields} == fields
+        assert default_config().order_3s == cfg.order_3s
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("sim", "friction_torque_nmm = nan", "non-finite"),
+        ("sim", "friction_torque_nmm = -1", "must be non-negative"),
+        ("sim", "step_deg = nan", "non-finite"),
+        ("sim", "step_deg = -1", "must be positive"),
+        ("sim", "step_deg = 0", "must be positive"),
+        ("sim", "torque_step_nmm = inf", "non-finite"),
+        ("sim", "torque_step_nmm = -5", "must be positive"),
+        ("sim", "stroke_limit_mm = nan", "non-finite"),
+        ("sim", "stroke_limit_mm = 0", "must be positive"),
+        ("surfaces", "face_width_mm = nan", "non-finite"),
+        ("surfaces", "face_width_mm = -20", "must be positive"),
+        ("surfaces", "face_radius_mm = 0", "must be positive"),
+        ("planner", "thin_object_mm = nan", "non-finite"),
+        ("gears", "body_gear_radius_4s_mm = inf", "non-finite"),
+    ])
+    def test_out_of_domain_value_line_number(self, section, line, message):
+        key = line.split()[0]
+        if section == "gears":
+            text = MINIMAL.replace(f"{key} = 12", line)
+        else:
+            text = MINIMAL + f"[{section}]\n{line}\n"
+        lineno = text.splitlines().index(line) + 1
+        with pytest.raises(ConfigError, match=f"line {lineno}: .*{message}"):
+            parse_config(text)
+
 
 class TestSetConfigValue:
     def test_detent_override(self):
@@ -158,3 +192,23 @@ class TestObjectFiles:
     def test_non_finite_shape_values_rejected(self, build, value):
         with pytest.raises(ValueError, match="finite"):
             build(value)
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("shape = circle\nradius_mm = -1\n", 2, "radius_mm must be positive"),
+        ("shape = box\nwidth_mm = 20\nheight_mm = 0\n", 3,
+         "height_mm must be positive"),
+        ("shape = thin_plate\nthickness_mm = 1\nlength_mm = -30\n", 3,
+         "length_mm must be positive"),
+        ("shape = circle\nmu = -0.2\nradius_mm = 5\n", 2,
+         "friction coefficient must be finite and >= 0"),
+        ("shape = composite\nleft_face_shape = wavy\nwidth_mm = 10\n"
+         "height_mm = 10\n", 2, "unknown face kind"),
+        ("shape = composite\nleft_face_shape = convex\nwidth_mm = 10\n"
+         "height_mm = 10\n", 2, "convex face needs a positive radius"),
+        ("shape = composite\nwidth_mm = 10\nheight_mm = 30\n"
+         "left_face_shape = convex\nleft_face_radius_mm = 5\n", 3,
+         "face arc cannot span the object height"),
+    ])
+    def test_out_of_domain_value_line_number(self, text, lineno, message):
+        with pytest.raises(ObjectFileError, match=f"line {lineno}: {message}"):
+            parse_object_file(text)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,10 +282,12 @@ class TestCaging:
 
     def test_cspace_obstacle_matches_exact_collision(self):
         # the rasterized configuration-space obstacle must agree with exact
-        # polygon collision except within a cell of the boundary
+        # collision except within a cell of the boundary, for a polygon and
+        # for a disk (whose exact test is a centre-to-polygon distance)
         import random
 
-        from multigrip.geometry import (points_to_polygon_distance,
+        from multigrip.geometry import (points_in_polygon,
+                                        points_to_polygon_distance,
                                         polygons_intersect)
         from multigrip.grasp import (_blocked_by_convolution, _finger_polygon,
                                      _rasterize_polygon)
@@ -296,28 +299,72 @@ class TestCaging:
         xs = np.arange(-30.0, 30.0 + cell, cell)
         ys = np.arange(-25.0, 25.0 + cell, cell)
         mask = _rasterize_polygon(poly, xs, ys)
-        base = object_polygon(ObjectSpec(Box(6.0, 9.0), mu=0.5))
         m = int(math.ceil(6.0 / cell)) + 1
         local = np.arange(-m, m + 1) * cell
-        footprint = _rasterize_polygon(base, local, local)
-        blocked = _blocked_by_convolution(mask, footprint)
 
-        rng = random.Random(3)
-        checked = 0
-        for _ in range(400):
-            i = rng.randrange(len(xs))
-            j = rng.randrange(len(ys))
-            moved = base + (xs[i], ys[j])
-            exact_hit = polygons_intersect(moved, poly)
+        def margin(outline):
+            # distance between the object's and the finger's boundaries
             edge_pts = np.vstack([
-                moved + t * (np.roll(moved, -1, axis=0) - moved)
+                outline + t * (np.roll(outline, -1, axis=0) - outline)
                 for t in np.linspace(0.0, 1.0, 8, endpoint=False)])
-            margin = float(points_to_polygon_distance(edge_pts, poly).min())
-            if margin <= 1.5 * cell:
-                continue  # within rasterization uncertainty of the boundary
-            checked += 1
-            assert blocked[i, j] == exact_hit
-        assert checked > 100
+            return float(points_to_polygon_distance(edge_pts, poly).min())
+
+        def disk_hit(centre, r=5.0):
+            return bool(points_in_polygon(centre[None], poly)[0]
+                        or points_to_polygon_distance(centre[None], poly)[0] < r)
+
+        box = ObjectSpec(Box(6.0, 9.0), mu=0.5)
+        disk = ObjectSpec(Circle(5.0), mu=0.5)
+        cases = [(box, lambda c: polygons_intersect(object_polygon(box) + c, poly)),
+                 (disk, disk_hit)]
+        for obj, oracle in cases:
+            footprint = _rasterize_polygon(object_polygon(obj), local, local)
+            blocked = _blocked_by_convolution(mask, footprint)
+            rng = random.Random(3)
+            checked = 0
+            for _ in range(400):
+                i = rng.randrange(len(xs))
+                j = rng.randrange(len(ys))
+                centre = np.array([xs[i], ys[j]])
+                if margin(object_polygon(obj) + centre) <= 1.5 * cell:
+                    continue  # within rasterization uncertainty of the boundary
+                checked += 1
+                assert blocked[i, j] == oracle(centre), (obj, centre)
+            assert checked > 100, obj
+
+    def test_disk_with_room_escapes_without_warning(self):
+        # 2 mm of clearance on each side is four cells: not resolution-limited
+        lp = rp = surface_profile(flat(), 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CagingResolutionWarning)
+            assert caging_test(SMALL, lp, rp, 14.0, cell=0.5) is False
+
+    def test_polygon_escape_through_narrow_passage_reported(self):
+        # 0.4 mm on each side of the box, below two 0.5 mm cells
+        lp = rp = surface_profile(flat(), 20.0)
+        small_box = ObjectSpec(Box(6.0, 6.0), mu=0.5)
+        with pytest.warns(CagingResolutionWarning, match="two grid cells"):
+            assert caging_test(small_box, lp, rp, 6.8, cell=0.5) is False
+
+    def test_wide_escape_at_rest_angle_builds_one_slice(self, monkeypatch):
+        # a box with 2 mm of room each side slides out at its rest angle, so
+        # the other 71 rotation slices are never needed
+        from multigrip import grasp
+
+        calls = []
+        original = grasp._blocked_by_convolution
+        monkeypatch.setattr(grasp, "_blocked_by_convolution",
+                            lambda *a: calls.append(1) or original(*a))
+        lp = rp = surface_profile(flat(), 20.0)
+        small_box = ObjectSpec(Box(6.0, 6.0), mu=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CagingResolutionWarning)
+            assert caging_test(small_box, lp, rp, 10.0, cell=0.5) is False
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.warns(CagingResolutionWarning):
+            assert caging_test(small_box, lp, rp, 6.8, cell=0.5) is False
+        assert len(calls) == 72
 
 
 class TestClassify:
