@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: peaks come
 from plain dense sweeps, positive span from an LP plus randomized
-certificates, and cycle periods from literal sequence enumeration.
+certificates, cycle periods from literal sequence enumeration, and
+simulator traces from the public one-increment `step`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ import random
 import numpy as np
 from scipy.optimize import linprog
 
+from multigrip.control import Direction, PositionMove
 from multigrip.grasp import ContactSet
 from multigrip.mechanics import MagnetDetent, detent_torque
+from multigrip.sim import (EVENT_DETENT_REENGAGE, Phase, Scenario, ScenarioError,
+                           SimError, SimEvent, SimTrace, TraceRow, initial_state,
+                           step)
 
 
 def sweep_peak(magnet: MagnetDetent, hi_deg: float = 60.0,
@@ -99,3 +104,50 @@ def oracle_positive_span(vectors: np.ndarray, n_random: int = 50,
         if not res.success:
             return False
     return True
+
+
+# The simulator's landing and travel tolerance (rad and mm).
+_SIM_EPS = 1e-9
+
+
+def _command_done(state, cmd, reengaged: bool) -> bool:
+    if isinstance(cmd, PositionMove):
+        return abs(state.theta_m - cmd.target_angle) <= _SIM_EPS
+    if cmd.direction is Direction.CLOSE:
+        return (state.phase is Phase.GRASPING
+                and state.tau_m >= cmd.target_torque - _SIM_EPS)
+    return reengaged or (state.phase is not Phase.ROTATING
+                         and state.tau_m >= cmd.target_torque - _SIM_EPS)
+
+
+def replay_by_steps(scenario: Scenario) -> SimTrace:
+    """Replay a scenario through the public `step`, one increment per call.
+
+    The reference for `run_scenario`: each command runs until complete, one
+    row per step, and a failing step or a step past `max_steps` raises
+    ScenarioError with the same step and command indices.
+    """
+    radius = scenario.gears.input_sprocket_radius
+
+    def row(n, s):
+        f_g = s.tau_m / radius if s.phase is Phase.GRASPING else 0.0
+        return TraceRow(n, s.theta_m, s.tau_m, s.d_f_3s, s.d_f_4s,
+                        s.theta_fb_3s, s.theta_fb_4s, f_g, s.phase)
+
+    state = initial_state(scenario)
+    rows, events, n = [row(0, state)], [], 0
+    for ci, cmd in enumerate(scenario.commands):
+        reengaged = False
+        while not _command_done(state, cmd, reengaged):
+            try:
+                state, raised = step(state, cmd, scenario)
+            except SimError as exc:
+                raise ScenarioError(n + 1, ci, exc) from exc
+            n += 1
+            if n > scenario.max_steps:
+                raise ScenarioError(n, ci, SimError("max step count exceeded"))
+            rows.append(row(n, state))
+            for kind, detail in raised:
+                events.append(SimEvent(n, kind, detail))
+                reengaged = reengaged or kind == EVENT_DETENT_REENGAGE
+    return SimTrace(rows=tuple(rows), events=tuple(events), final_state=state)

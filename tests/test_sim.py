@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import random
@@ -17,6 +18,8 @@ from multigrip.sim import (EVENT_BREAKAWAY, EVENT_MODE_CHANGED,
                            UnreachableTarget, at_detent, body_torque_trace,
                            grasp_scenario, initial_state, run_scenario, step,
                            switch_scenario, write_events_csv, write_trace_csv)
+
+from oracles import replay_by_steps
 
 
 class TestStep:
@@ -398,3 +401,66 @@ class TestRandomizedProperties:
             again = run_scenario(sc)
             assert again.rows == tr.rows
             assert again.events == tr.events
+
+
+def _outcome(run, scenario):
+    """The trace, or the error's type, message, indices and attached state."""
+    try:
+        trace = run(scenario)
+    except ScenarioError as err:
+        cause = err.cause
+        attached = ((cause.resolved_state, cause.events)
+                    if isinstance(cause, ReversalDuringRotation) else None)
+        return (str(err), err.step_index, err.command_index, type(cause),
+                str(cause), attached)
+    return trace.rows, trace.events, trace.final_state
+
+
+def _edge_scenarios(gears, counts):
+    """Runs the random population lacks: held-torque rotation, free closing
+    into the stroke limit, and reversal after a long rotation."""
+    strong = MagnetDetent(magnet_coefficient=16.0, circle_radius=14.0,
+                          nominal_gap=1.0)
+    threshold = breakaway_motor_torque(gears, strong)
+    scenarios = []
+    for step_deg in (0.05, 0.1, 0.7, 5.0):
+        common = dict(gears=gears, magnet=strong, counts=counts,
+                      step_deg=step_deg)
+        scenarios += [
+            Scenario(**common, initial_position=3.0,
+                     commands=(TorqueRamp(1.2 * threshold, Direction.OPEN),
+                               TorqueRamp(3.0 * threshold, Direction.OPEN))),
+            Scenario(**common, stroke_limit=10.0,
+                     commands=(TorqueRamp(400.0, Direction.CLOSE),)),
+            Scenario(**common, initial_position=2.0,
+                     commands=(PositionMove(math.radians(30.0)),
+                               PositionMove(-1.0))),
+        ]
+    return scenarios
+
+
+class TestSegmentRunsMatchStep:
+    """run_scenario equals the one-increment `step` replay, bit for bit."""
+
+    @staticmethod
+    def _check(scenario, cut: bool) -> None:
+        expected = _outcome(replay_by_steps, scenario)
+        assert _outcome(run_scenario, scenario) == expected
+        if not cut or len(expected) != 3:
+            return
+        steps = len(expected[0]) - 1
+        for max_steps in sorted({0, 1, 7, steps // 3, steps // 2, steps - 1}):
+            if 0 <= max_steps < steps:
+                short = dataclasses.replace(scenario, max_steps=max_steps)
+                assert (_outcome(run_scenario, short)
+                        == _outcome(replay_by_steps, short))
+
+    @pytest.mark.parametrize("seed, n", [(20240901, 300), (987654321, 1000)])
+    def test_random_population(self, seed, n):
+        rng = random.Random(seed)
+        for i in range(n):
+            self._check(random_scenario(rng), cut=i % 10 == 0)
+
+    def test_edge_scenarios(self, gears, counts):
+        for scenario in _edge_scenarios(gears, counts):
+            self._check(scenario, cut=True)
