@@ -166,7 +166,12 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# Most points one sweep may evaluate.
+_MAX_SWEEP_POINTS = 10_000
+
+
 def _parse_range(spec: str) -> list[float]:
+    """Points start + k*step up to stop (inclusive within 1e-12 relative)."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise CliError("--range expects start:stop:step")
@@ -174,16 +179,17 @@ def _parse_range(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise CliError(f"non-numeric range component in {spec!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliError(f"range {spec!r} has a non-finite component")
     if step <= 0:
         raise CliError("range step must be positive")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12 * max(abs(stop), 1.0):
-            break
-        values.append(v)
-        k += 1
+    limit = stop + 1e-12 * max(abs(stop), 1.0)
+    span = (limit - start) / step
+    if span >= _MAX_SWEEP_POINTS:
+        raise CliError(f"range {spec!r} holds more than {_MAX_SWEEP_POINTS} "
+                       "points")
+    count = max(math.floor(span) + 2, 0)  # one spare against rounding in span
+    values = [v for v in (start + k * step for k in range(count)) if v <= limit]
     if not values:
         raise CliError(f"range {spec!r} contains no points")
     return values

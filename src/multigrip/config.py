@@ -84,6 +84,8 @@ _SCALAR_KEYS = {
             "friction_torque_nmm": ("friction_torque", "non-negative"),
             "torque_step_nmm": ("torque_step", "positive")},
 }
+_SCALAR_DOMAINS = {field: domain for keys in _SCALAR_KEYS.values()
+                   for field, domain in keys.values()}
 _SECTIONS = {
     "gears": set(_GEAR_KEYS),
     "detent": set(_DETENT_KEYS),
@@ -155,10 +157,14 @@ def _number(section: dict[str, tuple[str, int]], key: str,
                           lineno) from None
     if not math.isfinite(number):
         raise ConfigError(f"non-finite value for {key}: {value!r}", lineno)
-    if (domain == "positive" and number <= 0
-            or domain == "non-negative" and number < 0):
+    if not _in_domain(number, domain):
         raise ConfigError(f"{key} must be {domain}, got {value!r}", lineno)
     return number
+
+
+def _in_domain(number: float, domain: str | None) -> bool:
+    return not (domain == "positive" and number <= 0
+                or domain == "non-negative" and number < 0)
 
 
 def _integer(section: dict[str, tuple[str, int]], key: str, default: int) -> int:
@@ -259,6 +265,12 @@ def set_config_value(config: RunConfig, param: str, value: float) -> RunConfig:
     if not math.isfinite(value):
         raise ConfigError(f"non-finite value for {param}")
     if group is None:
+        domain = _SCALAR_DOMAINS[attr]
+        if not _in_domain(value, domain):
+            raise ConfigError(f"{param} must be {domain}, got {value!r}")
         return replace(config, **{attr: value})
-    nested = replace(getattr(config, group), **{attr: value})
+    try:
+        nested = replace(getattr(config, group), **{attr: value})
+    except ValueError as exc:
+        raise ConfigError(f"{param}={value!r}: {exc}") from exc
     return replace(config, **{group: nested})

@@ -1,4 +1,4 @@
-"""Small 2D helpers shared by the contact and caging code.
+"""Planar point-in-polygon test for the caging rasterizer.
 
 Points are (x, y) with x along the closing axis.  Polygons are (N, 2)
 arrays of vertices in order, implicitly closed.
@@ -8,48 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "point_segment_distances",
-    "points_to_polygon_distance",
-    "points_in_polygon",
-    "segments_intersect",
-    "polygons_intersect",
-]
-
-
-def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest of the segments (a[i], b[i]).
-
-    points: (N, 2); a, b: (M, 2).  Returns (N,) minimum distances.
-    """
-    points = np.asarray(points, dtype=float)
-    d = b - a                                    # (M, 2)
-    length_sq = np.einsum("ij,ij->i", d, d)      # (M,)
-    length_sq = np.where(length_sq == 0.0, 1.0, length_sq)
-    rel = points[:, None, :] - a[None, :, :]     # (N, M, 2)
-    t = np.einsum("nmj,mj->nm", rel, d) / length_sq
-    t = np.clip(t, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    diff = points[:, None, :] - proj
-    dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
-    return dist.min(axis=1)
-
-
-def _polygon_edges(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    polygon = np.asarray(polygon, dtype=float)
-    return polygon, np.roll(polygon, -1, axis=0)
-
-
-def points_to_polygon_distance(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Distance from each point to the polygon boundary."""
-    a, b = _polygon_edges(polygon)
-    return point_segment_distances(points, a, b)
+__all__ = ["points_in_polygon"]
 
 
 def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
     """Crossing-number containment test, vectorized over points."""
     points = np.asarray(points, dtype=float)
-    a, b = _polygon_edges(polygon)
+    a = np.asarray(polygon, dtype=float)
+    b = np.roll(a, -1, axis=0)
     x = points[:, 0][:, None]
     y = points[:, 1][:, None]
     ya, yb = a[:, 1][None, :], b[:, 1][None, :]
@@ -59,36 +25,3 @@ def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
         x_cross = xa + (y - ya) * (xb - xa) / (yb - ya)
     crossings = np.sum(straddles & (x < x_cross), axis=1)
     return crossings % 2 == 1
-
-
-def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
-            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
-
-
-def segments_intersect(a1: np.ndarray, a2: np.ndarray,
-                       b1: np.ndarray, b2: np.ndarray) -> bool:
-    """True if any segment (a1[i], a2[i]) crosses any segment (b1[j], b2[j])."""
-    a1 = a1[:, None, :]
-    a2 = a2[:, None, :]
-    b1 = b1[None, :, :]
-    b2 = b2[None, :, :]
-    d1 = _orient(a1, a2, b1)
-    d2 = _orient(a1, a2, b2)
-    d3 = _orient(b1, b2, a1)
-    d4 = _orient(b1, b2, a2)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    return bool(np.any(proper))
-
-
-def polygons_intersect(poly_a: np.ndarray, poly_b: np.ndarray) -> bool:
-    """Overlap test: edge crossings or full containment either way."""
-    a1, a2 = _polygon_edges(poly_a)
-    b1, b2 = _polygon_edges(poly_b)
-    if segments_intersect(a1, a2, b1, b2):
-        return True
-    if points_in_polygon(poly_a[:1], poly_b)[0]:
-        return True
-    if points_in_polygon(poly_b[:1], poly_a)[0]:
-        return True
-    return False

@@ -22,6 +22,7 @@ __all__ = [
     "grasp_forces",
     "body_torques",
     "drivetrain_forces",
+    "detent_coefficients",
     "detent_torque",
     "detent_peak",
     "breakaway_motor_torque",
@@ -219,6 +220,19 @@ def drivetrain_forces(motor_torque: float, gears: GearGeometry) -> DrivetrainFor
     )
 
 
+def detent_coefficients(magnet: MagnetDetent) -> tuple[float, float, float]:
+    """(A, B, C) of the detent curve C sin(theta) / (A - B cos(theta))^1.5.
+
+    With circle radius r, nominal gap d and magnet coefficient k:
+    A = d^2 + 2r^2 + 2dr, B = 2r(r + d), C = k r (r + d).  A - B = d^2 > 0,
+    so the denominator never vanishes.
+    """
+    r = magnet.circle_radius
+    d = magnet.nominal_gap
+    return (d * d + 2.0 * r * r + 2.0 * d * r, 2.0 * r * (r + d),
+            magnet.magnet_coefficient * r * (r + d))
+
+
 def detent_torque(body_angle: float, magnet: MagnetDetent) -> float:
     """Restoring torque (N*mm) on a finger body rotated off its detent.
 
@@ -227,11 +241,8 @@ def detent_torque(body_angle: float, magnet: MagnetDetent) -> float:
     rides a circle of the configured radius.  Odd and 2*pi-periodic in the
     body angle.
     """
-    r = magnet.circle_radius
-    d = magnet.nominal_gap
-    base = (d * d + 2.0 * r * r + 2.0 * d * r
-            - 2.0 * r * (r + d) * math.cos(body_angle))
-    return magnet.magnet_coefficient * r * (r + d) * math.sin(body_angle) / base ** 1.5
+    a, b, c = detent_coefficients(magnet)
+    return c * math.sin(body_angle) / (a - b * math.cos(body_angle)) ** 1.5
 
 
 def detent_peak(magnet: MagnetDetent) -> tuple[float, float]:
@@ -246,10 +257,7 @@ def detent_peak(magnet: MagnetDetent) -> tuple[float, float]:
     (angle at peak [rad], peak torque [N*mm]).  The peak angle does not
     depend on the magnet coefficient, only on the detent geometry.
     """
-    r = magnet.circle_radius
-    d = magnet.nominal_gap
-    a = d * d + 2.0 * r * r + 2.0 * d * r
-    b = 2.0 * r * (r + d)
+    a, b, _ = detent_coefficients(magnet)
     angle = math.acos(3.0 * b / (a + math.sqrt(a * a + 3.0 * b * b)))
     return angle, detent_torque(angle, magnet)
 

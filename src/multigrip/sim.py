@@ -10,6 +10,15 @@ contact with the object or the stopper is rigid.
 Within one step the state changes by at most one motion kind (translation
 or body rotation, never both), and steps land exactly on contact, stopper
 and detent boundaries so events line up with trace rows.
+
+`run_scenario` advances each run of plain full-increment steps in one numpy
+pass.  A run is a stretch with no landing, no event and no completed
+command: a translation toward the stopper, the object contact or the stroke
+limit, or a body rotation between detents.  Its positions are running sums
+(`np.add.accumulate` adds in order, so it rounds exactly as the step loop
+does), and every step condition is checked on the whole run at once.  The
+step at each boundary goes through `step`, so the trace is bit-identical to
+calling `step` one increment at a time.
 """
 
 from __future__ import annotations
@@ -18,13 +27,18 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .control import (ControllerState, Direction, MotorCommand, PositionMove,
                       TorqueRamp, grasp_command, switch_command)
 from .mechanics import (GearGeometry, MagnetDetent, SurfaceCounts,
-                        breakaway_motor_torque, detent_peak, detent_torque,
-                        gc_mode_count, switch_interval)
+                        breakaway_motor_torque, detent_coefficients,
+                        detent_peak, detent_torque, gc_mode_count,
+                        switch_interval)
 
 __all__ = [
     "Phase",
@@ -464,13 +478,178 @@ def _command_complete(state: GripperState, cmd: MotorCommand,
             and state.tau_m >= cmd.target_torque - _EPS_TRAVEL)
 
 
+class _Kinematics(NamedTuple):
+    """Per-scenario constants of the step rules, computed once per replay."""
+
+    d_inc: float            # motor-angle increment (rad)
+    radius: float           # input sprocket radius (mm)
+    interval: float         # switch interval (rad of motor)
+    ratio_3s: float
+    ratio_4s: float
+    pitch_3s: float
+    bind_3s: bool           # the 3S detent sets the breakaway threshold
+    ratio_bind: float
+    pitch_bind: float
+    arm: float              # smaller torque arm (mm)
+    detent: tuple[float, float, float]  # (A, B, C) of detent_coefficients
+
+
+def _kinematics(sc: Scenario) -> _Kinematics:
+    g, c = sc.gears, sc.counts
+    bind_3s = _binding_side(g) == "3s"
+    return _Kinematics(
+        d_inc=math.radians(sc.step_deg), radius=g.input_sprocket_radius,
+        interval=switch_interval(g, c),
+        ratio_3s=g.rotation_ratio_3s, ratio_4s=g.rotation_ratio_4s,
+        pitch_3s=c.pitch_3s, bind_3s=bind_3s,
+        ratio_bind=g.rotation_ratio_3s if bind_3s else g.rotation_ratio_4s,
+        pitch_bind=c.pitch_3s if bind_3s else c.pitch_4s,
+        arm=min(g.torque_arm_3s, g.torque_arm_4s),
+        detent=detent_coefficients(sc.magnet))
+
+
+# Runs estimated shorter than this go through `step` one increment at a
+# time: one numpy pass costs about as much as 4 to 8 calls to `step`.
+_MIN_RUN = 8
+# Longest run computed in one pass; bounds the arrays of one pass.
+_MAX_RUN = 1 << 15
+
+
+def _ramp(start: float, inc: float, n: int) -> np.ndarray:
+    """start, start + inc, ... (n + 1 values), summed in order like the loop."""
+    col = np.full(n + 1, inc)
+    col[0] = start
+    return np.add.accumulate(col)
+
+
+def _leading_true(ok: np.ndarray) -> int:
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else len(ok)
+
+
+def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
+               kin: _Kinematics, max_len: int
+               ) -> tuple[int, tuple, GripperState] | None:
+    """The longest run of plain full-increment steps from this state.
+
+    Returns (step count, columns of the new rows, state after the run), or
+    None when the run would be shorter than _MIN_RUN steps, so the next
+    step goes through `step`.  A plain step consumes exactly one motor
+    increment, lands on nothing, raises no event and leaves the command
+    incomplete; each condition is evaluated on every pre-step state, and
+    the run ends before the first step that fails one.
+    """
+    d_inc, r = kin.d_inc, kin.radius
+    rotating = state.phase is Phase.ROTATING
+    target = None
+    if isinstance(cmd, PositionMove):
+        target = cmd.target_angle
+        delta = target - state.theta_m
+        if delta >= d_inc:
+            kind = "rotate" if rotating else "open"
+            bound = delta
+        elif -delta >= d_inc and not rotating:
+            kind, bound = "close", -delta
+        else:
+            return None
+    elif rotating:
+        if cmd.direction is Direction.CLOSE:
+            return None
+        kind, bound = "rotate", math.inf
+    elif cmd.direction is Direction.OPEN:
+        # after one step tau_m is 0; stop if that completes the command
+        if 0.0 >= cmd.target_torque - _EPS_TRAVEL:
+            return None
+        kind, bound = "open", math.inf
+    else:
+        kind, bound = "close", math.inf
+        if (sc.object_contact is not None
+                and state.d_f_3s >= sc.object_contact - _EPS_TRAVEL):
+            return None
+    if kind == "open":
+        if state.d_f_3s <= _EPS_TRAVEL:
+            return None
+        bound = min(bound, state.d_f_3s / r)
+    elif kind == "close":
+        room = sc.stroke_limit - state.d_f_3s
+        if sc.object_contact is not None:
+            room = min(room, sc.object_contact - state.d_f_3s)
+        bound = min(bound, room / r)
+    else:
+        bound = min(bound, kin.interval - _rotation_offset_motor(state, sc))
+    n = min(max_len, _MAX_RUN, int(bound / d_inc) + 2)
+    if n < _MIN_RUN:
+        return None
+
+    sign = -1.0 if kind == "close" else 1.0
+    theta = _ramp(state.theta_m, sign * d_inc, n)
+    pre = theta[:-1]
+    ok = np.ones(n, dtype=bool)
+    if target is not None:
+        # full increment left in the move, and the move not yet complete
+        ok &= sign * (target - pre) >= d_inc
+        ok &= np.abs(pre - target) > _EPS_LANDING
+    if kind == "rotate":
+        fb3 = _ramp(state.theta_fb_3s, kin.ratio_3s * d_inc, n)
+        fb4 = _ramp(state.theta_fb_4s, kin.ratio_4s * d_inc, n)
+        k = np.floor(fb3[:-1] / kin.pitch_3s + 1e-9)
+        fb_bind = fb3[:-1] if kin.bind_3s else fb4[:-1]
+        offset = np.maximum(fb_bind - k * kin.pitch_bind, 0.0) / kin.ratio_bind
+        ok &= d_inc < (kin.interval - offset) - _EPS_LANDING
+        m = _leading_true(ok)
+        if m == 0:
+            return None
+        if target is None:
+            tau = repeat(state.tau_m)  # a torque ramp holds its torque
+            tau_end = state.tau_m
+        else:
+            a, b, c = kin.detent
+            angle = kin.ratio_bind * (offset[:m] + d_inc)
+            base = (a - b * np.cos(angle)).tolist()
+            # a Python pow: numpy's vectorized pow can differ in the last bit
+            detent = c * np.sin(angle) / np.array([x ** 1.5 for x in base])
+            tau = (r * detent / kin.arm + sc.friction_torque).tolist()
+            tau_end = tau[-1]
+        fb3_l, fb4_l = fb3[1:m + 1].tolist(), fb4[1:m + 1].tolist()
+        columns = (tau, repeat(state.d_f_3s), repeat(state.d_f_4s), fb3_l, fb4_l)
+        theta_l = theta[1:m + 1].tolist()
+        new = replace(state, theta_m=theta_l[-1], tau_m=tau_end,
+                      theta_fb_3s=fb3_l[-1], theta_fb_4s=fb4_l[-1])
+        return m, (theta_l, *columns), new
+
+    d = _ramp(state.d_f_3s, -sign * (r * d_inc), n)  # closing adds travel
+    d_pre = d[:-1]
+    if kind == "open":
+        ok &= d_pre > _EPS_TRAVEL
+        ok &= d_inc < d_pre / r - _EPS_LANDING
+        phase = Phase.TRANSLATING_OPEN
+    else:
+        if sc.object_contact is not None:
+            if target is None:
+                ok &= d_pre < sc.object_contact - _EPS_TRAVEL
+            ok &= d_inc < (sc.object_contact - d_pre) / r - _EPS_LANDING
+        ok &= d[1:] <= sc.stroke_limit + _EPS_TRAVEL
+        phase = Phase.TRANSLATING_CLOSE
+    m = _leading_true(ok)
+    if m == 0:
+        return None
+    theta_l, d_l = theta[1:m + 1].tolist(), d[1:m + 1].tolist()
+    columns = (repeat(0.0), d_l, d_l, repeat(state.theta_fb_3s),
+               repeat(state.theta_fb_4s))
+    new = replace(state, theta_m=theta_l[-1], tau_m=0.0, d_f_3s=d_l[-1],
+                  d_f_4s=d_l[-1], phase=phase)
+    return m, (theta_l, *columns), new
+
+
 def run_scenario(scenario: Scenario) -> SimTrace:
     """Replay the scenario's command sequence and record every step.
 
-    Deterministic: the trace is a pure function of the scenario.  Errors
-    raised by a step are re-raised as ScenarioError with the offending step
-    and command indices.
+    Deterministic: the trace is a pure function of the scenario, and equals
+    replaying it through `step` one increment at a time.  Errors raised by
+    a step are re-raised as ScenarioError with the offending step and
+    command indices.
     """
+    kin = _kinematics(scenario)
     state = initial_state(scenario)
     rows = [_row(0, state, scenario)]
     events: list[SimEvent] = []
@@ -478,6 +657,16 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     for ci, cmd in enumerate(scenario.commands):
         reengaged = False
         while not _command_complete(state, cmd, reengaged):
+            run = _plain_run(state, cmd, scenario, kin,
+                             scenario.max_steps - step_no)
+            if run is not None:
+                m, columns, state = run
+                # tuple.__new__ builds each TraceRow without a Python frame
+                rows.extend(map(tuple.__new__, repeat(TraceRow), zip(
+                    range(step_no + 1, step_no + m + 1), *columns,
+                    repeat(0.0), repeat(state.phase))))
+                step_no += m
+                continue
             try:
                 state, evts = step(state, cmd, scenario)
             except ScenarioError:
@@ -540,16 +729,32 @@ TRACE_HEADER = ["step", "theta_m_deg", "tau_m_Nmm", "d_f3S_mm", "d_f4S_mm",
 EVENTS_HEADER = ["step", "event", "detail"]
 
 
+# Rows formatted per write: bounds the text held at once for long traces.
+_CSV_CHUNK = 1000
+_phase_text = attrgetter("_value_")  # Phase.value without the property call
+
+
+def _reprs(values) -> list[str]:
+    """repr() of each value, formatted in one call."""
+    return repr(list(values))[1:-1].split(", ")
+
+
 def write_trace_csv(trace: SimTrace, stream) -> None:
-    """Write the trace rows as CSV (angles in degrees, torques in N*mm)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for r in trace.rows:
-        writer.writerow([r.step, repr(math.degrees(r.theta_m)), repr(r.tau_m),
-                         repr(r.d_f_3s), repr(r.d_f_4s),
-                         repr(math.degrees(r.theta_fb_3s)),
-                         repr(math.degrees(r.theta_fb_4s)),
-                         repr(r.f_g), r.phase.value])
+    """Write the trace rows as CSV (angles in degrees, torques in N*mm).
+
+    Columns are formatted a chunk of rows at a time; every field is
+    unquoted, as csv.writer leaves numbers and phase names.
+    """
+    stream.write(",".join(TRACE_HEADER) + "\n")
+    rows = trace.rows
+    for i in range(0, len(rows), _CSV_CHUNK):
+        step, theta, tau, d3, d4, fb3, fb4, f_g, phase = zip(*rows[i:i + _CSV_CHUNK])
+        fields = (map(str, step), _reprs(np.degrees(theta).tolist()),
+                  _reprs(tau), _reprs(d3), _reprs(d4),
+                  _reprs(np.degrees(fb3).tolist()),
+                  _reprs(np.degrees(fb4).tolist()), _reprs(f_g),
+                  map(_phase_text, phase))
+        stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def write_events_csv(trace: SimTrace, stream) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from multigrip.control import Direction, PositionMove
+from multigrip.geometry import points_in_polygon
 from multigrip.grasp import ContactSet
 from multigrip.mechanics import MagnetDetent, detent_torque
 from multigrip.sim import (EVENT_DETENT_REENGAGE, Phase, Scenario, ScenarioError,
@@ -151,3 +152,69 @@ def replay_by_steps(scenario: Scenario) -> SimTrace:
                 events.append(SimEvent(n, kind, detail))
                 reengaged = reengaged or kind == EVENT_DETENT_REENGAGE
     return SimTrace(rows=tuple(rows), events=tuple(events), final_state=state)
+
+
+# Exact planar distance and overlap tests; the caging grid is checked
+# against them.
+
+
+def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest of the segments (a[i], b[i]).
+
+    points: (N, 2); a, b: (M, 2).  Returns (N,) minimum distances.
+    """
+    points = np.asarray(points, dtype=float)
+    d = b - a                                    # (M, 2)
+    length_sq = np.einsum("ij,ij->i", d, d)      # (M,)
+    length_sq = np.where(length_sq == 0.0, 1.0, length_sq)
+    rel = points[:, None, :] - a[None, :, :]     # (N, M, 2)
+    t = np.einsum("nmj,mj->nm", rel, d) / length_sq
+    t = np.clip(t, 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
+    diff = points[:, None, :] - proj
+    dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
+    return dist.min(axis=1)
+
+
+def _polygon_edges(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    polygon = np.asarray(polygon, dtype=float)
+    return polygon, np.roll(polygon, -1, axis=0)
+
+
+def points_to_polygon_distance(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
+    """Distance from each point to the polygon boundary."""
+    a, b = _polygon_edges(polygon)
+    return point_segment_distances(points, a, b)
+
+
+def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+
+def segments_intersect(a1: np.ndarray, a2: np.ndarray,
+                       b1: np.ndarray, b2: np.ndarray) -> bool:
+    """True if any segment (a1[i], a2[i]) crosses any segment (b1[j], b2[j])."""
+    a1 = a1[:, None, :]
+    a2 = a2[:, None, :]
+    b1 = b1[None, :, :]
+    b2 = b2[None, :, :]
+    d1 = _orient(a1, a2, b1)
+    d2 = _orient(a1, a2, b2)
+    d3 = _orient(b1, b2, a1)
+    d4 = _orient(b1, b2, a2)
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    return bool(np.any(proper))
+
+
+def polygons_intersect(poly_a: np.ndarray, poly_b: np.ndarray) -> bool:
+    """Overlap test: edge crossings or full containment either way."""
+    a1, a2 = _polygon_edges(poly_a)
+    b1, b2 = _polygon_edges(poly_b)
+    if segments_intersect(a1, a2, b1, b2):
+        return True
+    if points_in_polygon(poly_a[:1], poly_b)[0]:
+        return True
+    if points_in_polygon(poly_b[:1], poly_a)[0]:
+        return True
+    return False

@@ -234,6 +234,34 @@ class TestSweep:
         assert rc == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("1:2:nan", "non-finite"),
+        ("1:inf:1", "non-finite"),
+        ("nan:2:1", "non-finite"),
+        ("-inf:2:1", "non-finite"),
+        ("0:1e9:1", "more than 10000 points"),
+        ("0:1:1e-12", "more than 10000 points"),
+    ])
+    def test_range_rejected_before_evaluating(self, capsys, spec, message):
+        rc, out, err = run(capsys, "sweep", "--param", "detent.magnet_gap_mm",
+                           f"--range={spec}", "--metric", "breakaway")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_range_at_the_point_cap(self, capsys):
+        rc, out, _ = run(capsys, "sweep", "--param", "detent.magnet_gap_mm",
+                         "--range", "1:10.999:0.001", "--metric", "breakaway")
+        assert rc == 0
+        assert len(out.splitlines()) == 1 + 10_000
+
+    def test_value_outside_config_domain(self, capsys):
+        rc, out, err = run(capsys, "sweep", "--param", "sim.friction_torque_nmm",
+                           "--range=-50:0:25", "--metric", "switch-interval")
+        assert rc == 1
+        assert out == ""
+        assert "sim.friction_torque_nmm must be non-negative" in err
+
 
 def test_unknown_subcommand_nonzero(capsys):
     assert dispatch(["frobnicate"]) != 0

@@ -146,6 +146,16 @@ class TestSetConfigValue:
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             set_config_value(default_config(), "gears.bogus", 1.0)
 
+    def test_value_outside_config_file_domain(self):
+        cfg = default_config()
+        for value in (-50.0, -25.0, -1e-300):
+            with pytest.raises(ConfigError, match="must be non-negative"):
+                set_config_value(cfg, "sim.friction_torque_nmm", value)
+        assert set_config_value(cfg, "sim.friction_torque_nmm",
+                                0.0).friction_torque == 0.0
+        with pytest.raises(ConfigError, match="nominal_gap must be positive"):
+            set_config_value(cfg, "detent.magnet_gap_mm", -1.0)
+
 
 class TestObjectFiles:
     def test_fixture_objects_parse(self, fixtures_dir):

@@ -11,7 +11,8 @@ from multigrip.grasp import (CagingResolutionWarning, Contact, ContactSet,
                              form_closure_test, surface_profile)
 from multigrip.modes import concave, convex, deformable_flat, flat
 from multigrip.objects import Box, Circle, ObjectSpec, ThinPlate
-from oracles import oracle_positive_span, oracle_wrenches
+from oracles import (oracle_positive_span, oracle_wrenches,
+                     points_to_polygon_distance, polygons_intersect)
 
 CC = (concave(10.0), concave(10.0))
 FF = (flat(), flat())
@@ -286,9 +287,7 @@ class TestCaging:
         # for a disk (whose exact test is a centre-to-polygon distance)
         import random
 
-        from multigrip.geometry import (points_in_polygon,
-                                        points_to_polygon_distance,
-                                        polygons_intersect)
+        from multigrip.geometry import points_in_polygon
         from multigrip.grasp import (_blocked_by_convolution, _finger_polygon,
                                      _rasterize_polygon)
         from multigrip.objects import object_polygon

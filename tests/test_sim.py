@@ -239,7 +239,36 @@ class TestSwitchScenario:
         assert tr.final_state.mode_index == 1
 
 
+def _csv_reference(trace) -> str:
+    """The trace CSV written one row at a time through the csv module."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    for r in trace.rows:
+        writer.writerow([r.step, repr(math.degrees(r.theta_m)), repr(r.tau_m),
+                         repr(r.d_f_3s), repr(r.d_f_4s),
+                         repr(math.degrees(r.theta_fb_3s)),
+                         repr(math.degrees(r.theta_fb_4s)),
+                         repr(r.f_g), r.phase.value])
+    return buf.getvalue()
+
+
 class TestCsv:
+    def test_trace_csv_matches_row_by_row_writer(self, gears, magnet, counts):
+        sc, _ = switch_scenario(gears, magnet, counts, from_mode=1, to_mode=4,
+                                step_deg=0.1)
+        tr = run_scenario(sc)
+        assert len(tr.rows) > 2000  # spans several formatting chunks
+        # hand-built rows: int, signed-zero and nan values keep their text
+        odd = tr.rows[:3] + (
+            tr.rows[3]._replace(d_f_3s=0.0, d_f_4s=-0.0, tau_m=400),
+            tr.rows[4]._replace(d_f_3s=3, d_f_4s=3.0, f_g=float("nan")),
+            tr.rows[5]._replace(d_f_4s=tr.rows[5].d_f_3s + 1e-9))
+        for trace in (tr, dataclasses.replace(tr, rows=odd)):
+            buf = io.StringIO()
+            write_trace_csv(trace, buf)
+            assert buf.getvalue() == _csv_reference(trace)
+
     def test_trace_round_trip_schema(self, gears, magnet, counts):
         sc, _ = switch_scenario(gears, magnet, counts, from_mode=1, to_mode=2,
                                 step_deg=1.0)
@@ -418,7 +447,9 @@ def _outcome(run, scenario):
 
 def _edge_scenarios(gears, counts):
     """Runs the random population lacks: held-torque rotation, free closing
-    into the stroke limit, and reversal after a long rotation."""
+    into the stroke limit, reversal after a long rotation, and stopper or
+    contact distances that are whole multiples of the increment, where
+    only the landing tolerance decides the last step."""
     strong = MagnetDetent(magnet_coefficient=16.0, circle_radius=14.0,
                           nominal_gap=1.0)
     threshold = breakaway_motor_torque(gears, strong)
@@ -426,7 +457,12 @@ def _edge_scenarios(gears, counts):
     for step_deg in (0.05, 0.1, 0.7, 5.0):
         common = dict(gears=gears, magnet=strong, counts=counts,
                       step_deg=step_deg)
+        whole = 9 * gears.input_sprocket_radius * math.radians(step_deg)
         scenarios += [
+            Scenario(**common, initial_position=whole,
+                     commands=(PositionMove(2.0),)),
+            Scenario(**common, object_contact=whole,
+                     commands=(TorqueRamp(50.0, Direction.CLOSE),)),
             Scenario(**common, initial_position=3.0,
                      commands=(TorqueRamp(1.2 * threshold, Direction.OPEN),
                                TorqueRamp(3.0 * threshold, Direction.OPEN))),
