@@ -259,7 +259,8 @@ class TestCsv:
                                 step_deg=0.1)
         tr = run_scenario(sc)
         assert len(tr.rows) > 2000  # spans several formatting chunks
-        # hand-built rows: int, signed-zero and nan values keep their text
+        # hand-built rows: int, signed-zero and nan values and unequal
+        # finger travels keep their own text
         odd = tr.rows[:3] + (
             tr.rows[3]._replace(d_f_3s=0.0, d_f_4s=-0.0, tau_m=400),
             tr.rows[4]._replace(d_f_3s=3, d_f_4s=3.0, f_g=float("nan")),
@@ -482,7 +483,7 @@ class TestSegmentRunsMatchStep:
     def _check(scenario, cut: bool) -> None:
         expected = _outcome(replay_by_steps, scenario)
         assert _outcome(run_scenario, scenario) == expected
-        if not cut or len(expected) != 3:
+        if not cut or len(expected) != 3:  # an error outcome has six fields
             return
         steps = len(expected[0]) - 1
         for max_steps in sorted({0, 1, 7, steps // 3, steps // 2, steps - 1}):
