@@ -16,10 +16,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from .geometry import points_in_polygon
 from .modes import SurfaceKind, SurfaceShape
 from .objects import (ObjectSpec, SideBoundary, ThinPlate, object_polygon,
                       side_boundary)
@@ -166,8 +167,7 @@ def _candidate_ys(boundary: SideBoundary, profile: SurfaceProfile,
     extras = [y for y in extras if lo <= y <= hi]
     if extras:
         ys.append(np.array(extras))
-    out = np.unique(np.concatenate(ys))
-    return out
+    return np.unique(np.concatenate(ys))
 
 
 def _side_clearance(spec_boundary: SideBoundary, profile: SurfaceProfile,
@@ -177,11 +177,7 @@ def _side_clearance(spec_boundary: SideBoundary, profile: SurfaceProfile,
     Independent of the finger position: the left finger at reference x_ref
     has clearance c(y) - x_ref, the right finger has x_ref - c(y).
     """
-    bx = spec_boundary.x_of(ys)
-    f = profile.height(ys)
-    if side < 0:
-        return bx - f
-    return bx + f
+    return spec_boundary.x_of(ys) + side * profile.height(ys)
 
 
 def _first_contact_ref(boundary: SideBoundary, profile: SurfaceProfile,
@@ -191,8 +187,7 @@ def _first_contact_ref(boundary: SideBoundary, profile: SurfaceProfile,
         raise ValueError("no contact achievable: the finger face and the "
                          "object do not overlap laterally")
     c = _side_clearance(boundary, profile, ys, side)
-    ref = float(c.min()) if side < 0 else float(c.max())
-    return ref, ys, c
+    return (float(c.min()) if side < 0 else float(c.max())), ys, c
 
 
 def _cluster_contacts(ys: np.ndarray, residual: np.ndarray,
@@ -287,10 +282,8 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile,
     separation.  Small objects nested in deep pockets can leave the fingers
     touching each other with the object untouched.
     """
-    lb = side_boundary(obj, -1)
-    rb = side_boundary(obj, +1)
-    ref_l, _, _ = _first_contact_ref(lb, left, -1, grid)
-    ref_r, _, _ = _first_contact_ref(rb, right, +1, grid)
+    ref_l, _, _ = _first_contact_ref(side_boundary(obj, -1), left, -1, grid)
+    ref_r, _, _ = _first_contact_ref(side_boundary(obj, +1), right, +1, grid)
     sep_obj = max(-2.0 * ref_l, 2.0 * ref_r)
     lo = max(-left.width / 2.0, -right.width / 2.0)
     hi = min(left.width / 2.0, right.width / 2.0)
@@ -320,18 +313,45 @@ def _effective_contacts(cset: ContactSet) -> list[Contact]:
     return list(seen.values())
 
 
-def _origin_strictly_inside(points: np.ndarray, margin: float = _HULL_MARGIN) -> bool:
-    from scipy.spatial import ConvexHull, QhullError
+_CROSS = np.zeros((9, 3))   # np.outer(a, b).ravel() @ _CROSS == np.cross(a, b)
+_CROSS[[5, 7, 6, 2, 1, 3], [0, 0, 1, 1, 2, 2]] = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
 
+
+@lru_cache(maxsize=None)
+def _facet_maps(n: int, dim: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Over every dim-subset of n points: edge map and (first point, subset) index."""
+    subsets = np.array(list(combinations(range(n), dim))).reshape(-1, dim)
+    to_edges = np.eye(n)[subsets[:, 1:]] - np.eye(n)[subsets[:, :1]]
+    return (to_edges.transpose(1, 0, 2).reshape(-1, n),
+            (subsets[:, 0], np.arange(len(subsets))))
+
+
+def _origin_strictly_inside(points: np.ndarray, margin: float = _HULL_MARGIN) -> bool:
+    """Whether the origin lies at least `margin` inside the hull of 2-D or 3-D points.
+
+    Exact facet enumeration: every plane through dim of the points with all
+    points on one side (up to round-off) supports the hull, and the facet
+    planes are among them.  A set of less than full dimension has none, or
+    one with points on both sides: no interior."""
     points = np.asarray(points, dtype=float)
-    dim = points.shape[1]
-    if len(points) < dim + 1:
+    n, dim = points.shape
+    if n < dim + 1:
         return False
-    try:
-        hull = ConvexHull(points)
-    except QhullError:
-        return False
-    return bool(np.all(hull.equations[:, -1] <= -margin))
+    to_edges, first = _facet_maps(n, dim)
+    edges = (to_edges @ points).reshape(dim - 1, -1, dim)
+    normals = (edges[0][:, ::-1] * (1.0, -1.0) if dim == 2 else
+               (edges[0][:, :, None] * edges[1][:, None, :]).reshape(-1, 9) @ _CROSS)
+    length = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+    dots = points @ normals.T
+    offsets = dots[first]
+    scale = float(np.abs(points).max())
+    spans = length > 1e-12 * scale ** (dim - 1)   # not (nearly) collinear
+    slack = 1e-12 * scale * length
+    below = spans & (dots.max(axis=0) - offsets <= slack)
+    above = spans & (dots.min(axis=0) - offsets >= -slack)
+    reach = margin * length
+    return bool((below | above).any()) and not (
+        (below & (offsets < reach)) | (above & (offsets > -reach))).any()
 
 
 def _wrench_rows(contacts: list[Contact], centroid: tuple[float, float],
@@ -361,10 +381,7 @@ def form_closure_test(cset: ContactSet) -> bool:
         raise ValueError("form closure test needs at least one contact")
     contacts = _effective_contacts(cset)
     if cset.rotation_free:
-        dirs = np.array([c.normal for c in contacts])
-        if len(dirs) < 3:
-            return False
-        return _origin_strictly_inside(dirs)
+        return _origin_strictly_inside(np.array([c.normal for c in contacts]))
     if len(contacts) < 4:
         return False
     wrenches = _wrench_rows(contacts, cset.centroid, lambda c: (c.normal,))
@@ -384,10 +401,7 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
         raise ValueError("force closure test needs at least one contact")
     contacts = _effective_contacts(cset)
     if mu == 0.0 and cset.rotation_free:
-        dirs = np.array([c.normal for c in contacts])
-        if len(dirs) < 3:
-            return False
-        return _origin_strictly_inside(dirs)
+        return _origin_strictly_inside(np.array([c.normal for c in contacts]))
     phi = math.atan(mu)
 
     def edges(c: Contact):
@@ -407,16 +421,11 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
 
 def _finger_polygon(profile: SurfaceProfile, x_ref: float, side: int,
                     body_depth: float) -> np.ndarray:
-    front = profile.polyline.copy()
-    if side < 0:
-        pts = np.column_stack([x_ref + front[:, 0], front[:, 1]])
-        back_x = x_ref - body_depth
-    else:
-        pts = np.column_stack([x_ref - front[:, 0], front[:, 1]])
-        back_x = x_ref + body_depth
+    front = profile.polyline
+    back_x = x_ref + side * body_depth
     w = profile.width / 2.0
-    back = np.array([[back_x, w], [back_x, -w]])
-    return np.vstack([pts, back])
+    return np.vstack([np.column_stack([x_ref - side * front[:, 0], front[:, 1]]),
+                      [[back_x, w], [back_x, -w]]])
 
 
 def _reachable_region(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
@@ -425,41 +434,33 @@ def _reachable_region(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
 
     allowed = free.copy()
     allowed[seed] = True
-    structure = ndimage.generate_binary_structure(3, 1)
-    labels, n_labels = ndimage.label(allowed, structure=structure)
-    reach = {int(labels[seed])}
-    if allowed.shape[0] > 1:
-        # merge components that touch across the rotation seam
-        top, bottom = labels[0], labels[-1]
-        both = (top > 0) & (bottom > 0)
-        pairs = np.unique(np.stack([top[both], bottom[both]], axis=1), axis=0)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in pairs:
-                a, b = int(a), int(b)
-                if (a in reach) != (b in reach):
-                    reach.update((a, b))
-                    changed = True
+    labels, n_labels = ndimage.label(
+        allowed, structure=ndimage.generate_binary_structure(3, 1))
     reached = np.zeros(n_labels + 1, dtype=bool)  # label 0 (blocked) stays out
-    reached[list(reach)] = True
+    reached[labels[seed]] = True
+    if allowed.shape[0] > 1:
+        # follow components that touch across the rotation seam
+        both = (labels[0] > 0) & (labels[-1] > 0)
+        top, bottom = labels[0][both], labels[-1][both]
+        while (new := reached[top] != reached[bottom]).any():
+            reached[top[new]] = reached[bottom[new]] = True
     return reached[labels]
 
 
 def _rasterize_polygon(polygon: np.ndarray, xs: np.ndarray,
                        ys: np.ndarray) -> np.ndarray:
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-    return points_in_polygon(centers, polygon).reshape(len(xs), len(ys))
+    """Cells (xs[i], ys[j]) whose centres lie inside the polygon; xs increasing.
 
-
-def _blocked_by_convolution(finger_mask: np.ndarray, footprint: np.ndarray) -> np.ndarray:
-    """Configuration-space obstacle: fingers dilated by the reflected footprint."""
-    from scipy.signal import fftconvolve
-
-    kernel = footprint[::-1, ::-1].astype(float)
-    overlap = fftconvolve(finger_mask.astype(float), kernel, mode="same")
-    return overlap > 0.5
+    Crossing-number test with each edge's crossing computed once per grid
+    row: a centre is inside iff an odd number of its row's crossings lie
+    strictly to its right, i.e. have insertion points above i."""
+    a = np.asarray(polygon, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    row, e = np.nonzero((a[:, 1] <= ys[:, None]) != (b[:, 1] <= ys[:, None]))
+    x_cross = a[e, 0] + (ys[row] - a[e, 1]) * (b[e, 0] - a[e, 0]) / (b[e, 1] - a[e, 1])
+    cuts = np.bincount(np.searchsorted(xs, x_cross) * len(ys) + row,
+                       minlength=(len(xs) + 1) * len(ys)).reshape(-1, len(ys))
+    return np.cumsum(cuts[:0:-1], axis=0)[::-1] % 2 == 1
 
 
 def _escapes(region: np.ndarray) -> bool:
@@ -485,7 +486,9 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
 
     For each rotation slice (one for a rotation-symmetric object such as a
     disk) the obstacle is the rasterized finger bodies at the given
-    separation convolved with the rotated object footprint.  The object is
+    separation convolved with the rotated object footprint: one FFT of the
+    finger mask, then one forward and one inverse FFT per slice (Kavraki,
+    IEEE T-RA 1995).  The object is
     caged iff the free region connected to the rest pose never reaches the
     border of the workspace box.  An escape that vanishes once free space is
     eroded by two cells in x-y runs through a gap at most two cells wide, so
@@ -498,18 +501,15 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     fingers = np.vstack([poly_left, poly_right])
     base = object_polygon(obj)
     reach = float(np.max(np.hypot(base[:, 0], base[:, 1])))
-    x_lo = fingers[:, 0].min() - reach - 3 * cell
-    x_hi = fingers[:, 0].max() + reach + 3 * cell
-    y_lo = fingers[:, 1].min() - reach - 3 * cell
-    y_hi = fingers[:, 1].max() + reach + 3 * cell
-    xs = np.arange(x_lo, x_hi + cell, cell)
-    ys = np.arange(y_lo, y_hi + cell, cell)
+    xs, ys = (np.arange(c.min() - reach - 3 * cell,
+                        c.max() + reach + 3 * cell + cell, cell) for c in fingers.T)
     seed = (0, int(np.argmin(np.abs(xs))), int(np.argmin(np.abs(ys))))
 
     finger_mask = (_rasterize_polygon(poly_left, xs, ys)
                    | _rasterize_polygon(poly_right, xs, ys))
     m = int(math.ceil(reach / cell)) + 1
     local = np.arange(-m, m + 1) * cell
+    spectrum = np.fft.rfft2(finger_mask, _fft_shape(finger_mask.shape, (len(local),) * 2))
     n_angles = (1 if obj.rotation_symmetric
                 else max(int(round(360.0 / angle_cell_deg)), 1))
     free3 = np.zeros((n_angles, len(xs), len(ys)), dtype=bool)
@@ -518,7 +518,7 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
         rot = np.array([[math.cos(a), -math.sin(a)],
                         [math.sin(a), math.cos(a)]])
         footprint = _rasterize_polygon(base @ rot.T, local, local)
-        free3[ia] = ~_blocked_by_convolution(finger_mask, footprint)
+        free3[ia] = ~_blocked_by_convolution(spectrum, finger_mask.shape, footprint)
         if ia == 0 and _escapes_wide(free3[:1], seed):
             return False
 
@@ -603,3 +603,28 @@ def write_contacts_csv(cset: ContactSet, stream) -> None:
     for c in cset.contacts:
         writer.writerow([repr(c.point[0]), repr(c.point[1]),
                          repr(c.normal[0]), repr(c.normal[1]), c.finger])
+
+
+@lru_cache(maxsize=None)
+def _fft_shape(shape: tuple[int, ...], kernel_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Per axis, the least 2·3·5-smooth (fast) FFT length that holds the full
+    linear convolution, so that it does not wrap around."""
+    k = range(max(shape + kernel_shape).bit_length() + 2)
+    smooth = sorted(2**a * 3**b * 5**c for a in k for b in k for c in k)
+    return tuple(next(m for m in smooth if m >= s + q - 1)
+                 for s, q in zip(shape, kernel_shape))
+
+
+def _blocked_by_convolution(finger_spectrum: np.ndarray, shape: tuple[int, int],
+                            footprint: np.ndarray) -> np.ndarray:
+    """Configuration-space obstacle: fingers dilated by the reflected footprint.
+
+    `finger_spectrum` is the rfft2 of the finger mask (of the given shape)
+    at `_fft_shape(shape, footprint.shape)`.  The overlap counts are cropped
+    to fftconvolve's mode="same" window; being whole numbers, round-off
+    cannot move one across the 0.5 threshold."""
+    fft_shape = _fft_shape(shape, footprint.shape)
+    kernel = np.fft.rfft2(footprint[::-1, ::-1], fft_shape)
+    overlap = np.fft.irfft2(finger_spectrum * kernel, fft_shape)
+    i, j = ((k - 1) // 2 for k in footprint.shape)
+    return overlap[i:i + shape[0], j:j + shape[1]] > 0.5

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: peaks come
 from plain dense sweeps, positive span from an LP plus randomized
-certificates, cycle periods from literal sequence enumeration, and
-simulator traces from the public one-increment `step`.
+certificates, hull interiors from Qhull, cycle periods from literal
+sequence enumeration, and simulator traces from the public one-increment
+`step`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import random
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from multigrip.control import Direction, PositionMove
-from multigrip.geometry import points_in_polygon
 from multigrip.grasp import ContactSet
 from multigrip.mechanics import MagnetDetent, detent_torque
 from multigrip.sim import (EVENT_DETENT_REENGAGE, Phase, Scenario, ScenarioError,
@@ -73,6 +74,22 @@ def oracle_wrenches(cset: ContactSet, mu: float) -> np.ndarray:
     if cset.rotation_free and mu == 0.0:
         return np.array(rows).reshape(-1, 2)
     return np.array(rows).reshape(-1, 3)
+
+
+def hull_origin_inside(points: np.ndarray, margin: float) -> bool:
+    """Is the origin at least `margin` inside the points' Qhull convex hull?
+
+    A set Qhull rejects (too few points, or spanning less than full
+    dimension) has no interior.
+    """
+    points = np.asarray(points, dtype=float)
+    if len(points) < points.shape[1] + 1:
+        return False
+    try:
+        hull = ConvexHull(points)
+    except QhullError:
+        return False
+    return bool(np.all(hull.equations[:, -1] <= -margin))
 
 
 def oracle_positive_span(vectors: np.ndarray, n_random: int = 50,
@@ -154,26 +171,48 @@ def replay_by_steps(scenario: Scenario) -> SimTrace:
     return SimTrace(rows=tuple(rows), events=tuple(events), final_state=state)
 
 
-# Exact planar distance and overlap tests; the caging grid is checked
-# against them.
+# Exact planar containment, distance and overlap tests; the caging grid is
+# checked against them.
 
 
-def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def points_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
+    """Crossing-number containment test, vectorized over points."""
+    points = np.asarray(points, dtype=float)
+    a = np.asarray(polygon, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    x = points[:, 0][:, None]
+    y = points[:, 1][:, None]
+    ya, yb = a[:, 1][None, :], b[:, 1][None, :]
+    xa, xb = a[:, 0][None, :], b[:, 0][None, :]
+    straddles = (ya <= y) != (yb <= y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = xa + (y - ya) * (xb - xa) / (yb - ya)
+    crossings = np.sum(straddles & (x < x_cross), axis=1)
+    return crossings % 2 == 1
+
+
+def point_segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray,
+                            block: int = 256) -> np.ndarray:
     """Distance from each point to the nearest of the segments (a[i], b[i]).
 
-    points: (N, 2); a, b: (M, 2).  Returns (N,) minimum distances.
+    points: (N, 2); a, b: (M, 2).  Returns (N,) minimum distances.  Points
+    go in blocks so that the (block, M) temporaries stay small.
     """
     points = np.asarray(points, dtype=float)
-    d = b - a                                    # (M, 2)
-    length_sq = np.einsum("ij,ij->i", d, d)      # (M,)
+    ax, ay = a[:, 0], a[:, 1]
+    dx, dy = b[:, 0] - ax, b[:, 1] - ay
+    length_sq = dx * dx + dy * dy
     length_sq = np.where(length_sq == 0.0, 1.0, length_sq)
-    rel = points[:, None, :] - a[None, :, :]     # (N, M, 2)
-    t = np.einsum("nmj,mj->nm", rel, d) / length_sq
-    t = np.clip(t, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    diff = points[:, None, :] - proj
-    dist = np.sqrt(np.einsum("nmj,nmj->nm", diff, diff))
-    return dist.min(axis=1)
+    out = np.empty(len(points))
+    for start in range(0, len(points), block):
+        px = points[start:start + block, 0, None]
+        py = points[start:start + block, 1, None]
+        t = ((px - ax) * dx + (py - ay) * dy) / length_sq
+        t = np.clip(t, 0.0, 1.0)
+        ex = px - (ax + t * dx)
+        ey = py - (ay + t * dy)
+        out[start:start + block] = np.sqrt(ex * ex + ey * ey).min(axis=1)
+    return out
 
 
 def _polygon_edges(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -278,7 +278,8 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 class TestColdStart:
-    """The package and the non-grasp CLI paths import numpy but not scipy."""
+    """The package and the non-grasp CLI paths import numpy but not scipy;
+    grasp classification adds only `scipy.ndimage` (labelling, erosion)."""
 
     LIST_SCIPY = ("print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
@@ -301,6 +302,25 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert "delta_theta_sw_deg=108" in proc.stdout
         assert proc.stderr.strip() == "[]"
+
+    def test_caging_classify_loads_only_ndimage(self, fixtures_dir):
+        # box in mode 5 reaches the closure tests and the caging search
+        code = ("import sys\n"
+                "from multigrip.cli import main\n"
+                "sys.argv = ['multigrip', 'classify', '--object', "
+                f"{str(fixtures_dir / 'objects' / 'box.object')!r}, '--mode', '5']\n"
+                "try:\n"
+                "    main()\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code in (0, None), exc.code\n"
+                + self.LIST_SCIPY)
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
+        loaded = proc.stderr.strip().splitlines()[-1]
+        assert "'scipy.ndimage'" in loaded
+        assert "'scipy.signal'" not in loaded
+        assert "'scipy.spatial'" not in loaded
 
     def test_python_dash_m_runs_the_cli(self, capsys):
         proc = _run_python("-m", "multigrip", "validate-gears")

@@ -3,16 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
-from multigrip.grasp import (CagingResolutionWarning, Contact, ContactSet,
-                             DegenerateContactWarning, GraspOutcome,
+from multigrip.grasp import (_HULL_MARGIN, CagingResolutionWarning, Contact,
+                             ContactSet, DegenerateContactWarning, GraspOutcome,
+                             _origin_strictly_inside,
                              caging_test, classify_grasp, closure_separation,
                              compute_contacts, force_closure_test,
                              form_closure_test, surface_profile)
 from multigrip.modes import concave, convex, deformable_flat, flat
 from multigrip.objects import Box, Circle, ObjectSpec, ThinPlate
-from oracles import (oracle_positive_span, oracle_wrenches,
-                     points_to_polygon_distance, polygons_intersect)
+from oracles import (hull_origin_inside, oracle_positive_span, oracle_wrenches,
+                     points_in_polygon, points_to_polygon_distance,
+                     polygons_intersect)
 
 CC = (concave(10.0), concave(10.0))
 FF = (flat(), flat())
@@ -209,6 +214,69 @@ class TestFormClosure:
             form_closure_test(ContactSet(contacts=()))
 
 
+def _hull_inputs():
+    """Point sets in 2-D and 3-D, with the degenerate cases Qhull rejects."""
+    coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+    @st.composite
+    def build(draw):
+        dim = draw(st.sampled_from([2, 3]), label="dim")
+        n = draw(st.integers(3, 16), label="points")
+        kind = draw(st.sampled_from(
+            ["general", "flat", "duplicates", "near facet"]), label="kind")
+        vec = st.lists(coord, min_size=dim, max_size=dim).map(np.array)
+        if kind == "flat":
+            # collinear in 2-D, coplanar in 3-D, possibly through the origin
+            origin = draw(st.one_of(st.just(np.zeros(dim)), vec))
+            axes = np.array([draw(vec) for _ in range(dim - 1)])
+            weights = np.array(draw(st.lists(st.lists(
+                coord, min_size=dim - 1, max_size=dim - 1),
+                min_size=n, max_size=n)))
+            return origin + weights @ axes
+        points = np.array([draw(vec) for _ in range(n)])
+        if kind == "duplicates":
+            picks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            return points[picks]
+        if kind == "near facet":
+            # put the origin just inside or outside one facet, within a few
+            # margins of it and clear of the margin itself
+            try:
+                facets = ConvexHull(points).equations
+            except QhullError:
+                return points
+            normal, offset = np.split(facets[draw(st.integers(
+                0, len(facets) - 1), label="facet")], [dim])
+            depth = draw(st.sampled_from([-0.5, 0.0, 0.3, 0.7, 1.5, 3.0]))
+            return points + normal * (offset[0] + depth * _HULL_MARGIN)
+        return points
+
+    return build()
+
+
+class TestHullTest:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(points=_hull_inputs())
+    def test_matches_qhull(self, points):
+        assert (_origin_strictly_inside(points)
+                == hull_origin_inside(points, _HULL_MARGIN)), points.tolist()
+
+    def test_known_interiors(self):
+        square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        assert _origin_strictly_inside(square)
+        assert not _origin_strictly_inside(square + [1.0, 0.0])   # a vertex
+        assert not _origin_strictly_inside(square[:3])            # on an edge
+        assert not _origin_strictly_inside(square * [1.0, 0.0])   # collinear
+        tetra = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                          [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+        assert _origin_strictly_inside(tetra)
+        assert not _origin_strictly_inside(tetra * [1.0, 1.0, 0.0])  # coplanar
+        # the facet opposite vertex 0 lies 1/sqrt(3) from the origin
+        toward = tetra[0] / np.linalg.norm(tetra[0])
+        gap = 1.0 / math.sqrt(3.0)
+        assert _origin_strictly_inside(tetra + toward * (gap - 2 * _HULL_MARGIN))
+        assert not _origin_strictly_inside(tetra + toward * (gap - 0.5 * _HULL_MARGIN))
+
+
 class TestForceClosure:
     def test_box_between_flats_with_friction(self):
         lp = rp = surface_profile(flat(), 20.0)
@@ -287,9 +355,8 @@ class TestCaging:
         # for a disk (whose exact test is a centre-to-polygon distance)
         import random
 
-        from multigrip.geometry import points_in_polygon
         from multigrip.grasp import (_blocked_by_convolution, _finger_polygon,
-                                     _rasterize_polygon)
+                                     _fft_shape, _rasterize_polygon)
         from multigrip.objects import object_polygon
 
         cell = 1.0
@@ -300,36 +367,39 @@ class TestCaging:
         mask = _rasterize_polygon(poly, xs, ys)
         m = int(math.ceil(6.0 / cell)) + 1
         local = np.arange(-m, m + 1) * cell
+        spectrum = np.fft.rfft2(mask, _fft_shape(mask.shape, (len(local), len(local))))
 
-        def margin(outline):
-            # distance between the object's and the finger's boundaries
-            edge_pts = np.vstack([
-                outline + t * (np.roll(outline, -1, axis=0) - outline)
-                for t in np.linspace(0.0, 1.0, 8, endpoint=False)])
-            return float(points_to_polygon_distance(edge_pts, poly).min())
+        def margins(outlines):
+            # distance between each object's and the finger's boundaries
+            ahead = np.roll(outlines, -1, axis=1)
+            edge_pts = np.concatenate([
+                outlines + t * (ahead - outlines)
+                for t in np.linspace(0.0, 1.0, 8, endpoint=False)], axis=1)
+            dist = points_to_polygon_distance(edge_pts.reshape(-1, 2), poly)
+            return dist.reshape(len(outlines), -1).min(axis=1)
 
-        def disk_hit(centre, r=5.0):
-            return bool(points_in_polygon(centre[None], poly)[0]
-                        or points_to_polygon_distance(centre[None], poly)[0] < r)
+        def disk_hits(centres, r=5.0):
+            return (points_in_polygon(centres, poly)
+                    | (points_to_polygon_distance(centres, poly) < r))
+
+        def box_hits(centres):
+            return np.array([polygons_intersect(object_polygon(box) + c, poly)
+                             for c in centres])
 
         box = ObjectSpec(Box(6.0, 9.0), mu=0.5)
         disk = ObjectSpec(Circle(5.0), mu=0.5)
-        cases = [(box, lambda c: polygons_intersect(object_polygon(box) + c, poly)),
-                 (disk, disk_hit)]
-        for obj, oracle in cases:
+        for obj, oracle in [(box, box_hits), (disk, disk_hits)]:
             footprint = _rasterize_polygon(object_polygon(obj), local, local)
-            blocked = _blocked_by_convolution(mask, footprint)
+            blocked = _blocked_by_convolution(spectrum, mask.shape, footprint)
             rng = random.Random(3)
-            checked = 0
-            for _ in range(400):
-                i = rng.randrange(len(xs))
-                j = rng.randrange(len(ys))
-                centre = np.array([xs[i], ys[j]])
-                if margin(object_polygon(obj) + centre) <= 1.5 * cell:
-                    continue  # within rasterization uncertainty of the boundary
-                checked += 1
-                assert blocked[i, j] == oracle(centre), (obj, centre)
-            assert checked > 100, obj
+            i, j = np.array([(rng.randrange(len(xs)), rng.randrange(len(ys)))
+                             for _ in range(400)]).T
+            centres = np.column_stack([xs[i], ys[j]])
+            # skip poses within rasterization uncertainty of the boundary
+            clear = margins(object_polygon(obj)[None] + centres[:, None]) > 1.5 * cell
+            wrong = blocked[i, j][clear] != oracle(centres[clear])
+            assert not wrong.any(), (obj, centres[clear][wrong])
+            assert clear.sum() > 100, obj
 
     def test_disk_with_room_escapes_without_warning(self):
         # 2 mm of clearance on each side is four cells: not resolution-limited
@@ -354,16 +424,51 @@ class TestCaging:
         original = grasp._blocked_by_convolution
         monkeypatch.setattr(grasp, "_blocked_by_convolution",
                             lambda *a: calls.append(1) or original(*a))
+        # the finger mask is transformed once, each slice's footprint once
+        transforms = []
+        rfft2 = np.fft.rfft2
+        monkeypatch.setattr(np.fft, "rfft2",
+                            lambda *a: transforms.append(1) or rfft2(*a))
         lp = rp = surface_profile(flat(), 20.0)
         small_box = ObjectSpec(Box(6.0, 6.0), mu=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CagingResolutionWarning)
             assert caging_test(small_box, lp, rp, 10.0, cell=0.5) is False
         assert len(calls) == 1
+        assert len(transforms) == 1 + 1
         calls.clear()
+        transforms.clear()
         with pytest.warns(CagingResolutionWarning):
             assert caging_test(small_box, lp, rp, 6.8, cell=0.5) is False
         assert len(calls) == 72
+        assert len(transforms) == 1 + 72
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rasterizer_matches_crossing_number_oracle(self, data):
+        # cell for cell, on grids built as caging builds them, for random
+        # polygons, vertices on cell centres and horizontal edges
+        from multigrip.grasp import _rasterize_polygon
+
+        cell = data.draw(st.sampled_from([0.25, 0.3, 0.5, 1.0]), label="cell")
+        x_lo = data.draw(st.floats(-9.0, -3.0), label="x_lo")
+        y_lo = data.draw(st.floats(-9.0, -3.0), label="y_lo")
+        xs = np.arange(x_lo, 6.0 + cell, cell)
+        ys = np.arange(y_lo, 6.0 + cell, cell)
+        anywhere = st.floats(-10.0, 10.0, allow_subnormal=False)
+        x_of = st.one_of(anywhere, st.sampled_from(xs.tolist()))
+        y_of = st.one_of(anywhere, st.sampled_from(ys.tolist()))
+        vertices = [(data.draw(x_of), data.draw(y_of))]
+        for _ in range(data.draw(st.integers(2, 11), label="extra vertices")):
+            horizontal = data.draw(st.booleans(), label="horizontal edge")
+            y = vertices[-1][1] if horizontal else data.draw(y_of)
+            vertices.append((data.draw(x_of), y))
+        polygon = np.array(vertices)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        expected = points_in_polygon(np.column_stack([gx.ravel(), gy.ravel()]),
+                                     polygon).reshape(len(xs), len(ys))
+        np.testing.assert_array_equal(_rasterize_polygon(polygon, xs, ys),
+                                      expected)
 
 
 class TestClassify:
