@@ -3,7 +3,8 @@
 Angles are degrees and torques N*mm at this boundary; conversion to the
 library's radians happens here.  Subcommands write CSV to --out when given,
 otherwise to stdout.  Exit status is 0 on success and nonzero with a
-one-line diagnostic on stderr otherwise.
+one-line diagnostic on stderr otherwise; each warning raised while a
+command runs is one stderr line, `warning: <message>`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io
 import math
 import sys
+import warnings
 from typing import Sequence
 
 from . import grasp, mechanics, modes, planner, sim
@@ -296,12 +298,14 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except (CliError, ConfigError, ObjectFileError, ValueError,
-            sim.SimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (CliError, ConfigError, ObjectFileError, ValueError,
+                sim.SimError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def main() -> None:

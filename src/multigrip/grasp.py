@@ -428,25 +428,6 @@ def _finger_polygon(profile: SurfaceProfile, x_ref: float, side: int,
                       [[back_x, w], [back_x, -w]]])
 
 
-def _reachable_region(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
-    """Free cells connected to the seed; axis 0 (rotation) wraps around."""
-    from scipy import ndimage
-
-    allowed = free.copy()
-    allowed[seed] = True
-    labels, n_labels = ndimage.label(
-        allowed, structure=ndimage.generate_binary_structure(3, 1))
-    reached = np.zeros(n_labels + 1, dtype=bool)  # label 0 (blocked) stays out
-    reached[labels[seed]] = True
-    if allowed.shape[0] > 1:
-        # follow components that touch across the rotation seam
-        both = (labels[0] > 0) & (labels[-1] > 0)
-        top, bottom = labels[0][both], labels[-1][both]
-        while (new := reached[top] != reached[bottom]).any():
-            reached[top[new]] = reached[bottom[new]] = True
-    return reached[labels]
-
-
 def _rasterize_polygon(polygon: np.ndarray, xs: np.ndarray,
                        ys: np.ndarray) -> np.ndarray:
     """Cells (xs[i], ys[j]) whose centres lie inside the polygon; xs increasing.
@@ -463,20 +444,83 @@ def _rasterize_polygon(polygon: np.ndarray, xs: np.ndarray,
     return np.cumsum(cuts[:0:-1], axis=0)[::-1] % 2 == 1
 
 
-def _escapes(region: np.ndarray) -> bool:
-    """Whether a reached pose lies on the border of the workspace box."""
-    return bool(region[:, 0, :].any() or region[:, -1, :].any()
-                or region[:, :, 0].any() or region[:, :, -1].any())
+def _reachable_region(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
+    """Free runs along y connected to the seed cell, which counts as free.
+
+    Rows (line, y0, y1) with line = angle * nx + x and y1 exclusive.  Runs
+    are joined when their y-intervals overlap and they lie in neighbouring
+    x lines or rotation slices; axis 0 (rotation) wraps around.  Components
+    come from a vectorized union-find: hook the two roots of every edge to
+    the lesser one, then jump pointers until each run points at its root."""
+    na, nx, ny = free.shape
+    w = ny + 1
+    padded = np.pad(free, ((0, 0), (0, 0), (1, 1)))
+    padded[seed[0], seed[1], seed[2] + 1] = True
+    # transitions at line * w + y alternate: run start, run end (exclusive)
+    start, end = np.flatnonzero(padded[..., 1:] != padded[..., :-1]).reshape(-1, 2).T
+    line = start // w
+    edges = []
+    for target, ok in ((line + 1, line % nx < nx - 1),   # next x, same slice
+                       ((line + nx) % (na * nx), na > 1)):   # next slice
+        offset = (target - line) * w   # its runs lo .. lo + n - 1 overlap this one
+        lo = np.searchsorted(end, start + offset, side="right")
+        n = np.where(ok, np.searchsorted(start, end + offset) - lo, 0)
+        edges.append([np.repeat(np.arange(len(start)), n),
+                      np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)])
+    edges = np.concatenate(edges, axis=1)
+    parent = np.arange(len(start))
+    while edges.size:
+        roots = parent[edges]
+        # flat values: numpy 2.4's ufunc.at misreads broadcast ones
+        np.minimum.at(parent, roots.ravel(), np.tile(roots.min(axis=0), 2))
+        while ((jump := parent[parent]) != parent).any():
+            parent = jump
+        edges = edges[:, parent[edges[0]] != parent[edges[1]]]
+    past_seed = np.searchsorted(start, np.ravel_multi_index(seed, (na, nx, w)), "right")
+    return np.column_stack([line, start % w, end % w])[parent == parent[past_seed - 1]]
 
 
-def _escapes_wide(free: np.ndarray, seed: tuple[int, ...]) -> bool:
-    """Whether the object escapes through gaps more than two cells wide."""
-    from scipy import ndimage
+def _escapes_from(free: np.ndarray, seed: tuple[int, ...]) -> bool:
+    """Whether a pose reached from the seed lies on the border of the workspace box."""
+    _, nx, ny = free.shape
+    line, y0, y1 = _reachable_region(free, seed).T
+    return bool(np.isin(line % nx, (0, nx - 1)).any()
+                or (y0 == 0).any() or (y1 == ny).any())
 
-    plane = ndimage.generate_binary_structure(2, 1)[None]
-    narrowed = ndimage.binary_erosion(free, structure=plane, iterations=2,
-                                      border_value=1)
-    return _escapes(_reachable_region(narrowed, seed))
+
+def _erode_xy(free: np.ndarray) -> np.ndarray:
+    """Free space eroded twice by the x-y plane cross, the border counting as free."""
+    for _ in range(2):
+        p = np.pad(free, ((0, 0), (1, 1), (1, 1)), constant_values=True)
+        free = free & p[:, :-2, 1:-1] & p[:, 2:, 1:-1] & p[:, 1:-1, :-2] & p[:, 1:-1, 2:]
+    return free
+
+
+@lru_cache(maxsize=None)
+def _fft_shape(shape: tuple[int, ...], kernel_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Per axis, the least 2·3·5-smooth (fast) FFT length m with
+    m >= s + q - 1 - c, c = (q - 1) // 2: the terms of the circular
+    convolution that wrap around land below c, outside the mode="same"
+    crop [c, c + s)."""
+    k = range(max(shape + kernel_shape).bit_length() + 2)
+    smooth = sorted(2**a * 3**b * 5**c for a in k for b in k for c in k)
+    return tuple(next(m for m in smooth if m >= s + q - 1 - (q - 1) // 2)
+                 for s, q in zip(shape, kernel_shape))
+
+
+def _blocked_by_convolution(finger_spectrum: np.ndarray, shape: tuple[int, int],
+                            footprint: np.ndarray) -> np.ndarray:
+    """Configuration-space obstacle: fingers dilated by the reflected footprint.
+
+    `finger_spectrum` is the rfft2 of the finger mask (of the given shape)
+    at `_fft_shape(shape, footprint.shape)`.  The overlap counts are cropped
+    to fftconvolve's mode="same" window; being whole numbers, round-off
+    cannot move one across the 0.5 threshold."""
+    fft_shape = _fft_shape(shape, footprint.shape)
+    kernel = np.fft.rfft2(footprint[::-1, ::-1], fft_shape)
+    overlap = np.fft.irfft2(finger_spectrum * kernel, fft_shape)
+    i, j = ((k - 1) // 2 for k in footprint.shape)
+    return overlap[i:i + shape[0], j:j + shape[1]] > 0.5
 
 
 def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
@@ -488,13 +532,14 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     disk) the obstacle is the rasterized finger bodies at the given
     separation convolved with the rotated object footprint: one FFT of the
     finger mask, then one forward and one inverse FFT per slice (Kavraki,
-    IEEE T-RA 1995).  The object is
-    caged iff the free region connected to the rest pose never reaches the
-    border of the workspace box.  An escape that vanishes once free space is
-    eroded by two cells in x-y runs through a gap at most two cells wide, so
-    the verdict may depend on the grid: that raises CagingResolutionWarning.
-    A wide escape within the rest-angle slice alone, a subset of the full
-    search, decides the test before the other slices are built.
+    IEEE T-RA 1995).  The object is caged iff the free region connected to
+    the rest pose never reaches the border of the workspace box; the region
+    is a flood fill over the graph of free y-runs.  An escape that vanishes
+    once free space is eroded by two cells in x-y runs through a gap at most
+    two cells wide, so the verdict may depend on the grid: that raises
+    CagingResolutionWarning.  A wide escape within the rest-angle slice
+    alone, a subset of the full search, decides the test before the other
+    slices are built.
     """
     poly_left = _finger_polygon(left, -separation / 2.0, -1, body_depth)
     poly_right = _finger_polygon(right, separation / 2.0, +1, body_depth)
@@ -519,12 +564,12 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
                         [math.sin(a), math.cos(a)]])
         footprint = _rasterize_polygon(base @ rot.T, local, local)
         free3[ia] = ~_blocked_by_convolution(spectrum, finger_mask.shape, footprint)
-        if ia == 0 and _escapes_wide(free3[:1], seed):
+        if ia == 0 and _escapes_from(_erode_xy(free3[:1]), seed):
             return False
 
-    if not _escapes(_reachable_region(free3, seed)):
+    if not _escapes_from(free3, seed):
         return True
-    if not _escapes_wide(free3, seed):
+    if not _escapes_from(_erode_xy(free3), seed):
         warnings.warn(
             "the escape path passes a gap at most two grid cells "
             f"({2 * cell:g} mm) wide; result may be resolution-limited",
@@ -603,28 +648,3 @@ def write_contacts_csv(cset: ContactSet, stream) -> None:
     for c in cset.contacts:
         writer.writerow([repr(c.point[0]), repr(c.point[1]),
                          repr(c.normal[0]), repr(c.normal[1]), c.finger])
-
-
-@lru_cache(maxsize=None)
-def _fft_shape(shape: tuple[int, ...], kernel_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Per axis, the least 2·3·5-smooth (fast) FFT length that holds the full
-    linear convolution, so that it does not wrap around."""
-    k = range(max(shape + kernel_shape).bit_length() + 2)
-    smooth = sorted(2**a * 3**b * 5**c for a in k for b in k for c in k)
-    return tuple(next(m for m in smooth if m >= s + q - 1)
-                 for s, q in zip(shape, kernel_shape))
-
-
-def _blocked_by_convolution(finger_spectrum: np.ndarray, shape: tuple[int, int],
-                            footprint: np.ndarray) -> np.ndarray:
-    """Configuration-space obstacle: fingers dilated by the reflected footprint.
-
-    `finger_spectrum` is the rfft2 of the finger mask (of the given shape)
-    at `_fft_shape(shape, footprint.shape)`.  The overlap counts are cropped
-    to fftconvolve's mode="same" window; being whole numbers, round-off
-    cannot move one across the 0.5 threshold."""
-    fft_shape = _fft_shape(shape, footprint.shape)
-    kernel = np.fft.rfft2(footprint[::-1, ::-1], fft_shape)
-    overlap = np.fft.irfft2(finger_spectrum * kernel, fft_shape)
-    i, j = ((k - 1) // 2 for k in footprint.shape)
-    return overlap[i:i + shape[0], j:j + shape[1]] > 0.5

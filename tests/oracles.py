@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: peaks come
 from plain dense sweeps, positive span from an LP plus randomized
-certificates, hull interiors from Qhull, cycle periods from literal
-sequence enumeration, and simulator traces from the public one-increment
-`step`.
+certificates, hull interiors from Qhull, caging escapes from
+`scipy.ndimage` labelling and erosion, cycle periods from literal sequence
+enumeration, and simulator traces from the public one-increment `step`.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 import random
 
 import numpy as np
+from scipy import ndimage
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
@@ -257,3 +258,33 @@ def polygons_intersect(poly_a: np.ndarray, poly_b: np.ndarray) -> bool:
     if points_in_polygon(poly_b[:1], poly_a)[0]:
         return True
     return False
+
+
+def escapes_by_label(free: np.ndarray, seed: tuple[int, ...]) -> bool:
+    """Does the free region connected to the seed touch the x-y border?
+
+    6-connected `ndimage.label` of the free cells (the seed forced free),
+    then a merge of the components that touch across the rotation seam
+    (axis 0 wraps around when it has more than one slice)."""
+    allowed = free.copy()
+    allowed[seed] = True
+    labels, n_labels = ndimage.label(
+        allowed, structure=ndimage.generate_binary_structure(3, 1))
+    reached = np.zeros(n_labels + 1, dtype=bool)  # label 0 (blocked) stays out
+    reached[labels[seed]] = True
+    if allowed.shape[0] > 1:
+        # follow components that touch across the rotation seam
+        both = (labels[0] > 0) & (labels[-1] > 0)
+        top, bottom = labels[0][both], labels[-1][both]
+        while (new := reached[top] != reached[bottom]).any():
+            reached[top[new]] = reached[bottom[new]] = True
+    region = reached[labels]
+    return bool(region[:, 0, :].any() or region[:, -1, :].any()
+                or region[:, :, 0].any() or region[:, :, -1].any())
+
+
+def erode_xy(free: np.ndarray) -> np.ndarray:
+    """Two erosions by the x-y plane cross; cells past the border count as free."""
+    plane = ndimage.generate_binary_structure(2, 1)[None]
+    return ndimage.binary_erosion(free, structure=plane, iterations=2,
+                                  border_value=1)

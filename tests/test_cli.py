@@ -181,6 +181,16 @@ class TestPlanAndClassify:
         assert rc == 0
         assert "classification=fail" in out
 
+    def test_classify_warning_is_one_stderr_line(self, fixtures_dir):
+        # box in mode 5 escapes only through a gap of at most two cells
+        proc = _run_python("-m", "multigrip", "classify", "--object",
+                           str(fixtures_dir / "objects" / "box.object"), "--mode", "5")
+        assert proc.returncode == 0
+        assert proc.stdout == ("classification=fail contacts=1 posture_uncertain=false "
+                               "reason='no closure and an escape path exists'\n")
+        assert proc.stderr == ("warning: the escape path passes a gap at most two grid "
+                               "cells (1 mm) wide; result may be resolution-limited\n")
+
     def test_missing_object_file(self, capsys):
         rc, _, err = run(capsys, "classify", "--object", "/nope.object",
                          "--mode", "1")
@@ -278,8 +288,8 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 class TestColdStart:
-    """The package and the non-grasp CLI paths import numpy but not scipy;
-    grasp classification adds only `scipy.ndimage` (labelling, erosion)."""
+    """The package and every CLI path, the caging search included, import
+    numpy but no scipy module."""
 
     LIST_SCIPY = ("print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
@@ -303,12 +313,10 @@ class TestColdStart:
         assert "delta_theta_sw_deg=108" in proc.stdout
         assert proc.stderr.strip() == "[]"
 
-    def test_caging_classify_loads_only_ndimage(self, fixtures_dir):
-        # box in mode 5 reaches the closure tests and the caging search
+    def _run_cli(self, *argv: str) -> subprocess.CompletedProcess:
         code = ("import sys\n"
                 "from multigrip.cli import main\n"
-                "sys.argv = ['multigrip', 'classify', '--object', "
-                f"{str(fixtures_dir / 'objects' / 'box.object')!r}, '--mode', '5']\n"
+                f"sys.argv = ['multigrip', *{list(argv)!r}]\n"
                 "try:\n"
                 "    main()\n"
                 "except SystemExit as exc:\n"
@@ -317,10 +325,18 @@ class TestColdStart:
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
-        loaded = proc.stderr.strip().splitlines()[-1]
-        assert "'scipy.ndimage'" in loaded
-        assert "'scipy.signal'" not in loaded
-        assert "'scipy.spatial'" not in loaded
+        return proc
+
+    def test_caging_classify_loads_no_scipy(self, fixtures_dir):
+        # box in mode 5 reaches the closure tests and the caging search
+        proc = self._run_cli("classify", "--object",
+                             str(fixtures_dir / "objects" / "box.object"), "--mode", "5")
+        assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+    def test_plan_loads_no_scipy(self, fixtures_dir):
+        proc = self._run_cli("plan", "--object",
+                             str(fixtures_dir / "objects" / "complex_bracket.object"))
+        assert proc.stderr.strip() == "[]"
 
     def test_python_dash_m_runs_the_cli(self, capsys):
         proc = _run_python("-m", "multigrip", "validate-gears")

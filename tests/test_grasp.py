@@ -9,13 +9,14 @@ from scipy.spatial import ConvexHull, QhullError
 
 from multigrip.grasp import (_HULL_MARGIN, CagingResolutionWarning, Contact,
                              ContactSet, DegenerateContactWarning, GraspOutcome,
-                             _origin_strictly_inside,
+                             _erode_xy, _escapes_from, _origin_strictly_inside,
                              caging_test, classify_grasp, closure_separation,
                              compute_contacts, force_closure_test,
                              form_closure_test, surface_profile)
 from multigrip.modes import concave, convex, deformable_flat, flat
 from multigrip.objects import Box, Circle, ObjectSpec, ThinPlate
-from oracles import (hull_origin_inside, oracle_positive_span, oracle_wrenches,
+from oracles import (erode_xy, escapes_by_label, hull_origin_inside,
+                     oracle_positive_span, oracle_wrenches,
                      points_in_polygon, points_to_polygon_distance,
                      polygons_intersect)
 
@@ -469,6 +470,55 @@ class TestCaging:
                                      polygon).reshape(len(xs), len(ys))
         np.testing.assert_array_equal(_rasterize_polygon(polygon, xs, ys),
                                       expected)
+
+
+class TestEscapeFill:
+    """The run-graph flood fill and the x-y erosion against `scipy.ndimage`."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_labelling_oracle(self, data):
+        shape = (data.draw(st.integers(1, 8), label="angles"),
+                 data.draw(st.integers(1, 12), label="nx"),
+                 data.draw(st.integers(1, 12), label="ny"))
+        fill = data.draw(st.floats(0.2, 0.9), label="fill")
+        grid_seed = data.draw(st.integers(0, 2**32 - 1), label="grid seed")
+        free = np.random.default_rng(grid_seed).random(shape) < fill
+        seed = tuple(data.draw(st.integers(0, n - 1), label="seed") for n in shape)
+        free[seed] = data.draw(st.booleans(), label="seed free")
+        assert _escapes_from(free, seed) == escapes_by_label(free, seed)
+        narrowed = _erode_xy(free)
+        np.testing.assert_array_equal(narrowed, erode_xy(free))
+        assert _escapes_from(narrowed, seed) == escapes_by_label(narrowed, seed)
+
+    def test_escape_only_across_the_rotation_seam(self):
+        # the seed in the last slice reaches x = 0 only through slice 0
+        free = np.zeros((3, 5, 5), dtype=bool)
+        free[2, 2, 2] = True
+        free[0, :3, 2] = True
+        assert _escapes_from(free, (2, 2, 2)) is True
+        assert escapes_by_label(free, (2, 2, 2)) is True
+        free[0, 2, 2] = False
+        assert _escapes_from(free, (2, 2, 2)) is False
+
+    def test_one_slice_grid(self):
+        free = np.ones((1, 5, 5), dtype=bool)
+        free[0, 1:4, 1:4] = False
+        free[0, 2, 2] = True   # enclosed by a ring of blocked cells
+        assert _escapes_from(free, (0, 2, 2)) is False
+        free[0, 1, 2] = True   # a gap in the ring
+        assert _escapes_from(free, (0, 2, 2)) is True
+
+    @pytest.mark.parametrize("run", [slice(0, 3), slice(2, 5)])
+    def test_seed_run_touching_the_y_border(self, run):
+        # the blocked seed counts as free and joins a run along y to the border
+        free = np.zeros((2, 5, 5), dtype=bool)
+        free[1, 2, run] = True
+        free[1, 2, 2] = False
+        assert _escapes_from(free, (1, 2, 2)) is True
+        assert escapes_by_label(free, (1, 2, 2)) is True
+        free[1, 2, :] = False
+        assert _escapes_from(free, (1, 2, 2)) is False
 
 
 class TestClassify:
