@@ -84,8 +84,6 @@ _SCALAR_KEYS = {
             "friction_torque_nmm": ("friction_torque", "non-negative"),
             "torque_step_nmm": ("torque_step", "positive")},
 }
-_SCALAR_DOMAINS = {field: domain for keys in _SCALAR_KEYS.values()
-                   for field, domain in keys.values()}
 _SECTIONS = {
     "gears": set(_GEAR_KEYS),
     "detent": set(_DETENT_KEYS),
@@ -244,14 +242,14 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
-# Parameters the sweep subcommand may vary, as section.key names.
+# Parameters the sweep subcommand may vary, as section.key names: each one
+# feeds at least one sweep metric (friction torque feeds none).
 SWEEPABLE_PARAMS = {
     "detent.magnet_coefficient_nmm2": ("magnet", "magnet_coefficient"),
     "detent.magnet_circle_radius_mm": ("magnet", "circle_radius"),
     "detent.magnet_gap_mm": ("magnet", "nominal_gap"),
     "gears.input_sprocket_radius_mm": ("gears", "input_sprocket_radius"),
     "gears.drive_sprocket_radius_mm": ("gears", "shaft_sprocket_radius"),
-    "sim.friction_torque_nmm": (None, "friction_torque"),
 }
 
 
@@ -264,11 +262,6 @@ def set_config_value(config: RunConfig, param: str, value: float) -> RunConfig:
     group, attr = SWEEPABLE_PARAMS[param]
     if not math.isfinite(value):
         raise ConfigError(f"non-finite value for {param}")
-    if group is None:
-        domain = _SCALAR_DOMAINS[attr]
-        if not _in_domain(value, domain):
-            raise ConfigError(f"{param} must be {domain}, got {value!r}")
-        return replace(config, **{attr: value})
     try:
         nested = replace(getattr(config, group), **{attr: value})
     except ValueError as exc:

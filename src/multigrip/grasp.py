@@ -428,20 +428,25 @@ def _finger_polygon(profile: SurfaceProfile, x_ref: float, side: int,
                       [[back_x, w], [back_x, -w]]])
 
 
-def _rasterize_polygon(polygon: np.ndarray, xs: np.ndarray,
-                       ys: np.ndarray) -> np.ndarray:
-    """Cells (xs[i], ys[j]) whose centres lie inside the polygon; xs increasing.
+def _polygon_runs(polygon: np.ndarray, xs: np.ndarray,
+                  ys: np.ndarray) -> np.ndarray:
+    """Cells (xs[i], ys[j]) whose centres lie inside the polygon, as rows
+    (j, i0, i1) with i0 <= i < i1, none empty; xs increasing.
 
     Crossing-number test with each edge's crossing computed once per grid
     row: a centre is inside iff an odd number of its row's crossings lie
-    strictly to its right, i.e. have insertion points above i."""
+    strictly to its right, i.e. have insertion points above i, so the
+    row's sorted insertion points k1 <= k2 <= ... pair into [k1, k2),
+    [k3, k4), ...  A pair with no centre between its crossings is empty
+    and is dropped, since a dilation would paint cells for it."""
     a = np.asarray(polygon, dtype=float)
     b = np.roll(a, -1, axis=0)
     row, e = np.nonzero((a[:, 1] <= ys[:, None]) != (b[:, 1] <= ys[:, None]))
     x_cross = a[e, 0] + (ys[row] - a[e, 1]) * (b[e, 0] - a[e, 0]) / (b[e, 1] - a[e, 1])
-    cuts = np.bincount(np.searchsorted(xs, x_cross) * len(ys) + row,
-                       minlength=(len(xs) + 1) * len(ys)).reshape(-1, len(ys))
-    return np.cumsum(cuts[:0:-1], axis=0)[::-1] % 2 == 1
+    span = len(xs) + 1
+    row, cut = np.divmod(np.sort(row * span + np.searchsorted(xs, x_cross)), span)
+    runs = np.column_stack([row[::2], cut[::2], cut[1::2]])
+    return runs[runs[:, 1] < runs[:, 2]]
 
 
 def _reachable_region(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
@@ -496,31 +501,29 @@ def _erode_xy(free: np.ndarray) -> np.ndarray:
     return free
 
 
-@lru_cache(maxsize=None)
-def _fft_shape(shape: tuple[int, ...], kernel_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Per axis, the least 2·3·5-smooth (fast) FFT length m with
-    m >= s + q - 1 - c, c = (q - 1) // 2: the terms of the circular
-    convolution that wrap around land below c, outside the mode="same"
-    crop [c, c + s)."""
-    k = range(max(shape + kernel_shape).bit_length() + 2)
-    smooth = sorted(2**a * 3**b * 5**c for a in k for b in k for c in k)
-    return tuple(next(m for m in smooth if m >= s + q - 1 - (q - 1) // 2)
-                 for s, q in zip(shape, kernel_shape))
+def _cspace_obstacle(fingers: np.ndarray, footprint: np.ndarray, centre: int,
+                     shape: tuple[int, int]) -> np.ndarray:
+    """Configuration-space obstacle on the (nx, ny) grid: the finger runs
+    dilated by the footprint runs, whose grid has the reference cell
+    (centre, centre).
 
-
-def _blocked_by_convolution(finger_spectrum: np.ndarray, shape: tuple[int, int],
-                            footprint: np.ndarray) -> np.ndarray:
-    """Configuration-space obstacle: fingers dilated by the reflected footprint.
-
-    `finger_spectrum` is the rfft2 of the finger mask (of the given shape)
-    at `_fft_shape(shape, footprint.shape)`.  The overlap counts are cropped
-    to fftconvolve's mode="same" window; being whole numbers, round-off
-    cannot move one across the 0.5 threshold."""
-    fft_shape = _fft_shape(shape, footprint.shape)
-    kernel = np.fft.rfft2(footprint[::-1, ::-1], fft_shape)
-    overlap = np.fft.irfft2(finger_spectrum * kernel, fft_shape)
-    i, j = ((k - 1) // 2 for k in footprint.shape)
-    return overlap[i:i + shape[0], j:j + shape[1]] > 0.5
+    A footprint run [u0, u1) in footprint row centre + dv meets a finger run
+    [a0, a1) in grid row j when the object sits in row j - dv with its
+    reference cell in [a0 - (u1 - centre) + 1, a1 - (u0 - centre)): each
+    pair paints one interval, as +1/-1 steps of a difference array along x.
+    This is fftconvolve(fingers, footprint[::-1, ::-1], mode="same") > 0 in
+    whole cells."""
+    nx, ny = shape
+    j, a0, a1 = fingers.T[:, :, None]
+    v, u0, u1 = footprint.T[:, None, :]
+    row = j - (v - centre)
+    lo = np.maximum(a0 - (u1 - centre) + 1, 0)
+    hi = np.minimum(a1 - (u0 - centre), nx)
+    keep = (row >= 0) & (row < ny) & (lo < hi)
+    row = row[keep]
+    steps = (np.bincount(lo[keep] * ny + row, minlength=(nx + 1) * ny)
+             - np.bincount(hi[keep] * ny + row, minlength=(nx + 1) * ny))
+    return np.cumsum(steps.reshape(nx + 1, ny)[:nx], axis=0) > 0
 
 
 def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
@@ -529,10 +532,10 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     """Rasterized configuration-space check that the object cannot escape.
 
     For each rotation slice (one for a rotation-symmetric object such as a
-    disk) the obstacle is the rasterized finger bodies at the given
-    separation convolved with the rotated object footprint: one FFT of the
-    finger mask, then one forward and one inverse FFT per slice (Kavraki,
-    IEEE T-RA 1995).  The object is caged iff the free region connected to
+    disk) the obstacle is the finger bodies at the given separation dilated
+    by the rotated object footprint, a Minkowski sum (Lozano-Pérez, IEEE
+    T-C 1983) computed exactly on the grid from the x-runs of both
+    rasterized shapes.  The object is caged iff the free region connected to
     the rest pose never reaches the border of the workspace box; the region
     is a flood fill over the graph of free y-runs.  An escape that vanishes
     once free space is eroded by two cells in x-y runs through a gap at most
@@ -550,11 +553,10 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
                         c.max() + reach + 3 * cell + cell, cell) for c in fingers.T)
     seed = (0, int(np.argmin(np.abs(xs))), int(np.argmin(np.abs(ys))))
 
-    finger_mask = (_rasterize_polygon(poly_left, xs, ys)
-                   | _rasterize_polygon(poly_right, xs, ys))
+    finger_runs = np.vstack([_polygon_runs(poly_left, xs, ys),
+                             _polygon_runs(poly_right, xs, ys)])
     m = int(math.ceil(reach / cell)) + 1
     local = np.arange(-m, m + 1) * cell
-    spectrum = np.fft.rfft2(finger_mask, _fft_shape(finger_mask.shape, (len(local),) * 2))
     n_angles = (1 if obj.rotation_symmetric
                 else max(int(round(360.0 / angle_cell_deg)), 1))
     free3 = np.zeros((n_angles, len(xs), len(ys)), dtype=bool)
@@ -562,8 +564,8 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
         a = math.radians(ia * angle_cell_deg)
         rot = np.array([[math.cos(a), -math.sin(a)],
                         [math.sin(a), math.cos(a)]])
-        footprint = _rasterize_polygon(base @ rot.T, local, local)
-        free3[ia] = ~_blocked_by_convolution(spectrum, finger_mask.shape, footprint)
+        footprint = _polygon_runs(base @ rot.T, local, local)
+        free3[ia] = ~_cspace_obstacle(finger_runs, footprint, m, free3.shape[1:])
         if ia == 0 and _escapes_from(_erode_xy(free3[:1]), seed):
             return False
 

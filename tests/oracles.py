@@ -3,14 +3,16 @@
 Everything here deliberately avoids the code paths under test: peaks come
 from plain dense sweeps, positive span from an LP plus randomized
 certificates, hull interiors from Qhull, caging escapes from
-`scipy.ndimage` labelling and erosion, cycle periods from literal sequence
-enumeration, and simulator traces from the public one-increment `step`.
+`scipy.ndimage` labelling and erosion, configuration-space obstacles from an
+FFT convolution, cycle periods from literal sequence enumeration, and
+simulator traces from the public one-increment `step`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -288,3 +290,45 @@ def erode_xy(free: np.ndarray) -> np.ndarray:
     plane = ndimage.generate_binary_structure(2, 1)[None]
     return ndimage.binary_erosion(free, structure=plane, iterations=2,
                                   border_value=1)
+
+
+def runs_to_mask(runs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Paint runs (j, i0, i1), one at a time, into an (nx, ny) mask."""
+    mask = np.zeros(shape, dtype=bool)
+    for j, i0, i1 in runs:
+        mask[i0:i1, j] = True
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _fft_shape(shape: tuple[int, ...], kernel_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Per axis, the least 2·3·5-smooth (fast) FFT length m with
+    m >= s + q - 1 - c, c = (q - 1) // 2: the terms of the circular
+    convolution that wrap around land below c, outside the mode="same"
+    crop [c, c + s)."""
+    k = range(max(shape + kernel_shape).bit_length() + 2)
+    smooth = sorted(2**a * 3**b * 5**c for a in k for b in k for c in k)
+    return tuple(next(m for m in smooth if m >= s + q - 1 - (q - 1) // 2)
+                 for s, q in zip(shape, kernel_shape))
+
+
+def _blocked_by_convolution(finger_spectrum: np.ndarray, shape: tuple[int, int],
+                            footprint: np.ndarray) -> np.ndarray:
+    """Configuration-space obstacle: fingers dilated by the reflected footprint.
+
+    `finger_spectrum` is the rfft2 of the finger mask (of the given shape)
+    at `_fft_shape(shape, footprint.shape)`.  The overlap counts are cropped
+    to fftconvolve's mode="same" window; being whole numbers, round-off
+    cannot move one across the 0.5 threshold."""
+    fft_shape = _fft_shape(shape, footprint.shape)
+    kernel = np.fft.rfft2(footprint[::-1, ::-1], fft_shape)
+    overlap = np.fft.irfft2(finger_spectrum * kernel, fft_shape)
+    i, j = ((k - 1) // 2 for k in footprint.shape)
+    return overlap[i:i + shape[0], j:j + shape[1]] > 0.5
+
+
+def cspace_obstacle_by_fft(finger_mask: np.ndarray, footprint: np.ndarray) -> np.ndarray:
+    """The finger mask dilated by the footprint mask, whose centre cell is
+    the object's reference point, as an FFT convolution."""
+    spectrum = np.fft.rfft2(finger_mask, _fft_shape(finger_mask.shape, footprint.shape))
+    return _blocked_by_convolution(spectrum, finger_mask.shape, footprint)

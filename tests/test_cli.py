@@ -232,11 +232,22 @@ class TestSweep:
         assert rows_a[2][1:] == rows_b[1][1:]
 
     def test_switch_interval_metric(self, capsys):
-        rc, out, _ = run(capsys, "sweep", "--param", "sim.friction_torque_nmm",
-                         "--range", "0:2:1", "--metric", "switch-interval")
+        rc, out, _ = run(capsys, "sweep", "--param", "gears.drive_sprocket_radius_mm",
+                         "--range", "4:6:1", "--metric", "switch-interval")
         assert rc == 0
-        values = {float(r.split(",")[1]) for r in out.splitlines()[1:]}
-        assert len(values) == 3
+        rows = [r.split(",") for r in out.splitlines()[1:]]
+        assert [float(r[1]) for r in rows] == [4.0, 5.0, 6.0]
+        assert len({float(r[2]) for r in rows}) == 3
+
+    @pytest.mark.parametrize("spec, metric", [("0:2:1", "switch-interval"),
+                                              ("-50:0:25", "switch-interval")])
+    def test_friction_torque_is_not_sweepable(self, capsys, spec, metric):
+        # no sweep metric depends on it, so every row would be the same
+        rc, out, err = run(capsys, "sweep", "--param", "sim.friction_torque_nmm",
+                           f"--range={spec}", "--metric", metric)
+        assert rc == 1
+        assert out == ""
+        assert "unknown sweep parameter 'sim.friction_torque_nmm'" in err
 
     def test_bad_range(self, capsys):
         rc, _, err = run(capsys, "sweep", "--param", "detent.magnet_gap_mm",
@@ -266,11 +277,11 @@ class TestSweep:
         assert len(out.splitlines()) == 1 + 10_000
 
     def test_value_outside_config_domain(self, capsys):
-        rc, out, err = run(capsys, "sweep", "--param", "sim.friction_torque_nmm",
-                           "--range=-50:0:25", "--metric", "switch-interval")
+        rc, out, err = run(capsys, "sweep", "--param", "detent.magnet_gap_mm",
+                           "--range=-50:0:25", "--metric", "breakaway")
         assert rc == 1
         assert out == ""
-        assert "sim.friction_torque_nmm must be non-negative" in err
+        assert "detent.magnet_gap_mm=-50.0: nominal_gap must be positive" in err
 
 
 def test_unknown_subcommand_nonzero(capsys):
@@ -289,10 +300,12 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 class TestColdStart:
     """The package and every CLI path, the caging search included, import
-    numpy but no scipy module."""
+    numpy but no scipy module; the caging search needs no numpy.fft either."""
 
     LIST_SCIPY = ("print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
+    LIST_FFT = ("print(sorted(m for m in sys.modules "
+                "if m == 'numpy.fft' or m.startswith('numpy.fft.')), file=sys.stderr)")
 
     def test_import_loads_no_scipy(self):
         proc = _run_python("-c", "import sys, multigrip, multigrip.cli; " + self.LIST_SCIPY)
@@ -313,7 +326,7 @@ class TestColdStart:
         assert "delta_theta_sw_deg=108" in proc.stdout
         assert proc.stderr.strip() == "[]"
 
-    def _run_cli(self, *argv: str) -> subprocess.CompletedProcess:
+    def _run_cli(self, *argv: str, listing: str = LIST_SCIPY) -> subprocess.CompletedProcess:
         code = ("import sys\n"
                 "from multigrip.cli import main\n"
                 f"sys.argv = ['multigrip', *{list(argv)!r}]\n"
@@ -321,17 +334,18 @@ class TestColdStart:
                 "    main()\n"
                 "except SystemExit as exc:\n"
                 "    assert exc.code in (0, None), exc.code\n"
-                + self.LIST_SCIPY)
+                + listing)
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
         return proc
 
     def test_caging_classify_loads_no_scipy(self, fixtures_dir):
-        # box in mode 5 reaches the closure tests and the caging search
+        # box in mode 5 reaches the closure tests and the full caging search
         proc = self._run_cli("classify", "--object",
-                             str(fixtures_dir / "objects" / "box.object"), "--mode", "5")
-        assert proc.stderr.strip().splitlines()[-1] == "[]"
+                             str(fixtures_dir / "objects" / "box.object"), "--mode", "5",
+                             listing=self.LIST_SCIPY + "\n" + self.LIST_FFT)
+        assert proc.stderr.strip().splitlines()[-2:] == ["[]", "[]"]
 
     def test_plan_loads_no_scipy(self, fixtures_dir):
         proc = self._run_cli("plan", "--object",

@@ -148,13 +148,17 @@ class TestSetConfigValue:
 
     def test_value_outside_config_file_domain(self):
         cfg = default_config()
-        for value in (-50.0, -25.0, -1e-300):
-            with pytest.raises(ConfigError, match="must be non-negative"):
-                set_config_value(cfg, "sim.friction_torque_nmm", value)
-        assert set_config_value(cfg, "sim.friction_torque_nmm",
-                                0.0).friction_torque == 0.0
-        with pytest.raises(ConfigError, match="nominal_gap must be positive"):
-            set_config_value(cfg, "detent.magnet_gap_mm", -1.0)
+        for value in (-50.0, -1e-300, 0.0):
+            with pytest.raises(ConfigError, match="nominal_gap must be positive"):
+                set_config_value(cfg, "detent.magnet_gap_mm", value)
+        assert set_config_value(cfg, "detent.magnet_gap_mm",
+                                1e-300).magnet.nominal_gap == 1e-300
+
+    def test_friction_torque_is_not_sweepable(self):
+        # no sweep metric depends on it; the config file still sets it
+        for value in (-1.0, 0.0, 5.0):
+            with pytest.raises(ConfigError, match="unknown sweep parameter"):
+                set_config_value(default_config(), "sim.friction_torque_nmm", value)
 
 
 class TestObjectFiles:

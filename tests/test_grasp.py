@@ -7,18 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
+from multigrip.config import default_config
 from multigrip.grasp import (_HULL_MARGIN, CagingResolutionWarning, Contact,
                              ContactSet, DegenerateContactWarning, GraspOutcome,
-                             _erode_xy, _escapes_from, _origin_strictly_inside,
-                             caging_test, classify_grasp, closure_separation,
-                             compute_contacts, force_closure_test,
-                             form_closure_test, surface_profile)
-from multigrip.modes import concave, convex, deformable_flat, flat
-from multigrip.objects import Box, Circle, ObjectSpec, ThinPlate
-from oracles import (erode_xy, escapes_by_label, hull_origin_inside,
-                     oracle_positive_span, oracle_wrenches,
+                             _cspace_obstacle, _erode_xy, _escapes_from,
+                             _finger_polygon, _origin_strictly_inside,
+                             _polygon_runs, caging_test, classify_grasp,
+                             closure_separation, compute_contacts,
+                             force_closure_test, form_closure_test,
+                             surface_profile)
+from multigrip.modes import (build_mode_table, concave, convex, deformable_flat,
+                             flat)
+from multigrip.objects import (Box, Circle, ObjectSpec, ThinPlate,
+                               load_object_file, object_polygon)
+from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
+                     hull_origin_inside, oracle_positive_span, oracle_wrenches,
                      points_in_polygon, points_to_polygon_distance,
-                     polygons_intersect)
+                     polygons_intersect, runs_to_mask)
 
 CC = (concave(10.0), concave(10.0))
 FF = (flat(), flat())
@@ -356,28 +361,31 @@ class TestCaging:
         # for a disk (whose exact test is a centre-to-polygon distance)
         import random
 
-        from multigrip.grasp import (_blocked_by_convolution, _finger_polygon,
-                                     _fft_shape, _rasterize_polygon)
-        from multigrip.objects import object_polygon
-
         cell = 1.0
         lp = surface_profile(concave(10.0), 20.0)
         poly = _finger_polygon(lp, -6.0, -1, 15.0)
         xs = np.arange(-30.0, 30.0 + cell, cell)
         ys = np.arange(-25.0, 25.0 + cell, cell)
-        mask = _rasterize_polygon(poly, xs, ys)
+        fingers = _polygon_runs(poly, xs, ys)
         m = int(math.ceil(6.0 / cell)) + 1
         local = np.arange(-m, m + 1) * cell
-        spectrum = np.fft.rfft2(mask, _fft_shape(mask.shape, (len(local), len(local))))
 
-        def margins(outlines):
-            # distance between each object's and the finger's boundaries
+        def clear_of_boundary(outline, centres):
+            # whether each posed object's boundary stays 1.5 cells from the
+            # finger's; it does if the centre is that much farther than the
+            # object's reach, since no boundary point strays farther from it
+            # (the 1e-9 leaves round-off ties to the full check)
+            reach = np.hypot(*outline.T).max()
+            far = points_to_polygon_distance(centres, poly) > reach + 1.5 * cell + 1e-9
+            outlines = outline + centres[~far, None]
             ahead = np.roll(outlines, -1, axis=1)
             edge_pts = np.concatenate([
                 outlines + t * (ahead - outlines)
                 for t in np.linspace(0.0, 1.0, 8, endpoint=False)], axis=1)
             dist = points_to_polygon_distance(edge_pts.reshape(-1, 2), poly)
-            return dist.reshape(len(outlines), -1).min(axis=1)
+            clear = far.copy()
+            clear[~far] = dist.reshape(edge_pts.shape[:2]).min(axis=1) > 1.5 * cell
+            return clear
 
         def disk_hits(centres, r=5.0):
             return (points_in_polygon(centres, poly)
@@ -390,14 +398,14 @@ class TestCaging:
         box = ObjectSpec(Box(6.0, 9.0), mu=0.5)
         disk = ObjectSpec(Circle(5.0), mu=0.5)
         for obj, oracle in [(box, box_hits), (disk, disk_hits)]:
-            footprint = _rasterize_polygon(object_polygon(obj), local, local)
-            blocked = _blocked_by_convolution(spectrum, mask.shape, footprint)
+            footprint = _polygon_runs(object_polygon(obj), local, local)
+            blocked = _cspace_obstacle(fingers, footprint, m, (len(xs), len(ys)))
             rng = random.Random(3)
             i, j = np.array([(rng.randrange(len(xs)), rng.randrange(len(ys)))
                              for _ in range(400)]).T
             centres = np.column_stack([xs[i], ys[j]])
             # skip poses within rasterization uncertainty of the boundary
-            clear = margins(object_polygon(obj)[None] + centres[:, None]) > 1.5 * cell
+            clear = clear_of_boundary(object_polygon(obj), centres)
             wrong = blocked[i, j][clear] != oracle(centres[clear])
             assert not wrong.any(), (obj, centres[clear][wrong])
             assert clear.sum() > 100, obj
@@ -418,58 +426,125 @@ class TestCaging:
 
     def test_wide_escape_at_rest_angle_builds_one_slice(self, monkeypatch):
         # a box with 2 mm of room each side slides out at its rest angle, so
-        # the other 71 rotation slices are never needed
+        # the other 71 rotation slices are never built
         from multigrip import grasp
 
-        calls = []
-        original = grasp._blocked_by_convolution
-        monkeypatch.setattr(grasp, "_blocked_by_convolution",
-                            lambda *a: calls.append(1) or original(*a))
-        # the finger mask is transformed once, each slice's footprint once
-        transforms = []
-        rfft2 = np.fft.rfft2
-        monkeypatch.setattr(np.fft, "rfft2",
-                            lambda *a: transforms.append(1) or rfft2(*a))
+        builds = []
+        original = grasp._cspace_obstacle
+        monkeypatch.setattr(grasp, "_cspace_obstacle",
+                            lambda *a: builds.append(1) or original(*a))
         lp = rp = surface_profile(flat(), 20.0)
         small_box = ObjectSpec(Box(6.0, 6.0), mu=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CagingResolutionWarning)
             assert caging_test(small_box, lp, rp, 10.0, cell=0.5) is False
-        assert len(calls) == 1
-        assert len(transforms) == 1 + 1
-        calls.clear()
-        transforms.clear()
+        assert len(builds) == 1
+        builds.clear()
         with pytest.warns(CagingResolutionWarning):
             assert caging_test(small_box, lp, rp, 6.8, cell=0.5) is False
-        assert len(calls) == 72
-        assert len(transforms) == 1 + 72
+        assert len(builds) == 72
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_rasterizer_matches_crossing_number_oracle(self, data):
         # cell for cell, on grids built as caging builds them, for random
         # polygons, vertices on cell centres and horizontal edges
-        from multigrip.grasp import _rasterize_polygon
-
-        cell = data.draw(st.sampled_from([0.25, 0.3, 0.5, 1.0]), label="cell")
-        x_lo = data.draw(st.floats(-9.0, -3.0), label="x_lo")
-        y_lo = data.draw(st.floats(-9.0, -3.0), label="y_lo")
-        xs = np.arange(x_lo, 6.0 + cell, cell)
-        ys = np.arange(y_lo, 6.0 + cell, cell)
-        anywhere = st.floats(-10.0, 10.0, allow_subnormal=False)
-        x_of = st.one_of(anywhere, st.sampled_from(xs.tolist()))
-        y_of = st.one_of(anywhere, st.sampled_from(ys.tolist()))
-        vertices = [(data.draw(x_of), data.draw(y_of))]
-        for _ in range(data.draw(st.integers(2, 11), label="extra vertices")):
-            horizontal = data.draw(st.booleans(), label="horizontal edge")
-            y = vertices[-1][1] if horizontal else data.draw(y_of)
-            vertices.append((data.draw(x_of), y))
-        polygon = np.array(vertices)
+        xs, ys = _caging_grid(data)
+        polygon = _random_polygon(data, xs, ys, 10.0)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         expected = points_in_polygon(np.column_stack([gx.ravel(), gy.ravel()]),
                                      polygon).reshape(len(xs), len(ys))
-        np.testing.assert_array_equal(_rasterize_polygon(polygon, xs, ys),
+        runs = _polygon_runs(polygon, xs, ys)
+        np.testing.assert_array_equal(runs_to_mask(runs, expected.shape), expected)
+        # no run is empty; each row's runs are sorted and disjoint
+        row, i0, i1 = runs.T
+        assert (i0 < i1).all()
+        assert (np.diff(row) >= 0).all()
+        same_row = row[1:] == row[:-1]
+        assert (i0[1:][same_row] >= i1[:-1][same_row]).all()
+
+
+def _caging_grid(data) -> tuple[np.ndarray, np.ndarray]:
+    """Cell centres along x and y, spaced and offset as a caging grid."""
+    cell = data.draw(st.sampled_from([0.25, 0.3, 0.5, 1.0]), label="cell")
+    x_lo = data.draw(st.floats(-9.0, -3.0), label="x_lo")
+    y_lo = data.draw(st.floats(-9.0, -3.0), label="y_lo")
+    return (np.arange(x_lo, 6.0 + cell, cell), np.arange(y_lo, 6.0 + cell, cell))
+
+
+def _random_polygon(data, xs, ys, bound: float) -> np.ndarray:
+    """Random, mostly non-convex vertices within the bound or on cell
+    centres, with some edges horizontal."""
+    anywhere = st.floats(-bound, bound, allow_subnormal=False)
+    x_of = st.one_of(anywhere, st.sampled_from(xs.tolist()))
+    y_of = st.one_of(anywhere, st.sampled_from(ys.tolist()))
+    vertices = [(data.draw(x_of), data.draw(y_of))]
+    for _ in range(data.draw(st.integers(2, 11), label="extra vertices")):
+        horizontal = data.draw(st.booleans(), label="horizontal edge")
+        y = vertices[-1][1] if horizontal else data.draw(y_of)
+        vertices.append((data.draw(x_of), y))
+    return np.array(vertices)
+
+
+def _sliver(data, xs, ys, bound: float) -> np.ndarray:
+    """A slanted quadrilateral narrower than a cell along x: many of its
+    rows have both crossings between the same two cell centres."""
+    cell = xs[1] - xs[0]
+    x0 = data.draw(st.floats(-bound, bound), label="sliver x")
+    ends = st.one_of(st.floats(-bound, bound), st.sampled_from(ys.tolist()))
+    y0, y1 = data.draw(ends, label="sliver y0"), data.draw(ends, label="sliver y1")
+    width = data.draw(st.floats(0.01, 0.99), label="sliver width") * cell
+    slant = data.draw(st.floats(-3.0, 3.0), label="sliver slant")
+    return np.array([(x0, y0), (x0 + width, y0),
+                     (x0 + slant + width, y1), (x0 + slant, y1)])
+
+
+class TestObstacleDilation:
+    """The run dilation against an FFT convolution of the painted runs."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_fft_convolution(self, data):
+        xs, ys = _caging_grid(data)
+        m = data.draw(st.integers(1, 8), label="footprint half-width")
+        local = np.arange(-m, m + 1) * (xs[1] - xs[0])
+        shapes = st.sampled_from([_random_polygon, _sliver])
+        fingers = np.vstack([
+            _polygon_runs(data.draw(shapes, label="finger")(data, xs, ys, 10.0), xs, ys)
+            for _ in range(data.draw(st.integers(1, 2), label="fingers"))])
+        footprint = _polygon_runs(data.draw(shapes, label="footprint")(
+            data, local, local, local[-1] + 0.5), local, local)
+        shape = (len(xs), len(ys))
+        expected = cspace_obstacle_by_fft(runs_to_mask(fingers, shape),
+                                          runs_to_mask(footprint, (len(local),) * 2))
+        np.testing.assert_array_equal(_cspace_obstacle(fingers, footprint, m, shape),
                                       expected)
+
+    def test_every_slice_of_a_fixture_search(self, fixtures_dir, monkeypatch):
+        # the box in mode 5 runs the full 72-slice polygon search
+        from multigrip import grasp
+
+        cfg = default_config()
+        pair = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s).entry(5)
+        box = load_object_file(fixtures_dir / "objects" / "box.object").spec
+        original = grasp._cspace_obstacle
+        matches = []
+
+        def checked(fingers, footprint, centre, shape):
+            blocked = original(fingers, footprint, centre, shape)
+            expected = cspace_obstacle_by_fft(
+                runs_to_mask(fingers, shape),
+                runs_to_mask(footprint, (2 * centre + 1,) * 2))
+            matches.append(np.array_equal(blocked, expected))
+            return blocked
+
+        monkeypatch.setattr(grasp, "_cspace_obstacle", checked)
+        with pytest.warns(CagingResolutionWarning):
+            result = classify_grasp(box, pair, face_width=cfg.face_width,
+                                    thin_threshold=cfg.thin_object,
+                                    stroke=cfg.stroke_limit)
+        assert result.outcome is GraspOutcome.FAIL
+        assert matches == [True] * 72
 
 
 class TestEscapeFill:
