@@ -88,6 +88,15 @@ def _write_trace(args, trace: sim.SimTrace) -> None:
             sim.write_events_csv(trace, fh)
 
 
+def _classify(cfg: RunConfig, object_path: str, mode: int) -> grasp.GraspResult:
+    """Classify the grasp of an object file in one mode of the configured table."""
+    desc = load_object_file(object_path)
+    table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+    return grasp.classify_grasp(
+        desc.spec, table.entry(mode), face_width=cfg.face_width,
+        thin_threshold=cfg.thin_object, stroke=cfg.stroke_limit)
+
+
 def _cmd_simulate_grasp(args) -> int:
     cfg = _load(args)
     if args.gap > cfg.stroke_limit:
@@ -104,11 +113,7 @@ def _cmd_simulate_grasp(args) -> int:
     print(f"final_f_g_N={final.f_g:g} final_tau_m_Nmm={final.tau_m:g} "
           f"steps={final.step}", file=sys.stderr)
     if args.object:
-        desc = load_object_file(args.object)
-        table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
-        result = grasp.classify_grasp(
-            desc.spec, table.entry(args.mode), face_width=cfg.face_width,
-            thin_threshold=cfg.thin_object, stroke=cfg.stroke_limit)
+        result = _classify(cfg, args.object, args.mode)
         print(f"classification={result.outcome.value}", file=sys.stderr)
     return 0
 
@@ -150,12 +155,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = _load(args)
-    desc = load_object_file(args.object)
-    table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
-    result = grasp.classify_grasp(
-        desc.spec, table.entry(args.mode), face_width=cfg.face_width,
-        thin_threshold=cfg.thin_object, stroke=cfg.stroke_limit)
+    result = _classify(_load(args), args.object, args.mode)
     report = (f"classification={result.outcome.value} "
               f"contacts={len(result.contacts)} "
               f"posture_uncertain={str(result.posture_uncertain).lower()}")

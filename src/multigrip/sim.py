@@ -11,6 +11,10 @@ Within one step the state changes by at most one motion kind (translation
 or body rotation, never both), and steps land exactly on contact, stopper
 and detent boundaries so events line up with trace rows.
 
+One dispatch, `_motion`, decides which motion a step makes, for `step` and
+for the runs alike, and a `Scenario` derives the constants of the step
+rules once, when it is built.
+
 `run_scenario` advances each run of plain full-increment steps in one numpy
 pass.  A run is a stretch with no landing, no event and no completed
 command: a translation toward the stopper, the object contact or the stroke
@@ -27,6 +31,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -34,10 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import (ControllerState, Direction, MotorCommand, PositionMove,
-                      TorqueRamp, grasp_command, switch_command)
+                      grasp_command, switch_command)
 from .mechanics import (GearGeometry, MagnetDetent, SurfaceCounts,
-                        breakaway_motor_torque, detent_coefficients,
-                        detent_peak, detent_torque, gc_mode_count,
+                        detent_coefficients, detent_peak, gc_mode_count,
                         switch_interval)
 
 __all__ = [
@@ -163,6 +167,26 @@ class GripperState:
     phase: Phase
 
 
+class _Kinematics(NamedTuple):
+    """Per-scenario constants of the step rules."""
+
+    d_inc: float            # motor-angle increment (rad)
+    radius: float           # input sprocket radius (mm)
+    interval: float         # switch interval (rad of motor)
+    ratio_3s: float
+    ratio_4s: float
+    pitch_3s: float
+    pitch_4s: float
+    n_gc: int               # modes in one rotation cycle
+    bind_3s: bool           # the 3S detent sets the breakaway threshold
+    ratio_bind: float
+    pitch_bind: float
+    arm: float              # smaller torque arm (mm)
+    detent: tuple[float, float, float]  # (A, B, C) of detent_coefficients
+    peak_angle: float       # body angle of the detent-torque peak (rad)
+    breakaway: float        # breakaway motor torque, friction excluded (N*mm)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to replay one deterministic command sequence."""
@@ -194,9 +218,32 @@ class Scenario:
             raise ValueError("object_contact outside (0, stroke_limit]")
         if self.friction_torque < 0:
             raise ValueError("friction_torque must be >= 0")
-        n = gc_mode_count(self.counts)
+        # Touching _kin derives the step constants here, once; its
+        # switch_interval call refuses inconsistent gearing.
+        n = self._kin.n_gc
         if not 1 <= self.initial_mode <= n:
             raise ValueError(f"initial_mode outside 1..{n}")
+
+    @cached_property
+    def _kin(self) -> _Kinematics:
+        """The step rules' constants, derived once per scenario."""
+        g, c = self.gears, self.counts
+        # The finger with the smaller torque arm binds: its detent sets the
+        # breakaway threshold (see breakaway_motor_torque).
+        bind_3s = g.torque_arm_3s <= g.torque_arm_4s
+        arm = min(g.torque_arm_3s, g.torque_arm_4s)
+        peak_angle, peak_torque = detent_peak(self.magnet)
+        return _Kinematics(
+            d_inc=math.radians(self.step_deg), radius=g.input_sprocket_radius,
+            interval=switch_interval(g, c),
+            ratio_3s=g.rotation_ratio_3s, ratio_4s=g.rotation_ratio_4s,
+            pitch_3s=c.pitch_3s, pitch_4s=c.pitch_4s, n_gc=gc_mode_count(c),
+            bind_3s=bind_3s,
+            ratio_bind=g.rotation_ratio_3s if bind_3s else g.rotation_ratio_4s,
+            pitch_bind=c.pitch_3s if bind_3s else c.pitch_4s,
+            arm=arm, detent=detent_coefficients(self.magnet),
+            peak_angle=peak_angle,
+            breakaway=g.input_sprocket_radius * peak_torque / arm)
 
 
 class TraceRow(NamedTuple):
@@ -227,11 +274,6 @@ class SimTrace:
         return tuple(e for e in self.events if e.kind == kind)
 
 
-def _binding_side(gears: GearGeometry) -> str:
-    """Finger whose detent sets the breakaway threshold (smaller torque arm)."""
-    return "3s" if gears.torque_arm_3s <= gears.torque_arm_4s else "4s"
-
-
 def _row(step_no: int, s: GripperState, sc: Scenario) -> TraceRow:
     f_g = s.tau_m / sc.gears.input_sprocket_radius if s.phase is Phase.GRASPING else 0.0
     return TraceRow(step_no, s.theta_m, s.tau_m, s.d_f_3s, s.d_f_4s,
@@ -247,38 +289,30 @@ def initial_state(scenario: Scenario) -> GripperState:
         mode_index=scenario.initial_mode, phase=phase)
 
 
-def _switch_count(state: GripperState, sc: Scenario) -> int:
+def _switch_count(state: GripperState, kin: _Kinematics) -> int:
     """Completed switches since scenario start, from the 3S body angle."""
-    return math.floor(state.theta_fb_3s / sc.counts.pitch_3s + 1e-9)
+    return math.floor(state.theta_fb_3s / kin.pitch_3s + 1e-9)
 
 
-def _rotation_offset_motor(state: GripperState, sc: Scenario) -> float:
+def _rotation_offset_motor(state: GripperState, kin: _Kinematics) -> float:
     """Motor angle consumed since the last engaged detent (0 when engaged)."""
-    k = _switch_count(state, sc)
-    if _binding_side(sc.gears) == "3s":
-        off_body = state.theta_fb_3s - k * sc.counts.pitch_3s
-        ratio = sc.gears.rotation_ratio_3s
-    else:
-        off_body = state.theta_fb_4s - k * sc.counts.pitch_4s
-        ratio = sc.gears.rotation_ratio_4s
-    return max(off_body, 0.0) / ratio
+    k = _switch_count(state, kin)
+    fb_bind = state.theta_fb_3s if kin.bind_3s else state.theta_fb_4s
+    return max(fb_bind - k * kin.pitch_bind, 0.0) / kin.ratio_bind
 
 
 def _rotation_torque(motor_offset: float, sc: Scenario) -> float:
     """Drive torque required at a rotation offset past the engaged detent."""
-    g = sc.gears
-    if _binding_side(g) == "3s":
-        body_angle = g.rotation_ratio_3s * motor_offset
-    else:
-        body_angle = g.rotation_ratio_4s * motor_offset
-    arm = min(g.torque_arm_3s, g.torque_arm_4s)
-    return (g.input_sprocket_radius * detent_torque(body_angle, sc.magnet) / arm
-            + sc.friction_torque)
+    kin = sc._kin
+    a, b, c = kin.detent
+    angle = kin.ratio_bind * motor_offset
+    detent = c * math.sin(angle) / (a - b * math.cos(angle)) ** 1.5  # detent_torque
+    return kin.radius * detent / kin.arm + sc.friction_torque
 
 
 def _translate_open(state: GripperState, budget: float,
                     sc: Scenario) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
-    r = sc.gears.input_sprocket_radius
+    r = sc._kin.radius
     to_stopper = state.d_f_3s / r
     use = min(budget, to_stopper)
     if use >= to_stopper - _EPS_LANDING:
@@ -296,7 +330,7 @@ def _translate_open(state: GripperState, budget: float,
 
 def _translate_close(state: GripperState, budget: float, sc: Scenario,
                      position_mode: bool) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
-    r = sc.gears.input_sprocket_radius
+    r = sc._kin.radius
     if sc.object_contact is not None:
         to_contact = (sc.object_contact - state.d_f_3s) / r
         if to_contact <= _EPS_ANGLE:
@@ -304,7 +338,7 @@ def _translate_close(state: GripperState, budget: float, sc: Scenario,
                 raise UnreachableTarget(
                     "position target lies beyond the object contact; "
                     "the contact is rigid")
-            # Torque mode in contact is handled by the caller.
+            # Torque mode in contact presses instead (see _motion).
             raise AssertionError("closing translation requested while in contact")
         use = min(budget, to_contact)
         if use >= to_contact - _EPS_LANDING:
@@ -339,18 +373,17 @@ def _begin_rotation(state: GripperState, tau_at_onset: float) -> tuple[GripperSt
 def _rotate(state: GripperState, budget: float, sc: Scenario,
             held_torque: float | None) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
     """Advance an active rotation; land exactly on the next detent."""
-    interval = switch_interval(sc.gears, sc.counts)
-    offset = _rotation_offset_motor(state, sc)
-    to_next = interval - offset
+    kin = sc._kin
+    offset = _rotation_offset_motor(state, kin)
+    to_next = kin.interval - offset
     use = min(budget, to_next)
     theta = state.theta_m + use
     if use >= to_next - _EPS_LANDING:
-        k = _switch_count(state, sc) + 1
-        n_gc = gc_mode_count(sc.counts)
-        mode = (state.mode_index % n_gc) + 1
+        k = _switch_count(state, kin) + 1
+        mode = (state.mode_index % kin.n_gc) + 1
         new = replace(state, theta_m=theta, tau_m=0.0,
-                      theta_fb_3s=k * sc.counts.pitch_3s,
-                      theta_fb_4s=k * sc.counts.pitch_4s,
+                      theta_fb_3s=k * kin.pitch_3s,
+                      theta_fb_4s=k * kin.pitch_4s,
                       mode_index=mode, phase=Phase.DETENT_ENGAGED)
         events = ((EVENT_DETENT_REENGAGE, ""),
                   (EVENT_MODE_CHANGED, f"mode={mode}"))
@@ -358,32 +391,31 @@ def _rotate(state: GripperState, budget: float, sc: Scenario,
     tau = held_torque if held_torque is not None else _rotation_torque(offset + use, sc)
     new = replace(state,
                   theta_m=theta, tau_m=tau,
-                  theta_fb_3s=state.theta_fb_3s + sc.gears.rotation_ratio_3s * use,
-                  theta_fb_4s=state.theta_fb_4s + sc.gears.rotation_ratio_4s * use,
+                  theta_fb_3s=state.theta_fb_3s + kin.ratio_3s * use,
+                  theta_fb_4s=state.theta_fb_4s + kin.ratio_4s * use,
                   phase=Phase.ROTATING)
     return new, ()
 
 
 def _resolve_reversal(state: GripperState, sc: Scenario) -> ReversalDuringRotation:
     """Snap an in-flight rotation to the nearest stable detent and build the error."""
-    g = sc.gears
-    offset = _rotation_offset_motor(state, sc)
-    ratio = g.rotation_ratio_3s if _binding_side(g) == "3s" else g.rotation_ratio_4s
+    kin = sc._kin
+    offset = _rotation_offset_motor(state, kin)
     snap_forward = (offset > _EPS_ANGLE
-                    and offset * ratio > detent_peak(sc.magnet)[0])
-    k = _switch_count(state, sc)
+                    and offset * kin.ratio_bind > kin.peak_angle)
+    k = _switch_count(state, kin)
     events: tuple[tuple[str, str], ...] = ()
     mode = state.mode_index
     if snap_forward:
         k += 1
-        mode = (state.mode_index % gc_mode_count(sc.counts)) + 1
+        mode = (state.mode_index % kin.n_gc) + 1
         events = ((EVENT_DETENT_REENGAGE, "snap_forward"),
                   (EVENT_MODE_CHANGED, f"mode={mode}"))
     elif offset > _EPS_ANGLE:
         events = ((EVENT_DETENT_REENGAGE, "snap_back"),)
     resolved = replace(state, tau_m=0.0,
-                       theta_fb_3s=k * sc.counts.pitch_3s,
-                       theta_fb_4s=k * sc.counts.pitch_4s,
+                       theta_fb_3s=k * kin.pitch_3s,
+                       theta_fb_4s=k * kin.pitch_4s,
                        mode_index=mode, phase=Phase.DETENT_ENGAGED)
     where = ("forward to the next detent" if snap_forward
              else "back to the engaged detent")
@@ -391,6 +423,40 @@ def _resolve_reversal(state: GripperState, sc: Scenario) -> ReversalDuringRotati
         "drive direction reversed while a switch was in flight; the ratchet "
         f"forbids reverse rotation (body snapped {where})",
         resolved, events)
+
+
+def _motion(state: GripperState, cmd: MotorCommand, sc: Scenario,
+            d_inc: float) -> tuple[str, float]:
+    """The motion kind of a step under `cmd`, and its motor-angle budget.
+
+    Kinds: "open"/"close" (translation), "rotate" (body rotation), "break"
+    (the detent breaks), "press" (torque ramp against a rigid contact),
+    "reverse" (closing drive mid-switch), "done" (move already on target).
+    The budget is one increment, or less where a position move ends sooner.
+    At the fully opened state the drive direction alone decides whether the
+    fingers close or the bodies rotate: the self-motion switching rule.
+    """
+    position = isinstance(cmd, PositionMove)
+    if position:
+        delta = cmd.target_angle - state.theta_m
+        if abs(delta) <= _EPS_LANDING:
+            return "done", 0.0
+        opening, budget = delta > 0, min(abs(delta), d_inc)
+    else:
+        opening, budget = cmd.direction is Direction.OPEN, d_inc
+    if state.phase is Phase.ROTATING:
+        return ("rotate" if opening else "reverse"), budget
+    if not opening:
+        if (not position and sc.object_contact is not None
+                and state.d_f_3s >= sc.object_contact - _EPS_TRAVEL):
+            return "press", budget
+        return "close", budget
+    if state.d_f_3s > _EPS_TRAVEL:
+        return "open", budget
+    # At the stopper: position-mode opening always commits past the detent
+    # peak, so the detent breaks now (event-only step), then rotation runs;
+    # a torque ramp builds torque until it passes the breakaway threshold.
+    return ("break" if position else "press"), budget
 
 
 def step(state: GripperState, cmd: MotorCommand, scenario: Scenario, *,
@@ -405,61 +471,30 @@ def step(state: GripperState, cmd: MotorCommand, scenario: Scenario, *,
     increment instead.  Pure function: identical inputs give identical
     outputs.
     """
-    d_inc = angle_increment if angle_increment is not None else math.radians(scenario.step_deg)
+    kin = scenario._kin
+    d_inc = angle_increment if angle_increment is not None else kin.d_inc
+    kind, budget = _motion(state, cmd, scenario, d_inc)
+    if kind == "open":
+        return _translate_open(state, budget, scenario)
+    if kind == "close":
+        return _translate_close(state, budget, scenario,
+                                position_mode=isinstance(cmd, PositionMove))
+    if kind == "rotate":
+        # a torque ramp holds its torque through the rotation
+        held = None if isinstance(cmd, PositionMove) else state.tau_m
+        return _rotate(state, budget, scenario, held)
+    if kind == "break":
+        return _begin_rotation(state, tau_at_onset=scenario.friction_torque)
+    if kind == "reverse":
+        raise _resolve_reversal(state, scenario)
+    if kind == "done":
+        return state, ()
+    # "press": the torque ramps against the object or the stopper
     t_inc = torque_increment if torque_increment is not None else scenario.torque_step
-
-    if isinstance(cmd, PositionMove):
-        delta = cmd.target_angle - state.theta_m
-        if abs(delta) <= _EPS_LANDING:
-            return state, ()
-        if delta > 0:
-            return _step_opening(state, min(delta, d_inc), scenario, held_torque=None)
-        return _step_closing_position(state, min(-delta, d_inc), scenario)
-
-    if cmd.direction is Direction.OPEN:
-        return _step_opening_torque(state, d_inc, t_inc, scenario, cmd)
-    return _step_closing_torque(state, d_inc, t_inc, scenario, cmd)
-
-
-def _step_opening(state: GripperState, budget: float, sc: Scenario,
-                  held_torque: float | None) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
-    if state.phase is Phase.ROTATING:
-        return _rotate(state, budget, sc, held_torque)
-    if state.d_f_3s > _EPS_TRAVEL:
-        return _translate_open(state, budget, sc)
-    # At the stopper: position-mode opening always commits past the detent
-    # peak, so the detent breaks now (event-only step), then rotation runs.
-    return _begin_rotation(state, tau_at_onset=sc.friction_torque)
-
-
-def _step_closing_position(state: GripperState, budget: float,
-                           sc: Scenario) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
-    if state.phase is Phase.ROTATING:
-        raise _resolve_reversal(state, sc)
-    return _translate_close(state, budget, sc, position_mode=True)
-
-
-def _step_closing_torque(state: GripperState, d_inc: float, t_inc: float,
-                         sc: Scenario, cmd: TorqueRamp) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
-    if state.phase is Phase.ROTATING:
-        raise _resolve_reversal(state, sc)
-    in_contact = (sc.object_contact is not None
-                  and state.d_f_3s >= sc.object_contact - _EPS_TRAVEL)
-    if not in_contact:
-        return _translate_close(state, d_inc, sc, position_mode=False)
     tau = min(state.tau_m + t_inc, cmd.target_torque)
-    return replace(state, tau_m=tau, phase=Phase.GRASPING), ()
-
-
-def _step_opening_torque(state: GripperState, d_inc: float, t_inc: float,
-                         sc: Scenario, cmd: TorqueRamp) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
-    if state.phase is Phase.ROTATING:
-        return _rotate(state, d_inc, sc, held_torque=state.tau_m)
-    if state.d_f_3s > _EPS_TRAVEL:
-        return _translate_open(state, d_inc, sc)
-    threshold = breakaway_motor_torque(sc.gears, sc.magnet) + sc.friction_torque
-    tau = min(state.tau_m + t_inc, cmd.target_torque)
-    if tau > threshold:
+    if cmd.direction is Direction.CLOSE:
+        return replace(state, tau_m=tau, phase=Phase.GRASPING), ()
+    if tau > kin.breakaway + scenario.friction_torque:
         return _begin_rotation(state, tau_at_onset=tau)
     return replace(state, tau_m=tau), ()
 
@@ -476,36 +511,6 @@ def _command_complete(state: GripperState, cmd: MotorCommand,
         return True
     return (state.phase is not Phase.ROTATING
             and state.tau_m >= cmd.target_torque - _EPS_TRAVEL)
-
-
-class _Kinematics(NamedTuple):
-    """Per-scenario constants of the step rules, computed once per replay."""
-
-    d_inc: float            # motor-angle increment (rad)
-    radius: float           # input sprocket radius (mm)
-    interval: float         # switch interval (rad of motor)
-    ratio_3s: float
-    ratio_4s: float
-    pitch_3s: float
-    bind_3s: bool           # the 3S detent sets the breakaway threshold
-    ratio_bind: float
-    pitch_bind: float
-    arm: float              # smaller torque arm (mm)
-    detent: tuple[float, float, float]  # (A, B, C) of detent_coefficients
-
-
-def _kinematics(sc: Scenario) -> _Kinematics:
-    g, c = sc.gears, sc.counts
-    bind_3s = _binding_side(g) == "3s"
-    return _Kinematics(
-        d_inc=math.radians(sc.step_deg), radius=g.input_sprocket_radius,
-        interval=switch_interval(g, c),
-        ratio_3s=g.rotation_ratio_3s, ratio_4s=g.rotation_ratio_4s,
-        pitch_3s=c.pitch_3s, bind_3s=bind_3s,
-        ratio_bind=g.rotation_ratio_3s if bind_3s else g.rotation_ratio_4s,
-        pitch_bind=c.pitch_3s if bind_3s else c.pitch_4s,
-        arm=min(g.torque_arm_3s, g.torque_arm_4s),
-        detent=detent_coefficients(sc.magnet))
 
 
 # Runs estimated shorter than this go through `step` one increment at a
@@ -528,8 +533,7 @@ def _leading_true(ok: np.ndarray) -> int:
 
 
 def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
-               kin: _Kinematics, max_len: int
-               ) -> tuple[int, tuple, GripperState] | None:
+               max_len: int) -> tuple[int, tuple, GripperState] | None:
     """The longest run of plain full-increment steps from this state.
 
     Returns (step count, columns of the new rows, state after the run), or
@@ -539,36 +543,20 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
     incomplete; each condition is evaluated on every pre-step state, and
     the run ends before the first step that fails one.
     """
+    kin = sc._kin
     d_inc, r = kin.d_inc, kin.radius
-    rotating = state.phase is Phase.ROTATING
-    target = None
+    kind, budget = _motion(state, cmd, sc, d_inc)
+    if kind not in ("open", "close", "rotate") or budget < d_inc:
+        return None
     if isinstance(cmd, PositionMove):
         target = cmd.target_angle
-        delta = target - state.theta_m
-        if delta >= d_inc:
-            kind = "rotate" if rotating else "open"
-            bound = delta
-        elif -delta >= d_inc and not rotating:
-            kind, bound = "close", -delta
-        else:
-            return None
-    elif rotating:
-        if cmd.direction is Direction.CLOSE:
-            return None
-        kind, bound = "rotate", math.inf
-    elif cmd.direction is Direction.OPEN:
-        # after one step tau_m is 0; stop if that completes the command
-        if 0.0 >= cmd.target_torque - _EPS_TRAVEL:
-            return None
-        kind, bound = "open", math.inf
+        bound = abs(target - state.theta_m)
     else:
-        kind, bound = "close", math.inf
-        if (sc.object_contact is not None
-                and state.d_f_3s >= sc.object_contact - _EPS_TRAVEL):
+        target, bound = None, math.inf
+        # after one step tau_m is 0; stop if that completes the command
+        if kind == "open" and 0.0 >= cmd.target_torque - _EPS_TRAVEL:
             return None
     if kind == "open":
-        if state.d_f_3s <= _EPS_TRAVEL:
-            return None
         bound = min(bound, state.d_f_3s / r)
     elif kind == "close":
         room = sc.stroke_limit - state.d_f_3s
@@ -576,7 +564,7 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
             room = min(room, sc.object_contact - state.d_f_3s)
         bound = min(bound, room / r)
     else:
-        bound = min(bound, kin.interval - _rotation_offset_motor(state, sc))
+        bound = min(bound, kin.interval - _rotation_offset_motor(state, kin))
     n = min(max_len, _MAX_RUN, int(bound / d_inc) + 2)
     if n < _MIN_RUN:
         return None
@@ -649,7 +637,6 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     a step are re-raised as ScenarioError with the offending step and
     command indices.
     """
-    kin = _kinematics(scenario)
     state = initial_state(scenario)
     rows = [_row(0, state, scenario)]
     events: list[SimEvent] = []
@@ -657,8 +644,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     for ci, cmd in enumerate(scenario.commands):
         reengaged = False
         while not _command_complete(state, cmd, reengaged):
-            run = _plain_run(state, cmd, scenario, kin,
-                             scenario.max_steps - step_no)
+            run = _plain_run(state, cmd, scenario, scenario.max_steps - step_no)
             if run is not None:
                 m, columns, state = run
                 # tuple.__new__ builds each TraceRow without a Python frame
@@ -669,8 +655,6 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 continue
             try:
                 state, evts = step(state, cmd, scenario)
-            except ScenarioError:
-                raise
             except SimError as exc:
                 raise ScenarioError(step_no + 1, ci, exc) from exc
             step_no += 1

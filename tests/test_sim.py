@@ -4,8 +4,10 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
+from multigrip import mechanics, sim
 from multigrip.control import Direction, PositionMove, TorqueRamp
 from multigrip.mechanics import (GearGeometry, MagnetDetent, SurfaceCounts,
                                  breakaway_motor_torque, chain_tension,
@@ -20,6 +22,7 @@ from multigrip.sim import (EVENT_BREAKAWAY, EVENT_MODE_CHANGED,
                            switch_scenario, write_events_csv, write_trace_csv)
 
 from oracles import replay_by_steps
+from test_golden import TRACE_GOLDENS
 
 
 class TestStep:
@@ -101,6 +104,36 @@ class TestStep:
             run_scenario(sc)
         assert isinstance(err.value.cause, StrokeLimitExceeded)
         assert err.value.step_index > 0
+
+
+class TestScenarioConstants:
+    def test_derived_once_per_scenario(self, monkeypatch, gears, magnet, counts):
+        built = [TRACE_GOLDENS["torque_open_below_breakaway"][0](),
+                 switch_scenario(gears, magnet, counts, from_mode=1, to_mode=3)[0]]
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("detent_peak", "switch_interval"):
+            wrapped = counted(name, getattr(mechanics, name))
+            for module in (mechanics, sim):
+                monkeypatch.setattr(module, name, wrapped)
+        for scenario in built:
+            calls.update(detent_peak=0, switch_interval=0)
+            # a fresh Scenario, so its construction is counted too
+            trace = replay_by_steps(dataclasses.replace(scenario))
+            assert len(trace.rows) > 10
+            assert calls["detent_peak"] <= 1, calls
+            assert calls["switch_interval"] <= 1, calls
+
+    def test_inconsistent_gearing_refused_at_construction(self, magnet, counts):
+        bad = GearGeometry(20.0, 15.0, 10.0, 10.0, 12.0, 12.0)
+        with pytest.raises(ValueError, match="inconsistent gearing"):
+            Scenario(gears=bad, magnet=magnet, counts=counts)
 
 
 class TestGraspScenario:
@@ -369,40 +402,55 @@ def random_scenario(rng: random.Random) -> Scenario:
                     torque_step=rng.uniform(5.0, 50.0))
 
 
+_DETENT_PHASES = [p for p in Phase if at_detent(p)]
+_FREE_TRANSLATION = (Phase.TRANSLATING_CLOSE, Phase.TRANSLATING_OPEN,
+                     Phase.AT_STOPPER)
+
+
+def _phase_in(phase: np.ndarray, members) -> np.ndarray:
+    return np.logical_or.reduce([phase == p for p in members])
+
+
+def _near_whole(x: np.ndarray) -> bool:
+    """Every x == approx(round(x), abs=1e-9): an absolute bound only."""
+    return bool(np.all(np.abs(x - np.round(x)) <= 1e-9))
+
+
 def check_invariants(sc: Scenario, tr) -> None:
+    """Step-to-step properties of a trace, checked on its columns at once."""
     ratio = ((sc.gears.shaft_gear_radius_3s * sc.gears.body_gear_radius_4s)
              / (sc.gears.shaft_gear_radius_4s * sc.gears.body_gear_radius_3s))
     n_gc = gc_mode_count(sc.counts)
+    _, _, tau, d3, d4, fb3, fb4, f_g, phase = zip(*tr.rows)
+    tau, d3, d4, fb3, fb4, f_g = map(np.array, (tau, d3, d4, fb3, fb4, f_g))
+    phase = np.array(phase, dtype=object)[1:]
+    # ratchet monotonicity
+    assert np.all(fb3[1:] >= fb3[:-1])
+    assert np.all(fb4[1:] >= fb4[:-1])
+    # travel bounds (every row after the first)
+    assert np.all((-1e-12 <= d3[1:]) & (d3[1:] <= sc.stroke_limit + 1e-9))
+    assert np.all(d3[1:] == d4[1:])
+    # motion exclusivity
+    d_moved = d3[1:] != d3[:-1]
+    fb_moved = (fb3[1:] != fb3[:-1]) | (fb4[1:] != fb4[:-1])
+    assert not np.any(d_moved & fb_moved)
+    # coupled rotation rates
+    step3 = (fb3[1:] - fb3[:-1])[fb_moved]
+    step4 = (fb4[1:] - fb4[:-1])[fb_moved]
+    assert np.all(step4 > 0)
+    big = step4 > 1e-6  # above float quantization of the stored angles
+    # d3 / d4 == approx(ratio, rel=1e-6), whose absolute floor is 1e-12
+    assert np.all(np.abs(step3[big] / step4[big] - ratio)
+                  <= max(1e-6 * abs(ratio), 1e-12))
+    # quasi-static bookkeeping: free translation is force-free
+    if sc.friction_torque == 0.0:
+        free = d_moved & _phase_in(phase, _FREE_TRANSLATION)
+        assert np.all(tau[1:][free] == 0.0) and np.all(f_g[1:][free] == 0.0)
+    # at-detent phases imply body angles at exact surface multiples
+    engaged = _phase_in(phase, _DETENT_PHASES)
+    assert _near_whole(fb3[1:][engaged] / sc.counts.pitch_3s)
+    assert _near_whole(fb4[1:][engaged] / sc.counts.pitch_4s)
     changes = 0
-    for prev, cur in zip(tr.rows, tr.rows[1:]):
-        # ratchet monotonicity
-        assert cur.theta_fb_3s >= prev.theta_fb_3s
-        assert cur.theta_fb_4s >= prev.theta_fb_4s
-        # travel bounds
-        assert -1e-12 <= cur.d_f_3s <= sc.stroke_limit + 1e-9
-        assert cur.d_f_3s == cur.d_f_4s
-        # motion exclusivity
-        d_moved = cur.d_f_3s != prev.d_f_3s
-        fb_moved = (cur.theta_fb_3s != prev.theta_fb_3s
-                    or cur.theta_fb_4s != prev.theta_fb_4s)
-        assert not (d_moved and fb_moved)
-        # coupled rotation rates
-        if fb_moved:
-            d3 = cur.theta_fb_3s - prev.theta_fb_3s
-            d4 = cur.theta_fb_4s - prev.theta_fb_4s
-            assert d4 > 0
-            if d4 > 1e-6:  # above float quantization of the stored angles
-                assert d3 / d4 == pytest.approx(ratio, rel=1e-6)
-        # quasi-static bookkeeping: free translation is force-free
-        if d_moved and sc.friction_torque == 0.0 and cur.phase in (
-                Phase.TRANSLATING_CLOSE, Phase.TRANSLATING_OPEN, Phase.AT_STOPPER):
-            assert cur.tau_m == 0.0 and cur.f_g == 0.0
-        # at-detent phases imply body angles at exact surface multiples
-        if at_detent(cur.phase):
-            for angle, pitch in ((cur.theta_fb_3s, sc.counts.pitch_3s),
-                                 (cur.theta_fb_4s, sc.counts.pitch_4s)):
-                assert angle / pitch == pytest.approx(round(angle / pitch),
-                                                      abs=1e-9)
     for event in tr.events:
         if event.kind != EVENT_MODE_CHANGED:
             continue
