@@ -44,10 +44,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_validate_gears(args) -> int:
-    cfg = _load(args)
-    violation = mechanics.validate_antipodal_gearing(cfg.gears, cfg.counts)
-    if violation is not None:
-        raise CliError(str(violation))
+    cfg = _load(args)  # a loaded config already has antipodal gearing
     interval = mechanics.switch_interval(cfg.gears, cfg.counts)
     lines = [
         f"rotation_ratio_3s={cfg.gears.rotation_ratio_3s:.9g}",
@@ -80,9 +77,11 @@ def _cmd_modes(args) -> int:
 
 
 def _write_trace(args, trace: sim.SimTrace) -> None:
-    buf = io.StringIO()
-    sim.write_trace_csv(trace, buf)
-    _emit(args, buf.getvalue())
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            sim.write_trace_csv(trace, fh)
+    else:
+        sim.write_trace_csv(trace, sys.stdout)
     if getattr(args, "events", None):
         with open(args.events, "w", encoding="utf-8", newline="") as fh:
             sim.write_events_csv(trace, fh)

@@ -48,6 +48,10 @@ DEFAULT_FACE_WIDTH = 20.0
 _CONTACT_TOL = 1e-6     # mm; how closely a point must sit on both boundaries
 _MERGE_RADIUS = 0.1     # mm; closer contact points collapse to one
 _HULL_MARGIN = 1e-9     # strict-interior margin for positive-span tests
+_GRID = 4001            # lateral samples per contact search
+_PROFILE_POINTS = 129   # vertices of a finger-face polyline
+_CORNER_TOL = 1e-9      # mm; how close to a corner a contact counts as at it
+_BODY_DEPTH = 15.0      # mm; finger body behind the face, for caging
 
 
 class DegenerateContactWarning(UserWarning):
@@ -91,8 +95,8 @@ class SurfaceProfile:
         return (nx, ny) if kind is SurfaceKind.CONVEX else (nx, -ny)
 
 
-def surface_profile(shape: SurfaceShape, width: float = DEFAULT_FACE_WIDTH,
-                    resolution: int = 129) -> SurfaceProfile:
+def surface_profile(shape: SurfaceShape,
+                    width: float = DEFAULT_FACE_WIDTH) -> SurfaceProfile:
     """Discretize a finger surface into a polyline spanning the face width.
 
     Flat and deformable-flat faces are straight segments; convex and
@@ -101,14 +105,12 @@ def surface_profile(shape: SurfaceShape, width: float = DEFAULT_FACE_WIDTH,
     """
     if not width > 0:
         raise ValueError("face width must be positive")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     if shape.kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE):
         if width > 2 * shape.radius:
             raise ValueError(
                 f"face width {width:g} mm exceeds the arc diameter "
                 f"{2 * shape.radius:g} mm; the arc cannot span the face")
-    ys = np.linspace(-width / 2.0, width / 2.0, resolution)
+    ys = np.linspace(-width / 2.0, width / 2.0, _PROFILE_POINTS)
     probe = SurfaceProfile(shape=shape, width=width, polyline=np.empty((0, 2)))
     xs = probe.height(ys)
     return SurfaceProfile(shape=shape, width=width,
@@ -154,13 +156,13 @@ class GraspResult:
 # ---------------------------------------------------------------------------
 # Contact computation
 
-def _candidate_ys(boundary: SideBoundary, profile: SurfaceProfile,
-                  grid: int) -> np.ndarray | None:
+def _candidate_ys(boundary: SideBoundary,
+                  profile: SurfaceProfile) -> np.ndarray | None:
     lo = max(boundary.lo, -profile.width / 2.0)
     hi = min(boundary.hi, profile.width / 2.0)
     if hi <= lo:
         return None
-    ys = [np.linspace(lo, hi, grid)]
+    ys = [np.linspace(lo, hi, _GRID)]
     extras = [*boundary.corner_ys, *boundary.feature_ys,
               boundary.lo, boundary.hi,
               -profile.width / 2.0, profile.width / 2.0, 0.0]
@@ -181,8 +183,8 @@ def _side_clearance(spec_boundary: SideBoundary, profile: SurfaceProfile,
 
 
 def _first_contact_ref(boundary: SideBoundary, profile: SurfaceProfile,
-                       side: int, grid: int) -> tuple[float, np.ndarray, np.ndarray]:
-    ys = _candidate_ys(boundary, profile, grid)
+                       side: int) -> tuple[float, np.ndarray, np.ndarray]:
+    ys = _candidate_ys(boundary, profile)
     if ys is None:
         raise ValueError("no contact achievable: the finger face and the "
                          "object do not overlap laterally")
@@ -190,27 +192,26 @@ def _first_contact_ref(boundary: SideBoundary, profile: SurfaceProfile,
     return (float(c.min()) if side < 0 else float(c.max())), ys, c
 
 
-def _cluster_contacts(ys: np.ndarray, residual: np.ndarray,
-                      tol: float, merge: float) -> list[float]:
+def _cluster_contacts(ys: np.ndarray, residual: np.ndarray) -> list[float]:
     """Pick representative contact positions from near-zero residuals.
 
     Contiguous runs wider than the merge radius are extended contacts and
     contribute their two endpoints; narrow runs collapse to their best
     point.
     """
-    mask = residual <= tol
+    mask = residual <= _CONTACT_TOL
     if not mask.any():
         return []
     ys_hit = ys[mask]
     res_hit = residual[mask]
     gaps = np.diff(ys_hit)
-    typical = max(np.median(np.diff(ys)) if len(ys) > 1 else merge, 1e-9)
+    typical = max(np.median(np.diff(ys)) if len(ys) > 1 else _MERGE_RADIUS, 1e-9)
     breaks = np.nonzero(gaps > max(3.0 * typical, 1e-6))[0]
     runs = np.split(np.arange(len(ys_hit)), breaks + 1)
     points: list[float] = []
     for run in runs:
         span = ys_hit[run[-1]] - ys_hit[run[0]]
-        if span <= merge:
+        if span <= _MERGE_RADIUS:
             best = run[np.argmin(res_hit[run])]
             points.append(float(ys_hit[best]))
         else:
@@ -219,9 +220,9 @@ def _cluster_contacts(ys: np.ndarray, residual: np.ndarray,
 
 
 def _contact_normal(boundary: SideBoundary, profile: SurfaceProfile,
-                    y: float, side: int, corner_tol: float = 1e-9) -> tuple[float, float]:
-    at_obj_corner = any(abs(y - cy) <= corner_tol for cy in boundary.corner_ys)
-    at_rim = abs(abs(y) - profile.width / 2.0) <= corner_tol
+                    y: float, side: int) -> tuple[float, float]:
+    at_obj_corner = any(abs(y - cy) <= _CORNER_TOL for cy in boundary.corner_ys)
+    at_rim = abs(abs(y) - profile.width / 2.0) <= _CORNER_TOL
     if not at_obj_corner:
         return boundary.normal_of(y)
     if not at_rim:
@@ -231,29 +232,26 @@ def _contact_normal(boundary: SideBoundary, profile: SurfaceProfile,
 
 
 def _side_contacts(spec: ObjectSpec, profile: SurfaceProfile, side: int,
-                   x_ref: float | None, finger: str, grid: int,
-                   tol: float, merge: float) -> tuple[list[Contact], float]:
+                   x_ref: float | None, finger: str) -> list[Contact]:
     boundary = side_boundary(spec, side)
-    ref, ys, c = _first_contact_ref(boundary, profile, side, grid)
+    ref, ys, c = _first_contact_ref(boundary, profile, side)
     if x_ref is None:
         x_ref = ref
     residual = (c - x_ref) if side < 0 else (x_ref - c)
-    if residual.min() < -tol:
+    if residual.min() < -_CONTACT_TOL:
         raise ValueError(
             f"finger penetrates the object by {-residual.min():.3g} mm at the "
             "requested separation")
     contacts = []
-    for y in _cluster_contacts(ys, residual, tol, merge):
+    for y in _cluster_contacts(ys, residual):
         point = (float(boundary.x_of(np.array([y]))[0]), y)
         normal = _contact_normal(boundary, profile, y, side)
         contacts.append(Contact(point=point, normal=normal, finger=finger))
-    return contacts, x_ref
+    return contacts
 
 
 def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
-                     gap: float | None = None, *, grid: int = 4001,
-                     tol: float = _CONTACT_TOL,
-                     merge: float = _MERGE_RADIUS) -> ContactSet:
+                     gap: float | None = None) -> ContactSet:
     """Contact points between the object and the two opposed finger faces.
 
     With gap=None each finger advances along the closing axis to its own
@@ -264,16 +262,15 @@ def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfil
     """
     x_left = None if gap is None else -gap / 2.0
     x_right = None if gap is None else gap / 2.0
-    left_contacts, _ = _side_contacts(obj, left, -1, x_left, "3S", grid, tol, merge)
-    right_contacts, _ = _side_contacts(obj, right, +1, x_right, "4S", grid, tol, merge)
+    left_contacts = _side_contacts(obj, left, -1, x_left, "3S")
+    right_contacts = _side_contacts(obj, right, +1, x_right, "4S")
     return ContactSet(contacts=tuple(left_contacts + right_contacts),
                       rotation_free=obj.rotation_symmetric,
                       centroid=(0.0, 0.0))
 
 
 def closure_separation(obj: ObjectSpec, left: SurfaceProfile,
-                       right: SurfaceProfile, *, grid: int = 4001
-                       ) -> tuple[float, bool]:
+                       right: SurfaceProfile) -> tuple[float, bool]:
     """Separation at which symmetric closing stops, and whether the object
     is touched there.
 
@@ -282,14 +279,14 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile,
     separation.  Small objects nested in deep pockets can leave the fingers
     touching each other with the object untouched.
     """
-    ref_l, _, _ = _first_contact_ref(side_boundary(obj, -1), left, -1, grid)
-    ref_r, _, _ = _first_contact_ref(side_boundary(obj, +1), right, +1, grid)
+    ref_l, _, _ = _first_contact_ref(side_boundary(obj, -1), left, -1)
+    ref_r, _, _ = _first_contact_ref(side_boundary(obj, +1), right, +1)
     sep_obj = max(-2.0 * ref_l, 2.0 * ref_r)
     lo = max(-left.width / 2.0, -right.width / 2.0)
     hi = min(left.width / 2.0, right.width / 2.0)
     sep_fingers = 0.0
     if hi > lo:
-        ys = np.linspace(lo, hi, grid)
+        ys = np.linspace(lo, hi, _GRID)
         sep_fingers = float((left.height(ys) + right.height(ys)).max())
     separation = max(sep_obj, sep_fingers, 0.0)
     touched = sep_obj >= sep_fingers - _CONTACT_TOL
@@ -326,8 +323,8 @@ def _facet_maps(n: int, dim: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndar
             (subsets[:, 0], np.arange(len(subsets))))
 
 
-def _origin_strictly_inside(points: np.ndarray, margin: float = _HULL_MARGIN) -> bool:
-    """Whether the origin lies at least `margin` inside the hull of 2-D or 3-D points.
+def _origin_strictly_inside(points: np.ndarray) -> bool:
+    """Whether the origin lies at least _HULL_MARGIN inside the hull of 2-D or 3-D points.
 
     Exact facet enumeration: every plane through dim of the points with all
     points on one side (up to round-off) supports the hull, and the facet
@@ -346,10 +343,11 @@ def _origin_strictly_inside(points: np.ndarray, margin: float = _HULL_MARGIN) ->
     offsets = dots[first]
     scale = float(np.abs(points).max())
     spans = length > 1e-12 * scale ** (dim - 1)   # not (nearly) collinear
-    slack = 1e-12 * scale * length
+    # rounding in a normal grows with scale ** (dim - 1), not with its length
+    slack = 1e-12 * scale * np.maximum(length, scale ** (dim - 1))
     below = spans & (dots.max(axis=0) - offsets <= slack)
     above = spans & (dots.min(axis=0) - offsets >= -slack)
-    reach = margin * length
+    reach = _HULL_MARGIN * length
     return bool((below | above).any()) and not (
         (below & (offsets < reach)) | (above & (offsets > -reach))).any()
 
@@ -400,8 +398,12 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
     if len(cset) == 0:
         raise ValueError("force closure test needs at least one contact")
     contacts = _effective_contacts(cset)
-    if mu == 0.0 and cset.rotation_free:
-        return _origin_strictly_inside(np.array([c.normal for c in contacts]))
+    if cset.rotation_free:
+        # rotation is a symmetry: normals spanning the plane close the grasp
+        # at any mu, even one whose friction torques fit in the hull margin
+        spans = _origin_strictly_inside(np.array([c.normal for c in contacts]))
+        if spans or mu == 0.0:
+            return spans
     phi = math.atan(mu)
 
     def edges(c: Contact):
@@ -528,7 +530,7 @@ def _cspace_obstacle(fingers: np.ndarray, footprint: np.ndarray, centre: int,
 
 def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
                 separation: float, *, cell: float = 0.5,
-                angle_cell_deg: float = 5.0, body_depth: float = 15.0) -> bool:
+                angle_cell_deg: float = 5.0) -> bool:
     """Rasterized configuration-space check that the object cannot escape.
 
     For each rotation slice (one for a rotation-symmetric object such as a
@@ -544,8 +546,8 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     alone, a subset of the full search, decides the test before the other
     slices are built.
     """
-    poly_left = _finger_polygon(left, -separation / 2.0, -1, body_depth)
-    poly_right = _finger_polygon(right, separation / 2.0, +1, body_depth)
+    poly_left = _finger_polygon(left, -separation / 2.0, -1, _BODY_DEPTH)
+    poly_right = _finger_polygon(right, separation / 2.0, +1, _BODY_DEPTH)
     fingers = np.vstack([poly_left, poly_right])
     base = object_polygon(obj)
     reach = float(np.max(np.hypot(base[:, 0], base[:, 1])))
@@ -586,8 +588,6 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
                    mu: float | None = None, *,
                    face_width: float = DEFAULT_FACE_WIDTH,
                    thin_threshold: float = 3.0,
-                   caging_cell: float = 0.5,
-                   caging_angle_deg: float = 5.0,
                    stroke: float | None = None) -> GraspResult:
     """Classify the grasp of an object in a given surface-pair mode.
 
@@ -632,8 +632,7 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
         if mu > 0 and force_closure_test(contacts, mu):
             return GraspResult(GraspOutcome.FORCE_CLOSURE, contacts, separation)
 
-    if caging_test(obj, left, right, separation,
-                   cell=caging_cell, angle_cell_deg=caging_angle_deg):
+    if caging_test(obj, left, right, separation):
         return GraspResult(GraspOutcome.CAGING, contacts, separation,
                            reason="" if touched else
                            "fingers close on each other before reaching the "

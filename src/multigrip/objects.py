@@ -29,6 +29,8 @@ __all__ = [
     "load_object_file",
 ]
 
+_SAMPLES_PER_ARC = 64   # outline vertices per quarter circle or complex flank
+
 
 @dataclass(frozen=True)
 class Circle:
@@ -220,11 +222,11 @@ def side_boundary(spec: ObjectSpec, side: int) -> SideBoundary:
     return _arc_side(face, s.width / 2.0, s.height / 2.0, side)
 
 
-def object_polygon(spec: ObjectSpec, samples_per_arc: int = 64) -> np.ndarray:
+def object_polygon(spec: ObjectSpec) -> np.ndarray:
     """Closed outline of the object as a vertex array (a circle as a polygon)."""
     s = spec.shape
     if isinstance(s, Circle):
-        angles = np.linspace(0.0, 2.0 * math.pi, 4 * samples_per_arc, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * math.pi, 4 * _SAMPLES_PER_ARC, endpoint=False)
         return np.column_stack([s.radius * np.cos(angles), s.radius * np.sin(angles)])
     if isinstance(s, Box):
         w, h = s.width / 2.0, s.height / 2.0
@@ -233,7 +235,7 @@ def object_polygon(spec: ObjectSpec, samples_per_arc: int = 64) -> np.ndarray:
     else:
         left = side_boundary(spec, -1)
         right = side_boundary(spec, +1)
-        ys = np.linspace(-s.height / 2.0, s.height / 2.0, samples_per_arc)
+        ys = np.linspace(-s.height / 2.0, s.height / 2.0, _SAMPLES_PER_ARC)
         left_pts = np.column_stack([left.x_of(ys), ys])
         right_pts = np.column_stack([right.x_of(ys[::-1]), ys[::-1]])
         return np.vstack([left_pts, right_pts])

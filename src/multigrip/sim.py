@@ -152,7 +152,7 @@ class GripperState:
 
     theta_m: motor angle (rad), opening positive.
     tau_m: drive torque magnitude (N*mm).
-    d_f_3s, d_f_4s: finger travel from the stopper (mm); always equal.
+    d_f_3s: finger travel from the stopper (mm); d_f_4s is always equal.
     theta_fb_3s, theta_fb_4s: cumulative finger-body rotations (rad).
     mode_index: current mode, 1..n_gc.
     """
@@ -160,11 +160,14 @@ class GripperState:
     theta_m: float
     tau_m: float
     d_f_3s: float
-    d_f_4s: float
     theta_fb_3s: float
     theta_fb_4s: float
     mode_index: int
     phase: Phase
+
+    @property
+    def d_f_4s(self) -> float:
+        return self.d_f_3s
 
 
 class _Kinematics(NamedTuple):
@@ -284,8 +287,7 @@ def initial_state(scenario: Scenario) -> GripperState:
     phase = Phase.AT_STOPPER if scenario.initial_position == 0 else Phase.DETENT_ENGAGED
     return GripperState(
         theta_m=0.0, tau_m=0.0,
-        d_f_3s=scenario.initial_position, d_f_4s=scenario.initial_position,
-        theta_fb_3s=0.0, theta_fb_4s=0.0,
+        d_f_3s=scenario.initial_position, theta_fb_3s=0.0, theta_fb_4s=0.0,
         mode_index=scenario.initial_mode, phase=phase)
 
 
@@ -324,7 +326,7 @@ def _translate_open(state: GripperState, budget: float,
         phase = Phase.TRANSLATING_OPEN
         events = ()
     new = replace(state, theta_m=state.theta_m + use, tau_m=0.0,
-                  d_f_3s=new_d, d_f_4s=new_d, phase=phase)
+                  d_f_3s=new_d, phase=phase)
     return new, events
 
 
@@ -359,7 +361,7 @@ def _translate_close(state: GripperState, budget: float, sc: Scenario,
             f"finger travel {new_d:.6g} mm exceeds the stroke limit "
             f"{sc.stroke_limit:.6g} mm")
     new = replace(state, theta_m=state.theta_m - use, tau_m=0.0,
-                  d_f_3s=new_d, d_f_4s=new_d, phase=phase)
+                  d_f_3s=new_d, phase=phase)
     return new, events
 
 
@@ -425,8 +427,8 @@ def _resolve_reversal(state: GripperState, sc: Scenario) -> ReversalDuringRotati
         resolved, events)
 
 
-def _motion(state: GripperState, cmd: MotorCommand, sc: Scenario,
-            d_inc: float) -> tuple[str, float]:
+def _motion(state: GripperState, cmd: MotorCommand,
+            sc: Scenario) -> tuple[str, float]:
     """The motion kind of a step under `cmd`, and its motor-angle budget.
 
     Kinds: "open"/"close" (translation), "rotate" (body rotation), "break"
@@ -436,6 +438,7 @@ def _motion(state: GripperState, cmd: MotorCommand, sc: Scenario,
     At the fully opened state the drive direction alone decides whether the
     fingers close or the bodies rotate: the self-motion switching rule.
     """
+    d_inc = sc._kin.d_inc
     position = isinstance(cmd, PositionMove)
     if position:
         delta = cmd.target_angle - state.theta_m
@@ -459,10 +462,8 @@ def _motion(state: GripperState, cmd: MotorCommand, sc: Scenario,
     return ("break" if position else "press"), budget
 
 
-def step(state: GripperState, cmd: MotorCommand, scenario: Scenario, *,
-         angle_increment: float | None = None,
-         torque_increment: float | None = None
-         ) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
+def step(state: GripperState, cmd: MotorCommand,
+         scenario: Scenario) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
     """Advance the state by one quasi-static increment under a command.
 
     Returns the new state and any (event kind, detail) pairs raised during
@@ -471,9 +472,7 @@ def step(state: GripperState, cmd: MotorCommand, scenario: Scenario, *,
     increment instead.  Pure function: identical inputs give identical
     outputs.
     """
-    kin = scenario._kin
-    d_inc = angle_increment if angle_increment is not None else kin.d_inc
-    kind, budget = _motion(state, cmd, scenario, d_inc)
+    kind, budget = _motion(state, cmd, scenario)
     if kind == "open":
         return _translate_open(state, budget, scenario)
     if kind == "close":
@@ -490,11 +489,10 @@ def step(state: GripperState, cmd: MotorCommand, scenario: Scenario, *,
     if kind == "done":
         return state, ()
     # "press": the torque ramps against the object or the stopper
-    t_inc = torque_increment if torque_increment is not None else scenario.torque_step
-    tau = min(state.tau_m + t_inc, cmd.target_torque)
+    tau = min(state.tau_m + scenario.torque_step, cmd.target_torque)
     if cmd.direction is Direction.CLOSE:
         return replace(state, tau_m=tau, phase=Phase.GRASPING), ()
-    if tau > kin.breakaway + scenario.friction_torque:
+    if tau > scenario._kin.breakaway + scenario.friction_torque:
         return _begin_rotation(state, tau_at_onset=tau)
     return replace(state, tau_m=tau), ()
 
@@ -545,7 +543,7 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
     """
     kin = sc._kin
     d_inc, r = kin.d_inc, kin.radius
-    kind, budget = _motion(state, cmd, sc, d_inc)
+    kind, budget = _motion(state, cmd, sc)
     if kind not in ("open", "close", "rotate") or budget < d_inc:
         return None
     if isinstance(cmd, PositionMove):
@@ -625,7 +623,7 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
     columns = (repeat(0.0), d_l, d_l, repeat(state.theta_fb_3s),
                repeat(state.theta_fb_4s))
     new = replace(state, theta_m=theta_l[-1], tau_m=0.0, d_f_3s=d_l[-1],
-                  d_f_4s=d_l[-1], phase=phase)
+                  phase=phase)
     return m, (theta_l, *columns), new
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from multigrip.cli import dispatch
-from multigrip.sim import EVENTS_HEADER, TRACE_HEADER
+from multigrip.config import default_config
+from multigrip.sim import (EVENTS_HEADER, TRACE_HEADER, run_scenario,
+                           switch_scenario, write_trace_csv)
 
 
 def run(capsys, *argv):
@@ -106,6 +109,22 @@ class TestSimulate:
         travel = (float(rows[int(changes[0][0]) + 1][1])
                   - float(rows[int(breakaways[0][0]) + 1][1]))
         assert travel == pytest.approx(108.0, abs=1e-6)
+
+    def test_trace_stdout_out_file_and_writer_agree(self, capsys, tmp_path):
+        argv = ["simulate", "switch", "--from", "1", "--to", "4"]
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        out_file = tmp_path / "trace.csv"
+        rc, to_stdout, _ = run(capsys, *argv, "--out", str(out_file))
+        assert rc == 0 and to_stdout == ""
+        cfg = default_config()
+        scenario, _ = switch_scenario(
+            cfg.gears, cfg.magnet, cfg.counts, from_mode=1, to_mode=4,
+            stroke_limit=cfg.stroke_limit, step_deg=cfg.step_deg,
+            friction_torque=cfg.friction_torque)
+        buf = io.StringIO()
+        write_trace_csv(run_scenario(scenario), buf)
+        assert out_file.read_bytes() == out.encode() == buf.getvalue().encode()
 
     def test_grasp_gap_beyond_stroke(self, capsys):
         rc, _, err = run(capsys, "simulate", "grasp", "--force", "10",

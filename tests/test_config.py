@@ -1,11 +1,14 @@
 import dataclasses
+import inspect
 import math
+import re
 
 import pytest
 
-from multigrip.config import (DEFAULT_DETENT_VALUES, ConfigError, RunConfig,
-                              default_config, load_config, parse_config,
-                              set_config_value)
+from multigrip import cli, grasp, modes, planner, sim
+from multigrip.config import (_SECTIONS, DEFAULT_DETENT_VALUES, ConfigError,
+                              RunConfig, default_config, load_config,
+                              parse_config, set_config_value)
 from multigrip.mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
                                  gc_mode_count, switch_interval)
 from multigrip.objects import (Box, Circle, ObjectFileError, ObjectSpec,
@@ -133,6 +136,66 @@ order_4s = flat, convex, convex, deformable
         lineno = text.splitlines().index(line) + 1
         with pytest.raises(ConfigError, match=f"line {lineno}: .*{message}"):
             parse_config(text)
+
+
+def _keyword_defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+class TestOneDefault:
+    """Defaults stated in more than one layer agree with default_config()."""
+
+    def test_layers_agree(self):
+        cfg = default_config()
+        settings = {"stroke_limit": cfg.stroke_limit, "step_deg": cfg.step_deg,
+                    "torque_step": cfg.torque_step,
+                    "friction_torque": cfg.friction_torque}
+        scenario = {f.name: f.default for f in dataclasses.fields(sim.Scenario)}
+        grasp_kw = _keyword_defaults(sim.grasp_scenario)
+        switch_kw = _keyword_defaults(sim.switch_scenario)
+        assert {k: scenario[k] for k in settings} == settings
+        assert {k: grasp_kw[k] for k in settings} == settings
+        # a switch ramps no torque, so it takes no torque step
+        switch = {k: v for k, v in settings.items() if k != "torque_step"}
+        assert {k: switch_kw[k] for k in switch} == switch
+        assert modes.DEFAULT_FACE_RADIUS == cfg.face_radius
+        assert grasp.DEFAULT_FACE_WIDTH == cfg.face_width
+        assert (_keyword_defaults(grasp.classify_grasp)["thin_threshold"]
+                == cfg.thin_object)
+        assert (planner.PlannerThresholds().small_object_height
+                == cfg.small_object_height)
+        args = cli._build_parser().parse_args(
+            ["simulate", "switch", "--from", "1", "--to", "2"])
+        assert args.gap == switch_kw["gap"]
+        mu = {f.name: f.default for f in dataclasses.fields(ObjectSpec)}["mu"]
+        assert parse_object_file("shape = circle\nradius_mm = 5\n").spec.mu == mu
+
+    def test_documented_defaults_parse_to_default_config(self, fixtures_dir):
+        section, checked = None, set()
+        for line in (fixtures_dir.parent / "docs" / "config.md").read_text().splitlines():
+            if line.startswith("#"):
+                m = re.fullmatch(r"## `\[(\w+)\]`.*", line)
+                section, columns = (m[1] if m else None), None
+            elif line.startswith("| ") and section is not None:
+                cells = [c.strip() for c in line.strip("|").split("|")]
+                if cells[0] == "key":
+                    columns = cells
+                    continue
+                keys = re.findall(r"`([^`]*)`", cells[0])   # none in | --- |
+                if not keys or "default" not in columns:
+                    continue
+                values = re.findall(r"`([^`]*)`", cells[columns.index("default")])
+                if len(values) == 1 and len(keys) == 2:
+                    # `a[, b]`: the first key takes a, the second a, b
+                    head, tail = re.fullmatch(r"([^[]*)\[(.*)\]", values[0]).groups()
+                    values = [head, head + tail]
+                assert len(values) == len(keys), line
+                text = MINIMAL + f"[{section}]\n" + "".join(
+                    f"{k} = {v}\n" for k, v in zip(keys, values))
+                assert parse_config(text) == default_config(), line
+                checked.update(keys)
+        assert checked == {k for s, keys in _SECTIONS.items() if s != "gears"
+                           for k in keys}
 
 
 class TestSetConfigValue:

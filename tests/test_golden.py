@@ -93,22 +93,22 @@ def _reversal(stop_deg: float) -> Scenario:
 TRACE_GOLDENS = {
     "grasp_cli_defaults": (
         _grasp_cli_defaults,
-        "9348c71303c212a33befb44830d1f65ca1e2c8b466637b6fc12ae0a7775014cf"),
+        "6dba6c1e5ebc461c46c72ac475d6c5c5232616b4ce1a22f9a1ae6b33e5e83996"),
     "lap_1_to_12_cli_defaults": (
         lambda: _switch(1, 12),
-        "e5903f5f84994182ca30f912d7c15ce066afba64e52aa19aefb0c9ce615ea6d9"),
+        "aac80e48e2d343c5d80a71efd7cdb5d8b66394cf7c3dcff82621f4f3e3772571"),
     "switch_with_friction": (
         lambda: _switch(1, 2, friction_torque=5.0),
-        "25f99d96f908e4311e5ceb7d74abf44bf365362ca6111322c8aee2d320c955db"),
+        "89439d75eda2d6189a4cf692816a8a9d43bfc66a3b280d1e009ce73dc17c0e1f"),
     "torque_open_below_breakaway": (
         lambda: _torque_open(0.6),
-        "95fa00375f126faaa86205505c77ead87a3ec806181469bafbc3d115aa928bad"),
+        "ab9610c08b40e2490ceb45b75e54905b0d01b0a6539456687e041ef98a1e2efb"),
     "torque_open_past_breakaway": (
         lambda: _torque_open(1.2),
-        "c8dec4b781a2057192fda94d66bd98a2881d1a2bf5193acaad01068010e5f163"),
+        "4be321c64a3b976910c625120cd8d24a6d4928267a50216707450fdaa1347f85"),
     "grasp_release_switch": (
         _grasp_release_switch,
-        "f12800b9e1d91ffd6e41605dfe2bc4fe5f27cdc66cf86b530b2731c02e700517"),
+        "44903d80abbace9fb390ceb34e51935c8431a8846dadbecec63b0c11e68a2474"),
 }
 
 
@@ -122,11 +122,11 @@ ERROR_GOLDENS = {
     "reversal_snap_back": (
         lambda: _reversal(1.0),
         (12, 1, "ReversalDuringRotation",
-         "531700f51413d7f5570363b6e18d6f36309e9c33998be3bc70aa750a453efdfb")),
+         "69bb8e1ca497487c483059e6fb77101ee9e8ffad6b5356e92b2b2d54663a83cc")),
     "reversal_snap_forward": (
         lambda: _reversal(30.0),
         (302, 1, "ReversalDuringRotation",
-         "9bda8e70c805c435595fcb713bb1ff07c6efce413a6089daa4f9a41fcfc3e122")),
+         "78ab9d96d870cf5f2e9261932e2c9d17c0a111f3ce6d412cac63a0a8dc7b6616")),
     "max_steps_inside_rotation": (
         lambda: dataclasses.replace(_switch(1, 12), max_steps=5000),
         (5001, 0, "SimError",

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
@@ -319,6 +319,71 @@ class TestForceClosure:
         cs = ContactSet(contacts=(Contact((1.0, 0.0), (-1.0, 0.0), "3S"),))
         with pytest.raises(ValueError):
             force_closure_test(cs, -0.1)
+
+
+_ANGLE = st.floats(-math.pi, math.pi, allow_subnormal=False)
+_COORD = st.floats(-20.0, 20.0, allow_subnormal=False)
+_MU = st.floats(0.0, 3.0, allow_subnormal=False)
+
+
+def _contact(x: float, y: float, normal_angle: float) -> Contact:
+    return Contact((x, y), (math.cos(normal_angle), math.sin(normal_angle)), "3S")
+
+
+@st.composite
+def _contact_sets(draw):
+    """2-4 contacts: general ones, or rotation-free ones as compute_contacts
+    produces them for a disk, on its circle with normals toward its centre."""
+    n = draw(st.integers(2, 4), label="contacts")
+    if draw(st.booleans(), label="disk"):
+        r = draw(st.floats(1.0, 30.0), label="radius")
+        angles = draw(st.lists(_ANGLE, min_size=n, max_size=n))
+        return ContactSet(tuple(_contact(r * math.cos(a), r * math.sin(a), a + math.pi)
+                                for a in angles), rotation_free=True)
+    points = draw(st.lists(st.tuples(_COORD, _COORD, _ANGLE), min_size=n, max_size=n))
+    return ContactSet(tuple(_contact(*p) for p in points))
+
+
+class TestFrictionProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(cset=_contact_sets(), mus=st.lists(_MU, min_size=1, max_size=3))
+    # a disk held at three points 120 degrees apart, friction near 0
+    @example(cset=ContactSet(tuple(_contact(math.cos(a), math.sin(a), a + math.pi)
+                                   for a in (0.0, 2.0, -2.0)), rotation_free=True),
+             mus=[1e-80])
+    def test_force_closure_monotone_in_mu(self, cset, mus):
+        """More friction never loses force closure, starting from mu = 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateContactWarning)
+            closed = [force_closure_test(cset, mu) for mu in sorted([0.0, *mus])]
+        assert closed == sorted(closed), (cset, mus)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(ends=st.lists(_COORD, min_size=4, max_size=4),
+           normals=st.lists(_ANGLE, min_size=2, max_size=2), mu=_MU)
+    # a thin wrench set: the cone edges of each contact nearly coincide
+    @example(ends=[1.0, 0.0, 0.0, 0.0], normals=[2.0, 0.0], mu=1.07e-5)
+    def test_two_contacts_agree_with_nguyen(self, ends, normals, mu):
+        """Two contacts force-close iff the segment between them lies strictly
+        inside both friction cones (squeezing) or both negated cones
+        (expanding), Nguyen (IJRR 1988)."""
+        x1, y1, x2, y2 = ends
+        dx, dy = x2 - x1, y2 - y1
+        assume(math.hypot(dx, dy) > 1e-6)   # closer, they are one contact point
+        c1, c2 = _contact(x1, y1, normals[0]), _contact(x2, y2, normals[1])
+        # angle between each normal and the segment toward the other contact
+        a1 = math.atan2(abs(c1.normal[0] * dy - c1.normal[1] * dx),
+                        c1.normal[0] * dx + c1.normal[1] * dy)
+        a2 = math.atan2(abs(c2.normal[0] * dy - c2.normal[1] * dx),
+                        -(c2.normal[0] * dx + c2.normal[1] * dy))
+        phi = math.atan(mu)
+        # the hull margin's band around each cone edge decides neither way
+        assume(all(abs(a - edge) > 1e-6 for a in (a1, a2)
+                   for edge in (phi, math.pi - phi)))
+        squeezing = a1 < phi and a2 < phi
+        expanding = math.pi - a1 < phi and math.pi - a2 < phi
+        closed = force_closure_test(ContactSet((c1, c2)), mu)
+        assert closed == (squeezing or expanding), (c1, c2, mu)
 
 
 class TestCaging:

@@ -28,10 +28,10 @@ from test_golden import TRACE_GOLDENS
 class TestStep:
     def test_closing_translation_rate(self, gears, magnet, counts):
         sc = Scenario(gears=gears, magnet=magnet, counts=counts,
-                      object_contact=20.0)
+                      object_contact=20.0, step_deg=math.degrees(0.1))
         state = initial_state(sc)
         cmd = TorqueRamp(400.0, Direction.CLOSE)
-        new, events = step(state, cmd, sc, angle_increment=0.1)
+        new, events = step(state, cmd, sc)
         assert new.d_f_3s == pytest.approx(2.0, rel=1e-12)
         assert new.d_f_4s == new.d_f_3s
         assert new.theta_m == pytest.approx(-0.1)
@@ -39,11 +39,12 @@ class TestStep:
         assert events == ()
 
     def test_opening_torque_below_breakaway_no_rotation(self, gears, magnet, counts):
-        sc = Scenario(gears=gears, magnet=magnet, counts=counts)
-        state = initial_state(sc)
         threshold = breakaway_motor_torque(gears, magnet)
+        sc = Scenario(gears=gears, magnet=magnet, counts=counts,
+                      torque_step=0.1 * threshold)
+        state = initial_state(sc)
         cmd = TorqueRamp(0.5 * threshold, Direction.OPEN)
-        new, events = step(state, cmd, sc, torque_increment=0.1 * threshold)
+        new, events = step(state, cmd, sc)
         assert new.tau_m == pytest.approx(0.1 * threshold)
         assert new.theta_fb_3s == 0.0
         assert new.phase is Phase.AT_STOPPER
