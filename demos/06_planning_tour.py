@@ -15,11 +15,11 @@ from multigrip import (DEFAULT_COUNTS, DEFAULT_GEARS, build_mode_table,
 from multigrip.planner import ObjectFace, ObjectFaces
 
 QUEUE = [
-    ("thin plate", ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 1.0, 30.0)),
-    ("large cylinder", ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0, 30.0)),
-    ("molded tray pocket", ObjectFaces(ObjectFace.CONCAVE, ObjectFace.CONCAVE, 25.0, 25.0)),
-    ("tiny dowel", ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 6.0, 6.0)),
-    ("cast bracket", ObjectFaces(ObjectFace.COMPLEX, ObjectFace.COMPLEX, 22.0, 28.0)),
+    ("thin plate", ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 30.0)),
+    ("large cylinder", ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0)),
+    ("molded tray pocket", ObjectFaces(ObjectFace.CONCAVE, ObjectFace.CONCAVE, 25.0)),
+    ("tiny dowel", ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 6.0)),
+    ("cast bracket", ObjectFaces(ObjectFace.COMPLEX, ObjectFace.COMPLEX, 28.0)),
 ]
 
 

@@ -11,10 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .grasp import DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD
 from .mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
                         GearGeometry, MagnetDetent, SurfaceCounts,
                         validate_antipodal_gearing)
-from .modes import SurfaceKind, SurfaceShape, default_order_3s, default_order_4s
+from .modes import (DEFAULT_FACE_RADIUS, SurfaceKind, SurfaceShape,
+                    default_order_3s, default_order_4s)
+from .planner import PlannerThresholds
+from .sim import Scenario
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
            "default_config", "set_config_value", "SWEEPABLE_PARAMS"]
@@ -36,14 +40,14 @@ class RunConfig:
     counts: SurfaceCounts
     order_3s: tuple[SurfaceShape, ...]
     order_4s: tuple[SurfaceShape, ...]
-    face_radius: float = 10.0
-    face_width: float = 20.0
-    stroke_limit: float = 40.0
-    step_deg: float = 0.1
-    friction_torque: float = 0.0
-    torque_step: float = 10.0
-    small_object_height: float = 10.0
-    thin_object: float = 3.0
+    face_radius: float = DEFAULT_FACE_RADIUS
+    face_width: float = DEFAULT_FACE_WIDTH
+    stroke_limit: float = Scenario.stroke_limit
+    step_deg: float = Scenario.step_deg
+    friction_torque: float = Scenario.friction_torque
+    torque_step: float = Scenario.torque_step
+    small_object_height: float = PlannerThresholds.small_object_height
+    thin_object: float = DEFAULT_THIN_THRESHOLD
 
     def __post_init__(self) -> None:
         violation = validate_antipodal_gearing(self.gears, self.counts)
@@ -245,11 +249,9 @@ def load_config(path) -> RunConfig:
 # Parameters the sweep subcommand may vary, as section.key names: each one
 # feeds at least one sweep metric (friction torque feeds none).
 SWEEPABLE_PARAMS = {
-    "detent.magnet_coefficient_nmm2": ("magnet", "magnet_coefficient"),
-    "detent.magnet_circle_radius_mm": ("magnet", "circle_radius"),
-    "detent.magnet_gap_mm": ("magnet", "nominal_gap"),
-    "gears.input_sprocket_radius_mm": ("gears", "input_sprocket_radius"),
-    "gears.drive_sprocket_radius_mm": ("gears", "shaft_sprocket_radius"),
+    **{f"detent.{key}": ("magnet", attr) for key, attr in _DETENT_KEYS.items()},
+    **{f"gears.{key}": ("gears", _GEAR_KEYS[key])
+       for key in ("input_sprocket_radius_mm", "drive_sprocket_radius_mm")},
 }
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "switch_command",
     "switch_rotation",
     "release_then_switch",
-    "command_log_rows",
 ]
 
 
@@ -139,28 +138,3 @@ def release_then_switch(state: ControllerState,
     """
     move, new_state = switch_command(state, k_goal)
     return (release_command(state), move), new_state
-
-
-def command_log_rows(commands: tuple[MotorCommand, ...] | list[MotorCommand]) -> list[tuple[int, str, float]]:
-    """Rows (seq, command, target) for the command-log CSV.
-
-    Position targets are logged in degrees, torque targets in N*mm.
-    """
-    rows = []
-    for seq, cmd in enumerate(commands):
-        if isinstance(cmd, TorqueRamp):
-            name = f"torque_ramp_{cmd.direction.value}"
-            rows.append((seq, name, cmd.target_torque))
-        else:
-            rows.append((seq, "position_move", math.degrees(cmd.target_angle)))
-    return rows
-
-
-def write_command_log(commands: tuple[MotorCommand, ...] | list[MotorCommand],
-                      stream) -> None:
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["seq", "command", "target"])
-    for seq, name, target in command_log_rows(commands):
-        writer.writerow([seq, name, repr(target)])

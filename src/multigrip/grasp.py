@@ -34,6 +34,7 @@ __all__ = [
     "DegenerateContactWarning",
     "CagingResolutionWarning",
     "DEFAULT_FACE_WIDTH",
+    "DEFAULT_THIN_THRESHOLD",
     "surface_profile",
     "compute_contacts",
     "closure_separation",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_FACE_WIDTH = 20.0
+DEFAULT_THIN_THRESHOLD = 3.0    # mm; thinner objects slip out of a deformable pad
 _CONTACT_TOL = 1e-6     # mm; how closely a point must sit on both boundaries
 _MERGE_RADIUS = 0.1     # mm; closer contact points collapse to one
 _HULL_MARGIN = 1e-9     # strict-interior margin for positive-span tests
@@ -587,7 +589,7 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
 def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
                    mu: float | None = None, *,
                    face_width: float = DEFAULT_FACE_WIDTH,
-                   thin_threshold: float = 3.0,
+                   thin_threshold: float = DEFAULT_THIN_THRESHOLD,
                    stroke: float | None = None) -> GraspResult:
     """Classify the grasp of an object in a given surface-pair mode.
 

@@ -75,6 +75,8 @@ class FaceArc:
     def __post_init__(self) -> None:
         if self.kind not in ("flat", "convex", "concave"):
             raise ValueError(f"unknown face kind {self.kind!r}")
+        if self.radius is not None and not math.isfinite(self.radius):
+            raise ValueError("face radius must be finite")
         if self.kind != "flat" and not (self.radius and self.radius > 0):
             raise ValueError(f"{self.kind} face needs a positive radius")
 
@@ -89,8 +91,8 @@ class CompositeFaces:
     height: float
 
     def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("composite dimensions must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.width, self.height)):
+            raise ValueError("composite dimensions must be positive and finite")
         for face in (self.left, self.right):
             if face.kind != "flat" and face.radius is not None and self.height > 2 * face.radius:
                 raise ValueError("face arc cannot span the object height")
@@ -259,12 +261,7 @@ class ObjectDescription:
     spec: ObjectSpec
     left_face: str | None = None
     right_face: str | None = None
-    thickness: float | None = None
     height: float | None = None
-
-    @property
-    def planner_thickness(self) -> float:
-        return self.thickness if self.thickness is not None else self.spec.closing_extent
 
     @property
     def planner_height(self) -> float:
@@ -364,18 +361,19 @@ def parse_object_file(text: str) -> ObjectDescription:
         raise ObjectFileError(f"unknown shape {shape_name!r}", lines["shape"])
 
     mu = number("mu")
-    spec = build(ObjectSpec, "mu", shape=shape, mu=mu if mu is not None else 0.5)
+    spec = build(ObjectSpec, "mu", shape=shape,
+                 mu=mu if mu is not None else ObjectSpec.mu)
 
     for key in ("left_face", "right_face"):
         if key in values and values[key].lower() not in _FACE_NAMES:
             raise ObjectFileError(
                 f"{key} must be one of {sorted(_FACE_NAMES)}", lines[key])
+    number("thickness_mm")   # read by thin_plate only, checked for every shape
 
     return ObjectDescription(
         spec=spec,
         left_face=values.get("left_face", "").lower() or None,
         right_face=values.get("right_face", "").lower() or None,
-        thickness=number("thickness_mm"),
         height=number("height_mm"),
     )
 

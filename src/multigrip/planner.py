@@ -39,16 +39,15 @@ class ObjectFace(Enum):
 
 @dataclass(frozen=True)
 class ObjectFaces:
-    """What the two grasped faces of the object look like, plus its size."""
+    """What the two grasped faces of the object look like, plus its height."""
 
     left: ObjectFace
     right: ObjectFace
-    thickness: float
     height: float
 
     def __post_init__(self) -> None:
-        if not (self.thickness > 0 and self.height > 0):
-            raise ValueError("object thickness and height must be positive")
+        if not self.height > 0:
+            raise ValueError("object height must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ class PlanResult:
     candidates_right: tuple[SurfaceKind, ...]
 
 
-def candidate_surfaces(face: ObjectFace, thickness: float, height: float,
+def candidate_surfaces(face: ObjectFace, height: float,
                        thresholds: PlannerThresholds = PlannerThresholds()
                        ) -> tuple[SurfaceKind, ...]:
     """Finger surfaces usable against one object face, best first.
@@ -113,8 +112,8 @@ def select_mode(faces: ObjectFaces, k_now: int, table: GcModeTable,
     at all, the nearest deformable-surface mode is selected and flagged.
     """
     n_gc = len(table)
-    cand_left = candidate_surfaces(faces.left, faces.thickness, faces.height, thresholds)
-    cand_right = candidate_surfaces(faces.right, faces.thickness, faces.height, thresholds)
+    cand_left = candidate_surfaces(faces.left, faces.height, thresholds)
+    cand_right = candidate_surfaces(faces.right, faces.height, thresholds)
     rationale = [
         f"left face {faces.left.value}: candidates {[k.value for k in cand_left]}",
         f"right face {faces.right.value}: candidates {[k.value for k in cand_right]}",
@@ -167,12 +166,11 @@ def select_mode(faces: ObjectFaces, k_now: int, table: GcModeTable,
 def faces_from_description(desc: ObjectDescription) -> ObjectFaces:
     """Build planner input from a parsed object file.
 
-    Missing face declarations default to flat faces; size falls back to the
-    object geometry.
+    Missing face declarations default to flat faces; the height falls back
+    to the object geometry.
     """
     def face(name: str | None) -> ObjectFace:
         return ObjectFace(name) if name else ObjectFace.FLAT
 
     return ObjectFaces(left=face(desc.left_face), right=face(desc.right_face),
-                       thickness=desc.planner_thickness,
                        height=desc.planner_height)

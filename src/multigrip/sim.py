@@ -208,19 +208,16 @@ class Scenario:
     max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if not self.step_deg > 0:
-            raise ValueError("step_deg must be positive")
-        if not self.torque_step > 0:
-            raise ValueError("torque_step must be positive")
-        if not self.stroke_limit > 0:
-            raise ValueError("stroke_limit must be positive")
+        for name in ("step_deg", "torque_step", "stroke_limit"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.initial_position <= self.stroke_limit:
             raise ValueError("initial_position outside [0, stroke_limit]")
         if self.object_contact is not None and not (
                 0 < self.object_contact <= self.stroke_limit):
             raise ValueError("object_contact outside (0, stroke_limit]")
-        if self.friction_torque < 0:
-            raise ValueError("friction_torque must be >= 0")
+        if not 0 <= self.friction_torque < math.inf:
+            raise ValueError("friction_torque must be finite and >= 0")
         # Touching _kin derives the step constants here, once; its
         # switch_interval call refuses inconsistent gearing.
         n = self._kin.n_gc
@@ -674,9 +671,11 @@ def body_torque_trace(trace: SimTrace, gears: GearGeometry) -> list[tuple[float,
 
 
 def grasp_scenario(gears: GearGeometry, magnet: MagnetDetent, counts: SurfaceCounts, *,
-                   target_force: float, gap: float, stroke_limit: float = 40.0,
-                   step_deg: float = 0.1, torque_step: float = 10.0,
-                   friction_torque: float = 0.0) -> Scenario:
+                   target_force: float, gap: float,
+                   stroke_limit: float = Scenario.stroke_limit,
+                   step_deg: float = Scenario.step_deg,
+                   torque_step: float = Scenario.torque_step,
+                   friction_torque: float = Scenario.friction_torque) -> Scenario:
     """Close on an object a given travel away and ramp to a grasp force."""
     return Scenario(gears=gears, magnet=magnet, counts=counts,
                     commands=(grasp_command(target_force, gears),),
@@ -687,8 +686,10 @@ def grasp_scenario(gears: GearGeometry, magnet: MagnetDetent, counts: SurfaceCou
 
 def switch_scenario(gears: GearGeometry, magnet: MagnetDetent, counts: SurfaceCounts, *,
                     from_mode: int, to_mode: int, gap: float = 3.0,
-                    stroke_limit: float = 40.0, step_deg: float = 0.1,
-                    friction_torque: float = 0.0) -> tuple[Scenario, ControllerState]:
+                    stroke_limit: float = Scenario.stroke_limit,
+                    step_deg: float = Scenario.step_deg,
+                    friction_torque: float = Scenario.friction_torque
+                    ) -> tuple[Scenario, ControllerState]:
     """Open from a small gap and switch modes; also returns the controller state.
 
     The fully-open motor reference is the angle at which the initial gap has

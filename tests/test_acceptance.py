@@ -211,14 +211,14 @@ def test_criterion_08_grasp_classification():
 def test_criterion_09_planner():
     start = time.perf_counter()
     table = build_mode_table(C)
-    thin = ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 1.0, 30.0)
+    thin = ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 30.0)
     assert select_mode(thin, 1, table, INTERVAL).k_goal == 1
 
-    cyl = ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0, 30.0)
+    cyl = ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0)
     chosen = select_mode(cyl, 1, table, INTERVAL)
     assert all(s.kind.value == "concave" for s in table.entry(chosen.k_goal))
 
-    cplx = ObjectFaces(ObjectFace.COMPLEX, ObjectFace.COMPLEX, 20.0, 20.0)
+    cplx = ObjectFaces(ObjectFace.COMPLEX, ObjectFace.COMPLEX, 20.0)
     fb = select_mode(cplx, 1, table, INTERVAL)
     assert fb.fallback_used
 

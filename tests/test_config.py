@@ -11,8 +11,9 @@ from multigrip.config import (_SECTIONS, DEFAULT_DETENT_VALUES, ConfigError,
                               parse_config, set_config_value)
 from multigrip.mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
                                  gc_mode_count, switch_interval)
-from multigrip.objects import (Box, Circle, ObjectFileError, ObjectSpec,
-                               ThinPlate, parse_object_file)
+from multigrip.objects import (Box, Circle, CompositeFaces, FaceArc,
+                               ObjectFileError, ObjectSpec, ThinPlate,
+                               parse_object_file)
 
 MINIMAL = """
 [gears]
@@ -264,6 +265,9 @@ class TestObjectFiles:
         lambda v: Box(width=5.0, height=v),
         lambda v: ThinPlate(length=v, thickness=1.0),
         lambda v: ThinPlate(length=30.0, thickness=v),
+        lambda v: CompositeFaces(FaceArc("flat"), FaceArc("flat"), width=v, height=5.0),
+        lambda v: CompositeFaces(FaceArc("flat"), FaceArc("flat"), width=5.0, height=v),
+        lambda v: FaceArc("convex", radius=v),
     ])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_shape_values_rejected(self, build, value):
@@ -276,6 +280,8 @@ class TestObjectFiles:
          "height_mm must be positive"),
         ("shape = thin_plate\nthickness_mm = 1\nlength_mm = -30\n", 3,
          "length_mm must be positive"),
+        ("shape = box\nwidth_mm = 20\nheight_mm = 25\nthickness_mm = -1\n", 4,
+         "thickness_mm must be positive"),
         ("shape = circle\nmu = -0.2\nradius_mm = 5\n", 2,
          "friction coefficient must be finite and >= 0"),
         ("shape = composite\nleft_face_shape = wavy\nwidth_mm = 10\n"

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from multigrip.control import (ControllerState, Direction, PositionMove,
-                               TorqueRamp, command_log_rows, grasp_command,
+                               TorqueRamp, grasp_command,
                                release_command, release_then_switch,
                                switch_command, switch_rotation)
 
@@ -108,27 +108,3 @@ def test_release_then_switch_prepends_release():
     assert commands[0].target_angle == 0.5
     assert commands[1].target_angle == pytest.approx(0.5 + 2 * INTERVAL)
     assert cs2.k_now == 3
-
-
-def test_command_log_rows(gears):
-    move, _ = switch_command(make_state(), 2)
-    rows = command_log_rows([grasp_command(20.0, gears), move])
-    assert rows[0] == (0, "torque_ramp_close", 400.0)
-    assert rows[1][1] == "position_move"
-    assert rows[1][2] == pytest.approx(108.0)
-
-
-def test_command_log_csv_round_trip(gears):
-    import csv
-    import io
-
-    from multigrip.control import write_command_log
-
-    move, _ = switch_command(make_state(), 4)
-    buf = io.StringIO()
-    write_command_log([grasp_command(20.0, gears), move], buf)
-    buf.seek(0)
-    rows = list(csv.reader(buf))
-    assert rows[0] == ["seq", "command", "target"]
-    assert len(rows) == 3
-    assert float(rows[2][2]) == pytest.approx(324.0)

@@ -14,32 +14,32 @@ INTERVAL = math.radians(108.0)
 
 class TestCandidates:
     def test_convex_face_large_object(self):
-        cands = candidate_surfaces(ObjectFace.CONVEX, 30.0, 30.0)
+        cands = candidate_surfaces(ObjectFace.CONVEX, 30.0)
         assert cands == (SurfaceKind.CONCAVE, SurfaceKind.FLAT)
 
     def test_concave_face_small_object_drops_convex(self):
-        cands = candidate_surfaces(ObjectFace.CONCAVE, 5.0, 5.0)
+        cands = candidate_surfaces(ObjectFace.CONCAVE, 5.0)
         assert cands == (SurfaceKind.FLAT,)
 
     def test_concave_face_large_object(self):
-        cands = candidate_surfaces(ObjectFace.CONCAVE, 30.0, 30.0)
+        cands = candidate_surfaces(ObjectFace.CONCAVE, 30.0)
         assert cands == (SurfaceKind.CONVEX, SurfaceKind.FLAT)
 
     def test_flat_face_flat_only(self):
-        assert candidate_surfaces(ObjectFace.FLAT, 5.0, 50.0) == (SurfaceKind.FLAT,)
+        assert candidate_surfaces(ObjectFace.FLAT, 50.0) == (SurfaceKind.FLAT,)
 
     def test_complex_face_empty(self):
-        assert candidate_surfaces(ObjectFace.COMPLEX, 20.0, 20.0) == ()
+        assert candidate_surfaces(ObjectFace.COMPLEX, 20.0) == ()
 
     def test_threshold_configurable(self):
         thr = PlannerThresholds(small_object_height=25.0)
-        cands = candidate_surfaces(ObjectFace.CONCAVE, 20.0, 20.0, thr)
+        cands = candidate_surfaces(ObjectFace.CONCAVE, 20.0, thr)
         assert SurfaceKind.CONVEX not in cands
 
 
 class TestSelectMode:
     def test_thin_plate_stays_flat(self, table):
-        faces = ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 1.0, 30.0)
+        faces = ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 30.0)
         result = select_mode(faces, 1, table, INTERVAL)
         assert result.k_goal == 1
         assert not result.fallback_used
@@ -47,14 +47,14 @@ class TestSelectMode:
         assert result.rationale
 
     def test_convex_cylinder_selects_pocket_pair(self, table):
-        faces = ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0, 30.0)
+        faces = ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0)
         result = select_mode(faces, 1, table, INTERVAL)
         assert result.k_goal == 3
         s3, s4 = table.entry(result.k_goal)
         assert s3.kind is SurfaceKind.CONCAVE and s4.kind is SurfaceKind.CONCAVE
 
     def test_complex_faces_fall_back_to_deformable(self, table):
-        faces = ObjectFaces(ObjectFace.COMPLEX, ObjectFace.COMPLEX, 20.0, 20.0)
+        faces = ObjectFaces(ObjectFace.COMPLEX, ObjectFace.COMPLEX, 20.0)
         result = select_mode(faces, 1, table, INTERVAL)
         assert result.fallback_used
         assert result.k_goal == 4
@@ -62,13 +62,13 @@ class TestSelectMode:
         assert SurfaceKind.DEFORMABLE_FLAT in kinds
 
     def test_fallback_picks_nearest_deformable(self, table):
-        faces = ObjectFaces(ObjectFace.COMPLEX, ObjectFace.COMPLEX, 20.0, 20.0)
+        faces = ObjectFaces(ObjectFace.COMPLEX, ObjectFace.COMPLEX, 20.0)
         # from mode 5, deformable modes {4, 8, 12} sit 11, 3 and 7 steps away
         result = select_mode(faces, 5, table, INTERVAL)
         assert result.k_goal == 8
 
     def test_current_mode_kept_when_feasible(self, table):
-        faces = ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 10.0, 20.0)
+        faces = ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 20.0)
         for k_now in range(1, 13):
             result = select_mode(faces, k_now, table, INTERVAL)
             if table.entry(k_now)[0].kind is SurfaceKind.FLAT \
@@ -76,7 +76,7 @@ class TestSelectMode:
                 assert result.k_goal == k_now
 
     def test_mixed_faces_use_both_orientations(self, table):
-        faces = ObjectFaces(ObjectFace.CONVEX, ObjectFace.FLAT, 30.0, 30.0)
+        faces = ObjectFaces(ObjectFace.CONVEX, ObjectFace.FLAT, 30.0)
         result = select_mode(faces, 8, table, INTERVAL)
         # preferred pair {concave, flat}: modes 7 (flat, concave) and
         # 9 (concave, flat); from mode 8 the nearest is 9
@@ -84,18 +84,18 @@ class TestSelectMode:
 
     def test_minimal_rotation_exhaustive(self, table):
         fixtures = [
-            ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 1.0, 30.0),
-            ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0, 30.0),
-            ObjectFaces(ObjectFace.CONCAVE, ObjectFace.CONCAVE, 25.0, 25.0),
-            ObjectFaces(ObjectFace.CONVEX, ObjectFace.FLAT, 30.0, 30.0),
+            ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 30.0),
+            ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0),
+            ObjectFaces(ObjectFace.CONCAVE, ObjectFace.CONCAVE, 25.0),
+            ObjectFaces(ObjectFace.CONVEX, ObjectFace.FLAT, 30.0),
         ]
         for faces in fixtures:
             for k_now in range(1, 13):
                 result = select_mode(faces, k_now, table, INTERVAL)
                 chosen = result.rotation
                 # no other mode with the same-or-better feasibility tier is closer
-                cand_l = candidate_surfaces(faces.left, faces.thickness, faces.height)
-                cand_r = candidate_surfaces(faces.right, faces.thickness, faces.height)
+                cand_l = candidate_surfaces(faces.left, faces.height)
+                cand_r = candidate_surfaces(faces.right, faces.height)
                 pref = (set(cand_l[:1]), set(cand_r[:1]))
                 tier1 = [k for k in range(1, 13)
                          if _fits(table.entry(k), *pref)]
@@ -106,7 +106,7 @@ class TestSelectMode:
                     assert chosen <= switch_rotation(k_now, k, 12, INTERVAL) + 1e-12
 
     def test_determinism(self, table):
-        faces = ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0, 30.0)
+        faces = ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0)
         a = select_mode(faces, 7, table, INTERVAL)
         b = select_mode(faces, 7, table, INTERVAL)
         assert a == b
@@ -122,13 +122,13 @@ class TestCrossCheckWithClassifier:
     def test_planned_modes_never_fail(self, table):
         objects = {
             "large_cylinder": (ObjectSpec(Circle(15.0), mu=0.5),
-                               ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0, 30.0)),
+                               ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0)),
             "small_cylinder": (ObjectSpec(Circle(5.0), mu=0.5),
-                               ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 10.0, 10.0)),
+                               ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 10.0)),
             "box": (ObjectSpec(Box(20.0, 25.0), mu=0.5),
-                    ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 20.0, 25.0)),
+                    ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 25.0)),
             "thin_plate": (ObjectSpec(ThinPlate(30.0, 1.0), mu=0.5),
-                           ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 1.0, 30.0)),
+                           ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, 30.0)),
         }
         for name, (spec, faces) in objects.items():
             plan = select_mode(faces, 1, table, INTERVAL)
@@ -140,7 +140,6 @@ def test_faces_from_description_defaults():
     desc = parse_object_file("shape = box\nwidth_mm = 12\nheight_mm = 18\n")
     faces = faces_from_description(desc)
     assert faces.left is ObjectFace.FLAT and faces.right is ObjectFace.FLAT
-    assert faces.thickness == 12.0
     assert faces.height == 18.0
 
 

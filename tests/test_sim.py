@@ -136,6 +136,14 @@ class TestScenarioConstants:
         with pytest.raises(ValueError, match="inconsistent gearing"):
             Scenario(gears=bad, magnet=magnet, counts=counts)
 
+    @pytest.mark.parametrize("field", ["stroke_limit", "step_deg", "torque_step",
+                                       "friction_torque", "initial_position",
+                                       "object_contact"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_refused(self, gears, magnet, counts, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            Scenario(gears=gears, magnet=magnet, counts=counts, **{field: value})
+
 
 class TestGraspScenario:
     def test_force_profile(self, gears, magnet, counts):
