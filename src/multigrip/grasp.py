@@ -54,6 +54,7 @@ _GRID = 4001            # lateral samples per contact search
 _PROFILE_POINTS = 129   # vertices of a finger-face polyline
 _CORNER_TOL = 1e-9      # mm; how close to a corner a contact counts as at it
 _BODY_DEPTH = 15.0      # mm; finger body behind the face, for caging
+_ERODE_CELLS = 2        # x-y erosion depth of the caging resolution check
 
 
 class DegenerateContactWarning(UserWarning):
@@ -498,11 +499,30 @@ def _escapes_from(free: np.ndarray, seed: tuple[int, ...]) -> bool:
 
 
 def _erode_xy(free: np.ndarray) -> np.ndarray:
-    """Free space eroded twice by the x-y plane cross, the border counting as free."""
-    for _ in range(2):
+    """Free space eroded _ERODE_CELLS times by the x-y plane cross, the
+    border counting as free."""
+    for _ in range(_ERODE_CELLS):
         p = np.pad(free, ((0, 0), (1, 1), (1, 1)), constant_values=True)
         free = free & p[:, :-2, 1:-1] & p[:, 2:, 1:-1] & p[:, 1:-1, :-2] & p[:, 1:-1, 2:]
     return free
+
+
+def _erode_xy_from(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
+    """`_erode_xy(free)` plus the cells the seed, counted free, reaches in
+    `free` without leaving its rotation slice or the x-y window of the
+    erosion depth around it, clipped at the grid border.
+
+    A seed touching a finger at rest would otherwise be left an island of
+    one cell, which reads as an escape through a narrow gap.  Each cell put
+    back lies in the seed's component of `free`, so an escape from the
+    result is an escape from `free`."""
+    narrowed = _erode_xy(free)
+    a, x, y = seed
+    x0, y0 = max(x - _ERODE_CELLS, 0), max(y - _ERODE_CELLS, 0)
+    window = free[a:a + 1, x0:x + _ERODE_CELLS + 1, y0:y + _ERODE_CELLS + 1]
+    for i, j0, j1 in _reachable_region(window, (0, x - x0, y - y0)):
+        narrowed[a, x0 + i, y0 + j0:y0 + j1] = True
+    return narrowed
 
 
 def _cspace_obstacle(fingers: np.ndarray, footprint: np.ndarray, centre: int,
@@ -544,9 +564,10 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     is a flood fill over the graph of free y-runs.  An escape that vanishes
     once free space is eroded by two cells in x-y runs through a gap at most
     two cells wide, so the verdict may depend on the grid: that raises
-    CagingResolutionWarning.  A wide escape within the rest-angle slice
-    alone, a subset of the full search, decides the test before the other
-    slices are built.
+    CagingResolutionWarning.  The erosion keeps the cells the rest pose
+    reaches within its depth, so a contact at rest is not taken for such a
+    gap.  A wide escape within the rest-angle slice alone, a subset of the
+    full search, decides the test before the other slices are built.
     """
     poly_left = _finger_polygon(left, -separation / 2.0, -1, _BODY_DEPTH)
     poly_right = _finger_polygon(right, separation / 2.0, +1, _BODY_DEPTH)
@@ -570,15 +591,15 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
                         [math.sin(a), math.cos(a)]])
         footprint = _polygon_runs(base @ rot.T, local, local)
         free3[ia] = ~_cspace_obstacle(finger_runs, footprint, m, free3.shape[1:])
-        if ia == 0 and _escapes_from(_erode_xy(free3[:1]), seed):
+        if ia == 0 and _escapes_from(_erode_xy_from(free3[:1], seed), seed):
             return False
 
     if not _escapes_from(free3, seed):
         return True
-    if not _escapes_from(_erode_xy(free3), seed):
+    if not _escapes_from(_erode_xy_from(free3, seed), seed):
         warnings.warn(
             "the escape path passes a gap at most two grid cells "
-            f"({2 * cell:g} mm) wide; result may be resolution-limited",
+            f"({_ERODE_CELLS * cell:g} mm) wide; result may be resolution-limited",
             CagingResolutionWarning, stacklevel=2)
     return False
 

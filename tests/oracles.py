@@ -262,8 +262,8 @@ def polygons_intersect(poly_a: np.ndarray, poly_b: np.ndarray) -> bool:
     return False
 
 
-def escapes_by_label(free: np.ndarray, seed: tuple[int, ...]) -> bool:
-    """Does the free region connected to the seed touch the x-y border?
+def seed_region_by_label(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
+    """The free region connected to the seed, as a mask of free's shape.
 
     6-connected `ndimage.label` of the free cells (the seed forced free),
     then a merge of the components that touch across the rotation seam
@@ -280,7 +280,12 @@ def escapes_by_label(free: np.ndarray, seed: tuple[int, ...]) -> bool:
         top, bottom = labels[0][both], labels[-1][both]
         while (new := reached[top] != reached[bottom]).any():
             reached[top[new]] = reached[bottom[new]] = True
-    region = reached[labels]
+    return reached[labels]
+
+
+def escapes_by_label(free: np.ndarray, seed: tuple[int, ...]) -> bool:
+    """Does the free region connected to the seed touch the x-y border?"""
+    region = seed_region_by_label(free, seed)
     return bool(region[:, 0, :].any() or region[:, -1, :].any()
                 or region[:, :, 0].any() or region[:, :, -1].any())
 

@@ -200,15 +200,27 @@ class TestPlanAndClassify:
         assert rc == 0
         assert "classification=fail" in out
 
-    def test_classify_warning_is_one_stderr_line(self, fixtures_dir):
-        # box in mode 5 escapes only through a gap of at most two cells
+    def test_classify_warning_is_one_stderr_line(self, fixtures_dir, tmp_path):
+        # the small cylinder at half size touches nothing at rest between
+        # the closed pockets and escapes only through a gap of at most two cells
+        half = tmp_path / "half_cylinder.object"
+        half.write_text("shape = circle\nradius_mm = 2.5\nmu = 0.5\n"
+                        "left_face = convex\nright_face = convex\n"
+                        "height_mm = 10\nthickness_mm = 10\n")
+        proc = _run_python("-m", "multigrip", "classify", "--object", str(half),
+                           "--mode", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == ("classification=fail contacts=0 posture_uncertain=false "
+                               "reason='no closure and an escape path exists'\n")
+        assert proc.stderr == ("warning: the escape path passes a gap at most two grid "
+                               "cells (1 mm) wide; result may be resolution-limited\n")
+        # the box in mode 5 touches a finger at rest, which is no narrow gap
         proc = _run_python("-m", "multigrip", "classify", "--object",
                            str(fixtures_dir / "objects" / "box.object"), "--mode", "5")
         assert proc.returncode == 0
         assert proc.stdout == ("classification=fail contacts=1 posture_uncertain=false "
                                "reason='no closure and an escape path exists'\n")
-        assert proc.stderr == ("warning: the escape path passes a gap at most two grid "
-                               "cells (1 mm) wide; result may be resolution-limited\n")
+        assert proc.stderr == ""
 
     def test_missing_object_file(self, capsys):
         rc, _, err = run(capsys, "classify", "--object", "/nope.object",
@@ -360,7 +372,8 @@ class TestColdStart:
         return proc
 
     def test_caging_classify_loads_no_scipy(self, fixtures_dir):
-        # box in mode 5 reaches the closure tests and the full caging search
+        # box in mode 5 reaches the closure tests and the caging search,
+        # which its rest-angle slice decides
         proc = self._run_cli("classify", "--object",
                              str(fixtures_dir / "objects" / "box.object"), "--mode", "5",
                              listing=self.LIST_SCIPY + "\n" + self.LIST_FFT)

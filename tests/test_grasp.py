@@ -10,20 +10,19 @@ from scipy.spatial import ConvexHull, QhullError
 from multigrip.config import default_config
 from multigrip.grasp import (_HULL_MARGIN, CagingResolutionWarning, Contact,
                              ContactSet, DegenerateContactWarning, GraspOutcome,
-                             _cspace_obstacle, _erode_xy, _escapes_from,
-                             _finger_polygon, _origin_strictly_inside,
+                             _cspace_obstacle, _erode_xy, _erode_xy_from,
+                             _escapes_from, _finger_polygon, _origin_strictly_inside,
                              _polygon_runs, caging_test, classify_grasp,
                              closure_separation, compute_contacts,
                              force_closure_test, form_closure_test,
                              surface_profile)
 from multigrip.modes import (build_mode_table, concave, convex, deformable_flat,
                              flat)
-from multigrip.objects import (Box, Circle, ObjectSpec, ThinPlate,
-                               load_object_file, object_polygon)
+from multigrip.objects import Box, Circle, ObjectSpec, ThinPlate, object_polygon
 from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
                      hull_origin_inside, oracle_positive_span, oracle_wrenches,
                      points_in_polygon, points_to_polygon_distance,
-                     polygons_intersect, runs_to_mask)
+                     polygons_intersect, runs_to_mask, seed_region_by_label)
 
 CC = (concave(10.0), concave(10.0))
 FF = (flat(), flat())
@@ -585,13 +584,14 @@ class TestObstacleDilation:
         np.testing.assert_array_equal(_cspace_obstacle(fingers, footprint, m, shape),
                                       expected)
 
-    def test_every_slice_of_a_fixture_search(self, fixtures_dir, monkeypatch):
-        # the box in mode 5 runs the full 72-slice polygon search
+    def test_every_slice_of_a_fixture_search(self, monkeypatch):
+        # the box fixture at half size, caged in mode 3, runs the full
+        # 72-slice polygon search
         from multigrip import grasp
 
         cfg = default_config()
-        pair = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s).entry(5)
-        box = load_object_file(fixtures_dir / "objects" / "box.object").spec
+        pair = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s).entry(3)
+        box = ObjectSpec(Box(10.0, 12.5), mu=0.5)
         original = grasp._cspace_obstacle
         matches = []
 
@@ -604,12 +604,27 @@ class TestObstacleDilation:
             return blocked
 
         monkeypatch.setattr(grasp, "_cspace_obstacle", checked)
-        with pytest.warns(CagingResolutionWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CagingResolutionWarning)
             result = classify_grasp(box, pair, face_width=cfg.face_width,
                                     thin_threshold=cfg.thin_object,
                                     stroke=cfg.stroke_limit)
-        assert result.outcome is GraspOutcome.FAIL
+        assert result.outcome is GraspOutcome.CAGING
+        assert len(result.contacts) == 0
         assert matches == [True] * 72
+
+
+def _random_grid(data) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """A random (angles, nx, ny) free grid and a seed cell, free or not."""
+    shape = (data.draw(st.integers(1, 8), label="angles"),
+             data.draw(st.integers(1, 12), label="nx"),
+             data.draw(st.integers(1, 12), label="ny"))
+    fill = data.draw(st.floats(0.2, 0.9), label="fill")
+    grid_seed = data.draw(st.integers(0, 2**32 - 1), label="grid seed")
+    free = np.random.default_rng(grid_seed).random(shape) < fill
+    seed = tuple(data.draw(st.integers(0, n - 1), label="seed") for n in shape)
+    free[seed] = data.draw(st.booleans(), label="seed free")
+    return free, seed
 
 
 class TestEscapeFill:
@@ -618,18 +633,22 @@ class TestEscapeFill:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_matches_labelling_oracle(self, data):
-        shape = (data.draw(st.integers(1, 8), label="angles"),
-                 data.draw(st.integers(1, 12), label="nx"),
-                 data.draw(st.integers(1, 12), label="ny"))
-        fill = data.draw(st.floats(0.2, 0.9), label="fill")
-        grid_seed = data.draw(st.integers(0, 2**32 - 1), label="grid seed")
-        free = np.random.default_rng(grid_seed).random(shape) < fill
-        seed = tuple(data.draw(st.integers(0, n - 1), label="seed") for n in shape)
-        free[seed] = data.draw(st.booleans(), label="seed free")
+        free, seed = _random_grid(data)
         assert _escapes_from(free, seed) == escapes_by_label(free, seed)
         narrowed = _erode_xy(free)
         np.testing.assert_array_equal(narrowed, erode_xy(free))
         assert _escapes_from(narrowed, seed) == escapes_by_label(narrowed, seed)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_cells_put_back_around_the_seed_are_sound(self, data):
+        # seeds at the border clip the window
+        free, seed = _random_grid(data)
+        patched = _erode_xy_from(free, seed)
+        added = patched & ~_erode_xy(free)
+        assert not (added & ~seed_region_by_label(free, seed)).any()
+        if _escapes_from(patched, seed):
+            assert escapes_by_label(free, seed)
 
     def test_escape_only_across_the_rotation_seam(self):
         # the seed in the last slice reaches x = 0 only through slice 0
