@@ -18,9 +18,8 @@ import warnings
 from typing import Sequence
 
 from . import grasp, mechanics, modes, planner, sim
-from .config import (ConfigError, RunConfig, default_config, load_config,
-                     set_config_value)
-from .objects import ObjectFileError, load_object_file
+from .config import RunConfig, default_config, load_config, set_config_value
+from .objects import load_object_file
 
 __all__ = ["dispatch", "main"]
 
@@ -301,8 +300,7 @@ def dispatch(argv: Sequence[str]) -> int:
         warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
         try:
             return args.func(args)
-        except (CliError, ConfigError, ObjectFileError, ValueError,
-                sim.SimError, OSError) as exc:
+        except (CliError, ValueError, sim.SimError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

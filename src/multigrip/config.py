@@ -1,9 +1,8 @@
-"""Run configuration: sectioned key=value files with strict validation.
+"""Run configuration: sectioned key = value files with strict validation.
 
-Format: `[section]` headers with `key = value` lines; `#` starts a
-comment.  Sections are [gears], [detent], [surfaces], [planner] and [sim].
-Unknown sections or keys are rejected, and every error carries the line
-number.  Values use a plain decimal point regardless of locale.
+The format is `_keyvalue`'s, with `[section]` headers.  Sections are
+[gears], [detent], [surfaces], [planner] and [sim].  Values use a plain
+decimal point regardless of locale.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from ._keyvalue import KeyValues, LineError
 from .grasp import DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD
 from .mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
                         GearGeometry, MagnetDetent, SurfaceCounts,
@@ -24,11 +24,8 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
            "default_config", "set_config_value", "SWEEPABLE_PARAMS"]
 
 
-class ConfigError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(where + message)
-        self.line = line
+class ConfigError(LineError):
+    """A configuration that fails validation."""
 
 
 @dataclass(frozen=True)
@@ -118,78 +115,27 @@ def default_config() -> RunConfig:
     )
 
 
-def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current not in _SECTIONS:
-                raise ConfigError(f"unknown section [{current}]", lineno)
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line!r}", lineno)
-        if current is None:
-            raise ConfigError("key outside of any [section]", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key not in _SECTIONS[current]:
-            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
-        if key in sections[current]:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
-        sections[current][key] = (value.strip(), lineno)
-    return sections
-
-
-def _number(section: dict[str, tuple[str, int]], key: str,
-            default: float | None = None, domain: str | None = None) -> float:
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+def _integer(fields: KeyValues, key: str, default: int) -> int:
+    value = fields.value(key)
+    if value is None:
         return default
-    value, lineno = section[key]
-    try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError(f"non-numeric value for {key}: {value!r}",
-                          lineno) from None
-    if not math.isfinite(number):
-        raise ConfigError(f"non-finite value for {key}: {value!r}", lineno)
-    if not _in_domain(number, domain):
-        raise ConfigError(f"{key} must be {domain}, got {value!r}", lineno)
-    return number
-
-
-def _in_domain(number: float, domain: str | None) -> bool:
-    return not (domain == "positive" and number <= 0
-                or domain == "non-negative" and number < 0)
-
-
-def _integer(section: dict[str, tuple[str, int]], key: str, default: int) -> int:
-    if key not in section:
-        return default
-    value, lineno = section[key]
     try:
         return int(value)
     except ValueError:
         raise ConfigError(f"non-integer value for {key}: {value!r}",
-                          lineno) from None
+                          fields.line(key)) from None
 
 
-def _surface_order(section, key: str, face_radius: float,
+def _surface_order(fields: KeyValues, key: str, face_radius: float,
                    default: tuple[SurfaceShape, ...]) -> tuple[SurfaceShape, ...]:
-    if key not in section:
+    value = fields.value(key)
+    if value is None:
         return default
-    value, lineno = section[key]
     shapes = []
     for name in value.split(","):
         name = name.strip().lower()
         if name not in _SURFACE_NAMES:
-            raise ConfigError(f"unknown surface {name!r} in {key}", lineno)
+            raise ConfigError(f"unknown surface {name!r} in {key}", fields.line(key))
         kind = _SURFACE_NAMES[name]
         radius = face_radius if kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE) else None
         shapes.append(SurfaceShape(kind, radius))
@@ -198,40 +144,25 @@ def _surface_order(section, key: str, face_radius: float,
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration file."""
-    sections = _parse_sections(text)
-    gears_sec = sections.get("gears", {})
-    detent_sec = sections.get("detent", {})
-    surf_sec = sections.get("surfaces", {})
-
-    gear_kwargs = {attr: _number(gears_sec, key)
-                   for key, attr in _GEAR_KEYS.items()}
-    try:
-        gears = GearGeometry(**gear_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    detent_kwargs = {attr: _number(detent_sec, key, DEFAULT_DETENT_VALUES[key])
-                     for key, attr in _DETENT_KEYS.items()}
-    try:
-        magnet = MagnetDetent(**detent_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        counts = SurfaceCounts(n_3s=_integer(surf_sec, "count_3s", DEFAULT_COUNTS.n_3s),
-                               n_4s=_integer(surf_sec, "count_4s", DEFAULT_COUNTS.n_4s))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fields = KeyValues(text, _SECTIONS, ConfigError)
+    gears = GearGeometry(**{attr: fields.number(key, "positive", required=True)
+                            for key, attr in _GEAR_KEYS.items()})
+    magnet = MagnetDetent(**{attr: fields.number(key, "positive",
+                                                 DEFAULT_DETENT_VALUES[key])
+                             for key, attr in _DETENT_KEYS.items()})
+    # the counts' own check spans two keys, so it names no line
+    counts = fields.build(SurfaceCounts, None,
+                          n_3s=_integer(fields, "count_3s", DEFAULT_COUNTS.n_3s),
+                          n_4s=_integer(fields, "count_4s", DEFAULT_COUNTS.n_4s))
 
     # class attributes of a dataclass hold its fields' defaults
-    scalars = {field: _number(sections.get(sec, {}), key,
-                              getattr(RunConfig, field), domain)
-               for sec, keys in _SCALAR_KEYS.items()
+    scalars = {field: fields.number(key, domain, getattr(RunConfig, field))
+               for keys in _SCALAR_KEYS.values()
                for key, (field, domain) in keys.items()}
     face_radius = scalars["face_radius"]
-    order_3s = _surface_order(surf_sec, "order_3s", face_radius,
+    order_3s = _surface_order(fields, "order_3s", face_radius,
                               default_order_3s(face_radius) if counts.n_3s == 3 else ())
-    order_4s = _surface_order(surf_sec, "order_4s", face_radius,
+    order_4s = _surface_order(fields, "order_4s", face_radius,
                               default_order_4s(face_radius) if counts.n_4s == 4 else ())
     if not order_3s or not order_4s:
         raise ConfigError("non-default surface counts need explicit "

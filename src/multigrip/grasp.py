@@ -376,17 +376,12 @@ def form_closure_test(cset: ContactSet) -> bool:
     checked as the origin lying strictly inside their convex hull.  For
     rotationally symmetric objects rotation about the centroid is a
     symmetry, not a mobility, so the test reduces to the force components
-    spanning the translation plane.
+    spanning the translation plane.  That is force closure at mu = 0,
+    whose friction cones collapse to the normals.
     """
     if len(cset) == 0:
         raise ValueError("form closure test needs at least one contact")
-    contacts = _effective_contacts(cset)
-    if cset.rotation_free:
-        return _origin_strictly_inside(np.array([c.normal for c in contacts]))
-    if len(contacts) < 4:
-        return False
-    wrenches = _wrench_rows(contacts, cset.centroid, lambda c: (c.normal,))
-    return _origin_strictly_inside(wrenches)
+    return force_closure_test(cset, 0.0)
 
 
 def force_closure_test(cset: ContactSet, mu: float) -> bool:

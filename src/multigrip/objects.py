@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
+
+from ._keyvalue import KeyValues, LineError
 
 __all__ = [
     "Circle",
@@ -245,13 +248,10 @@ def object_polygon(spec: ObjectSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Object description files: plain key=value lines, one per line, '#' comments.
+# Object description files: top-level `key = value` lines, '#' comments.
 
-class ObjectFileError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(where + message)
-        self.line = line
+class ObjectFileError(LineError):
+    """An object file that fails validation."""
 
 
 @dataclass(frozen=True)
@@ -287,94 +287,48 @@ _FACE_NAMES = {"flat", "convex", "concave", "complex"}
 
 
 def parse_object_file(text: str) -> ObjectDescription:
-    """Parse an object description (key=value lines) into an ObjectDescription."""
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ObjectFileError(f"expected key=value, got {line!r}", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
-            raise ObjectFileError(f"unknown key {key!r}", lineno)
-        if key in values:
-            raise ObjectFileError(f"duplicate key {key!r}", lineno)
-        values[key] = value
-        lines[key] = lineno
-
-    def number(key: str) -> float | None:
-        if key not in values:
-            return None
-        try:
-            value = float(values[key])
-        except ValueError:
-            raise ObjectFileError(f"non-numeric value for {key}: {values[key]!r}",
-                                  lines[key]) from None
-        if not math.isfinite(value):
-            raise ObjectFileError(f"non-finite value for {key}: {values[key]!r}",
-                                  lines[key])
-        if key.endswith("_mm") and value <= 0:
-            raise ObjectFileError(f"{key} must be positive, got {values[key]!r}",
-                                  lines[key])
-        return value
-
-    def build(cls, key: str, **kwargs):
-        """Construct cls; a failed check of its own is reported at key's line."""
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ObjectFileError(str(exc), lines.get(key)) from exc
-
-    def require(key: str) -> float:
-        v = number(key)
-        if v is None:
-            raise ObjectFileError(f"missing required key {key!r}")
-        return v
-
-    shape_name = values.get("shape")
-    if shape_name is None:
-        raise ObjectFileError("missing required key 'shape'")
-    shape_name = shape_name.lower()
+    """Parse an object description (key = value lines) into an ObjectDescription."""
+    fields = KeyValues(text, {None: _KNOWN_KEYS}, ObjectFileError)
+    length = partial(fields.number, domain="positive")   # every *_mm key
+    shape_name = fields.value("shape", required=True).lower()
     if shape_name == "circle":
-        shape: ObjectShape = Circle(radius=require("radius_mm"))
+        shape: ObjectShape = Circle(radius=length("radius_mm", required=True))
     elif shape_name == "box":
-        shape = Box(width=require("width_mm"), height=require("height_mm"))
+        shape = Box(width=length("width_mm", required=True),
+                    height=length("height_mm", required=True))
     elif shape_name in ("thin_plate", "plate"):
-        shape = ThinPlate(length=require("length_mm"), thickness=require("thickness_mm"))
+        shape = ThinPlate(length=length("length_mm", required=True),
+                          thickness=length("thickness_mm", required=True))
     elif shape_name == "composite":
         def face(prefix: str) -> FaceArc:
-            kind = values.get(f"{prefix}_face_shape", "flat").lower()
+            kind = fields.value(f"{prefix}_face_shape", "flat").lower()
             if kind == "complex":
                 # Geometry unknown; treat the flank as flat and let the
                 # planner react to the declared complex face.
                 kind = "flat"
-            return build(FaceArc, f"{prefix}_face_shape", kind=kind,
-                         radius=number(f"{prefix}_face_radius_mm"))
-        shape = build(CompositeFaces, "height_mm", left=face("left"),
-                      right=face("right"), width=require("width_mm"),
-                      height=require("height_mm"))
+            return fields.build(FaceArc, f"{prefix}_face_shape", kind=kind,
+                                radius=length(f"{prefix}_face_radius_mm"))
+        shape = fields.build(CompositeFaces, "height_mm", left=face("left"),
+                             right=face("right"),
+                             width=length("width_mm", required=True),
+                             height=length("height_mm", required=True))
     else:
-        raise ObjectFileError(f"unknown shape {shape_name!r}", lines["shape"])
+        raise ObjectFileError(f"unknown shape {shape_name!r}", fields.line("shape"))
 
-    mu = number("mu")
-    spec = build(ObjectSpec, "mu", shape=shape,
-                 mu=mu if mu is not None else ObjectSpec.mu)
+    spec = fields.build(ObjectSpec, "mu", shape=shape,
+                        mu=fields.number("mu", default=ObjectSpec.mu))
 
     for key in ("left_face", "right_face"):
-        if key in values and values[key].lower() not in _FACE_NAMES:
+        if fields.value(key, "flat").lower() not in _FACE_NAMES:
             raise ObjectFileError(
-                f"{key} must be one of {sorted(_FACE_NAMES)}", lines[key])
-    number("thickness_mm")   # read by thin_plate only, checked for every shape
+                f"{key} must be one of {sorted(_FACE_NAMES)}", fields.line(key))
+    length("thickness_mm")   # read by thin_plate only, checked for every shape
 
     return ObjectDescription(
         spec=spec,
-        left_face=values.get("left_face", "").lower() or None,
-        right_face=values.get("right_face", "").lower() or None,
-        height=number("height_mm"),
+        left_face=fields.value("left_face", "").lower() or None,
+        right_face=fields.value("right_face", "").lower() or None,
+        height=length("height_mm"),
     )
 
 

@@ -127,6 +127,11 @@ order_4s = flat, convex, convex, deformable
         ("surfaces", "face_radius_mm = 0", "must be positive"),
         ("planner", "thin_object_mm = nan", "non-finite"),
         ("gears", "body_gear_radius_4s_mm = inf", "non-finite"),
+        ("gears", "body_gear_radius_4s_mm = -12",
+         "body_gear_radius_4s_mm must be positive, got '-12'"),
+        ("detent", "magnet_gap_mm = 0", "magnet_gap_mm must be positive"),
+        ("detent", "magnet_coefficient_nmm2 = -1",
+         "magnet_coefficient_nmm2 must be positive"),
     ])
     def test_out_of_domain_value_line_number(self, section, line, message):
         key = line.split()[0]
@@ -223,6 +228,25 @@ class TestSetConfigValue:
         for value in (-1.0, 0.0, 5.0):
             with pytest.raises(ConfigError, match="unknown sweep parameter"):
                 set_config_value(default_config(), "sim.friction_torque_nmm", value)
+
+
+@pytest.mark.parametrize("line", [
+    "{key} 5",                   # no '='
+    "{key} = 5\n{key} = 6",      # duplicate key
+    "{key} = five",
+    "{key} = nan",
+])
+def test_config_and_object_files_give_the_same_errors(line):
+    """A bad line fails with the same message in either kind of file."""
+    messages = []
+    for parse, head, key, error in (
+            (parse_config, MINIMAL + "[surfaces]\n", "face_width_mm", ConfigError),
+            (parse_object_file, "shape = box\nheight_mm = 5\n", "width_mm",
+             ObjectFileError)):
+        with pytest.raises(error, match=r"^line \d+: ") as info:
+            parse(head + line.format(key=key) + "\n")
+        messages.append(str(info.value).split(": ", 1)[1].replace(key, "{key}"))
+    assert messages[0] == messages[1]
 
 
 class TestObjectFiles:

@@ -351,10 +351,12 @@ class TestFrictionProperties:
                                    for a in (0.0, 2.0, -2.0)), rotation_free=True),
              mus=[1e-80])
     def test_force_closure_monotone_in_mu(self, cset, mus):
-        """More friction never loses force closure, starting from mu = 0."""
+        """More friction never loses force closure, starting from mu = 0,
+        where it is form closure."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateContactWarning)
             closed = [force_closure_test(cset, mu) for mu in sorted([0.0, *mus])]
+            assert form_closure_test(cset) == force_closure_test(cset, 0.0), cset
         assert closed == sorted(closed), (cset, mus)
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
