@@ -195,8 +195,8 @@ def set_config_value(config: RunConfig, param: str, value: float) -> RunConfig:
     group, attr = SWEEPABLE_PARAMS[param]
     if not math.isfinite(value):
         raise ConfigError(f"non-finite value for {param}")
-    try:
-        nested = replace(getattr(config, group), **{attr: value})
-    except ValueError as exc:
-        raise ConfigError(f"{param}={value!r}: {exc}") from exc
+    # every sweepable key is read with domain "positive" from a config file
+    if not value > 0:
+        raise ConfigError(f"{param} must be positive, got {value!r}")
+    nested = replace(getattr(config, group), **{attr: value})
     return replace(config, **{group: nested})

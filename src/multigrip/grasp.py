@@ -98,13 +98,15 @@ class SurfaceProfile:
         return (nx, ny) if kind is SurfaceKind.CONVEX else (nx, -ny)
 
 
+@lru_cache(maxsize=16)
 def surface_profile(shape: SurfaceShape,
                     width: float = DEFAULT_FACE_WIDTH) -> SurfaceProfile:
     """Discretize a finger surface into a polyline spanning the face width.
 
     Flat and deformable-flat faces are straight segments; convex and
     concave faces are circular arcs whose chord is the face width, bulging
-    toward and away from the object respectively.
+    toward and away from the object respectively.  Cached per face, so the
+    polyline is read-only.
     """
     if not width > 0:
         raise ValueError("face width must be positive")
@@ -115,9 +117,9 @@ def surface_profile(shape: SurfaceShape,
                 f"{2 * shape.radius:g} mm; the arc cannot span the face")
     ys = np.linspace(-width / 2.0, width / 2.0, _PROFILE_POINTS)
     probe = SurfaceProfile(shape=shape, width=width, polyline=np.empty((0, 2)))
-    xs = probe.height(ys)
-    return SurfaceProfile(shape=shape, width=width,
-                          polyline=np.column_stack([xs, ys]))
+    polyline = np.column_stack([probe.height(ys), ys])
+    polyline.flags.writeable = False
+    return SurfaceProfile(shape=shape, width=width, polyline=polyline)
 
 
 @dataclass(frozen=True)
@@ -185,14 +187,20 @@ def _side_clearance(spec_boundary: SideBoundary, profile: SurfaceProfile,
     return spec_boundary.x_of(ys) + side * profile.height(ys)
 
 
-def _first_contact_ref(boundary: SideBoundary, profile: SurfaceProfile,
-                       side: int) -> tuple[float, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=2)   # the two sides of one classification
+def _lateral_search(spec: ObjectSpec, shape: SurfaceShape, width: float,
+                    side: int) -> tuple[SideBoundary, float, np.ndarray, np.ndarray]:
+    """One finger's contact search: the object's flank, the finger reference at
+    first contact, and the candidate positions with their (read-only) clearances."""
+    boundary = side_boundary(spec, side)
+    profile = surface_profile(shape, width)
     ys = _candidate_ys(boundary, profile)
     if ys is None:
         raise ValueError("no contact achievable: the finger face and the "
                          "object do not overlap laterally")
     c = _side_clearance(boundary, profile, ys, side)
-    return (float(c.min()) if side < 0 else float(c.max())), ys, c
+    ys.flags.writeable = c.flags.writeable = False
+    return boundary, (float(c.min()) if side < 0 else float(c.max())), ys, c
 
 
 def _cluster_contacts(ys: np.ndarray, residual: np.ndarray) -> list[float]:
@@ -236,8 +244,7 @@ def _contact_normal(boundary: SideBoundary, profile: SurfaceProfile,
 
 def _side_contacts(spec: ObjectSpec, profile: SurfaceProfile, side: int,
                    x_ref: float | None, finger: str) -> list[Contact]:
-    boundary = side_boundary(spec, side)
-    ref, ys, c = _first_contact_ref(boundary, profile, side)
+    boundary, ref, ys, c = _lateral_search(spec, profile.shape, profile.width, side)
     if x_ref is None:
         x_ref = ref
     residual = (c - x_ref) if side < 0 else (x_ref - c)
@@ -272,6 +279,16 @@ def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfil
                       centroid=(0.0, 0.0))
 
 
+@lru_cache(maxsize=64)
+def _finger_separation(left_face: tuple[SurfaceShape, float],
+                       right_face: tuple[SurfaceShape, float]) -> float:
+    """Separation at which two (shape, width) faces touch each other."""
+    left, right = surface_profile(*left_face), surface_profile(*right_face)
+    half = min(left.width, right.width) / 2.0
+    ys = np.linspace(-half, half, _GRID)
+    return float((left.height(ys) + right.height(ys)).max())
+
+
 def closure_separation(obj: ObjectSpec, left: SurfaceProfile,
                        right: SurfaceProfile) -> tuple[float, bool]:
     """Separation at which symmetric closing stops, and whether the object
@@ -282,15 +299,11 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile,
     separation.  Small objects nested in deep pockets can leave the fingers
     touching each other with the object untouched.
     """
-    ref_l, _, _ = _first_contact_ref(side_boundary(obj, -1), left, -1)
-    ref_r, _, _ = _first_contact_ref(side_boundary(obj, +1), right, +1)
+    _, ref_l, _, _ = _lateral_search(obj, left.shape, left.width, -1)
+    _, ref_r, _, _ = _lateral_search(obj, right.shape, right.width, +1)
     sep_obj = max(-2.0 * ref_l, 2.0 * ref_r)
-    lo = max(-left.width / 2.0, -right.width / 2.0)
-    hi = min(left.width / 2.0, right.width / 2.0)
-    sep_fingers = 0.0
-    if hi > lo:
-        ys = np.linspace(lo, hi, _GRID)
-        sep_fingers = float((left.height(ys) + right.height(ys)).max())
+    sep_fingers = _finger_separation((left.shape, left.width),
+                                     (right.shape, right.width))
     separation = max(sep_obj, sep_fingers, 0.0)
     touched = sep_obj >= sep_fingers - _CONTACT_TOL
     return separation, touched
@@ -514,9 +527,15 @@ def _erode_xy_from(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
     narrowed = _erode_xy(free)
     a, x, y = seed
     x0, y0 = max(x - _ERODE_CELLS, 0), max(y - _ERODE_CELLS, 0)
-    window = free[a:a + 1, x0:x + _ERODE_CELLS + 1, y0:y + _ERODE_CELLS + 1]
-    for i, j0, j1 in _reachable_region(window, (0, x - x0, y - y0)):
-        narrowed[a, x0 + i, y0 + j0:y0 + j1] = True
+    window = free[a, x0:x + _ERODE_CELLS + 1, y0:y + _ERODE_CELLS + 1]
+    allowed = set(map(tuple, np.argwhere(window).tolist()))
+    reached = grown = {(x - x0, y - y0)}
+    while grown:   # grow by free 4-neighbours in the window until nothing changes
+        grown = {(i + di, j + dj) for i, j in grown
+                 for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))} & (allowed - reached)
+        reached |= grown
+    for i, j in reached:
+        narrowed[a, x0 + i, y0 + j] = True
     return narrowed
 
 

@@ -283,6 +283,23 @@ def seed_region_by_label(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
     return reached[labels]
 
 
+def window_region_by_label(free: np.ndarray, seed: tuple[int, ...],
+                           depth: int) -> np.ndarray:
+    """The seed's 4-connected component of free (the seed forced free) in
+    its rotation slice and the x-y window `depth` cells around it, clipped
+    at the grid border, as a mask of free's shape."""
+    a, x, y = seed
+    window = (a, slice(max(x - depth, 0), x + depth + 1),
+              slice(max(y - depth, 0), y + depth + 1))
+    allowed = free[window].copy()
+    local = (x - window[1].start, y - window[2].start)
+    allowed[local] = True
+    labels, _ = ndimage.label(allowed, structure=ndimage.generate_binary_structure(2, 1))
+    region = np.zeros_like(free)
+    region[window] = labels == labels[local]
+    return region
+
+
 def escapes_by_label(free: np.ndarray, seed: tuple[int, ...]) -> bool:
     """Does the free region connected to the seed touch the x-y border?"""
     region = seed_region_by_label(free, seed)

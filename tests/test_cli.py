@@ -312,7 +312,7 @@ class TestSweep:
                            "--range=-50:0:25", "--metric", "breakaway")
         assert rc == 1
         assert out == ""
-        assert "detent.magnet_gap_mm=-50.0: nominal_gap must be positive" in err
+        assert err == "error: detent.magnet_gap_mm must be positive, got -50.0\n"
 
 
 def test_unknown_subcommand_nonzero(capsys):

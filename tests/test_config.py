@@ -6,8 +6,8 @@ import re
 import pytest
 
 from multigrip import cli, grasp, modes, planner, sim
-from multigrip.config import (_SECTIONS, DEFAULT_DETENT_VALUES, ConfigError,
-                              RunConfig, default_config, load_config,
+from multigrip.config import (_SECTIONS, DEFAULT_DETENT_VALUES, SWEEPABLE_PARAMS,
+                              ConfigError, RunConfig, default_config, load_config,
                               parse_config, set_config_value)
 from multigrip.mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
                                  gc_mode_count, switch_interval)
@@ -218,10 +218,23 @@ class TestSetConfigValue:
     def test_value_outside_config_file_domain(self):
         cfg = default_config()
         for value in (-50.0, -1e-300, 0.0):
-            with pytest.raises(ConfigError, match="nominal_gap must be positive"):
+            with pytest.raises(ConfigError, match="detent.magnet_gap_mm must be positive"):
                 set_config_value(cfg, "detent.magnet_gap_mm", value)
         assert set_config_value(cfg, "detent.magnet_gap_mm",
                                 1e-300).magnet.nominal_gap == 1e-300
+
+    @pytest.mark.parametrize("param", sorted(SWEEPABLE_PARAMS))
+    def test_domain_message_names_the_config_key(self, param):
+        # the same words a config file gives for the key, with its section
+        section, key = param.split(".")
+        text = MINIMAL if section == "gears" else MINIMAL + f"[{section}]\n"
+        text = re.sub(rf"^{key} = .*$", "", text, flags=re.M) + f"{key} = 0\n"
+        with pytest.raises(ConfigError, match=f"{key} must be positive"):
+            parse_config(text)
+        for value in (0.0, -2.5):
+            with pytest.raises(ConfigError) as err:
+                set_config_value(default_config(), param, value)
+            assert str(err.value) == f"{param} must be positive, got {value!r}"
 
     def test_friction_torque_is_not_sweepable(self):
         # no sweep metric depends on it; the config file still sets it

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
+from multigrip import grasp
 from multigrip.config import default_config
-from multigrip.grasp import (_HULL_MARGIN, CagingResolutionWarning, Contact,
+from multigrip.grasp import (_ERODE_CELLS, _HULL_MARGIN, CagingResolutionWarning, Contact,
                              ContactSet, DegenerateContactWarning, GraspOutcome,
                              _cspace_obstacle, _erode_xy, _erode_xy_from,
                              _escapes_from, _finger_polygon, _origin_strictly_inside,
@@ -18,11 +20,13 @@ from multigrip.grasp import (_HULL_MARGIN, CagingResolutionWarning, Contact,
                              surface_profile)
 from multigrip.modes import (build_mode_table, concave, convex, deformable_flat,
                              flat)
-from multigrip.objects import Box, Circle, ObjectSpec, ThinPlate, object_polygon
+from multigrip.objects import (Box, Circle, ObjectSpec, ThinPlate, load_object_file,
+                               object_polygon)
 from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
                      hull_origin_inside, oracle_positive_span, oracle_wrenches,
                      points_in_polygon, points_to_polygon_distance,
-                     polygons_intersect, runs_to_mask, seed_region_by_label)
+                     polygons_intersect, runs_to_mask, seed_region_by_label,
+                     window_region_by_label)
 
 CC = (concave(10.0), concave(10.0))
 FF = (flat(), flat())
@@ -652,6 +656,15 @@ class TestEscapeFill:
         if _escapes_from(patched, seed):
             assert escapes_by_label(free, seed)
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_cells_put_back_are_the_seed_component_in_the_window(self, data):
+        # seeds at the border clip the window
+        free, seed = _random_grid(data)
+        np.testing.assert_array_equal(
+            _erode_xy_from(free, seed),
+            erode_xy(free) | window_region_by_label(free, seed, _ERODE_CELLS))
+
     def test_escape_only_across_the_rotation_seam(self):
         # the seed in the last slice reaches x = 0 only through slice 0
         free = np.zeros((3, 5, 5), dtype=bool)
@@ -745,3 +758,53 @@ class TestClassify:
         for (obj_name, mode_name), outcome in expected.items():
             result = classify_grasp(objects[obj_name], modes[mode_name])
             assert result.outcome is outcome, (obj_name, mode_name, result)
+
+
+def _clear_caches():
+    for cached in (grasp._lateral_search, grasp._finger_separation, surface_profile):
+        cached.cache_clear()
+
+
+class TestSearchOnce:
+    """Each side's contact search runs once per classification, and face
+    geometry is cached per face."""
+
+    def test_one_classification_builds_two_candidate_grids(self, monkeypatch):
+        _clear_caches()
+        builds = []
+        original = grasp._candidate_ys
+        monkeypatch.setattr(grasp, "_candidate_ys",
+                            lambda *a: builds.append(1) or original(*a))
+        result = classify_grasp(BOX, FF)
+        assert result.outcome is GraspOutcome.FORCE_CLOSURE and len(result.contacts) > 0
+        assert len(builds) == 2
+
+    def test_cached_arrays_are_read_only(self):
+        _, _, ys, clearance = grasp._lateral_search(BOX, flat(), 20.0, -1)
+        for array in (ys, clearance, surface_profile(concave(10.0), 20.0).polyline):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_results_do_not_depend_on_cache_state(self, fixtures_dir):
+        # two face widths, so a cache key without the width would show
+        cfg = default_config()
+        table = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+        specs = [load_object_file(path).spec
+                 for path in sorted((fixtures_dir / "objects").glob("*.object"))]
+        calls = [(spec, mode, width) for spec in specs
+                 for mode in range(1, len(table) + 1) for width in (cfg.face_width, 16.0)]
+
+        def classify(spec, mode, width):
+            return repr(classify_grasp(spec, table.entry(mode), face_width=width,
+                                       thin_threshold=cfg.thin_object,
+                                       stroke=cfg.stroke_limit))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CagingResolutionWarning)
+            cold = {}
+            for call in calls:
+                _clear_caches()
+                cold[call] = classify(*call)
+            random.Random(5).shuffle(calls)
+            assert {call: classify(*call) for call in calls} == cold
+        assert len(cold) == 5 * 12 * 2
