@@ -8,6 +8,11 @@ Classification runs the closure tests in precedence order (form closure,
 then force closure, then caging) on the contact configuration the
 mechanism can physically reach: both fingers advance symmetrically until
 either one touches the object or the fingers touch each other.
+
+The contact search is exact.  Every object flank and finger face is a line
+or a circular arc centred on y = 0, so the clearance between a flank and a
+face takes its extremes at the centre or the ends of their lateral overlap,
+and three evaluations find each first contact.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ DEFAULT_THIN_THRESHOLD = 3.0    # mm; thinner objects slip out of a deformable p
 _CONTACT_TOL = 1e-6     # mm; how closely a point must sit on both boundaries
 _MERGE_RADIUS = 0.1     # mm; closer contact points collapse to one
 _HULL_MARGIN = 1e-9     # strict-interior margin for positive-span tests
-_GRID = 4001            # lateral samples per contact search
 _PROFILE_POINTS = 129   # vertices of a finger-face polyline
 _CORNER_TOL = 1e-9      # mm; how close to a corner a contact counts as at it
 _BODY_DEPTH = 15.0      # mm; finger body behind the face, for caging
@@ -83,7 +87,7 @@ class SurfaceProfile:
         if kind in (SurfaceKind.FLAT, SurfaceKind.DEFORMABLE_FLAT):
             return np.zeros_like(np.asarray(y, dtype=float))
         r = self.shape.radius
-        c = math.sqrt(r * r - (self.width / 2.0) ** 2)
+        c = math.sqrt(max(r * r - (self.width / 2.0) ** 2, 0.0))
         bulge = np.sqrt(np.maximum(r * r - np.square(y), 0.0)) - c
         return bulge if kind is SurfaceKind.CONVEX else -bulge
 
@@ -161,73 +165,25 @@ class GraspResult:
 # ---------------------------------------------------------------------------
 # Contact computation
 
-def _candidate_ys(boundary: SideBoundary,
-                  profile: SurfaceProfile) -> np.ndarray | None:
-    lo = max(boundary.lo, -profile.width / 2.0)
-    hi = min(boundary.hi, profile.width / 2.0)
-    if hi <= lo:
-        return None
-    ys = [np.linspace(lo, hi, _GRID)]
-    extras = [*boundary.corner_ys, *boundary.feature_ys,
-              boundary.lo, boundary.hi,
-              -profile.width / 2.0, profile.width / 2.0, 0.0]
-    extras = [y for y in extras if lo <= y <= hi]
-    if extras:
-        ys.append(np.array(extras))
-    return np.unique(np.concatenate(ys))
-
-
-def _side_clearance(spec_boundary: SideBoundary, profile: SurfaceProfile,
-                    ys: np.ndarray, side: int) -> np.ndarray:
-    """Clearance between object flank and finger front per lateral position.
-
-    Independent of the finger position: the left finger at reference x_ref
-    has clearance c(y) - x_ref, the right finger has x_ref - c(y).
-    """
-    return spec_boundary.x_of(ys) + side * profile.height(ys)
-
-
-@lru_cache(maxsize=2)   # the two sides of one classification
-def _lateral_search(spec: ObjectSpec, shape: SurfaceShape, width: float,
+def _lateral_search(spec: ObjectSpec, profile: SurfaceProfile,
                     side: int) -> tuple[SideBoundary, float, np.ndarray, np.ndarray]:
-    """One finger's contact search: the object's flank, the finger reference at
-    first contact, and the candidate positions with their (read-only) clearances."""
-    boundary = side_boundary(spec, side)
-    profile = surface_profile(shape, width)
-    ys = _candidate_ys(boundary, profile)
-    if ys is None:
-        raise ValueError("no contact achievable: the finger face and the "
-                         "object do not overlap laterally")
-    c = _side_clearance(boundary, profile, ys, side)
-    ys.flags.writeable = c.flags.writeable = False
-    return boundary, (float(c.min()) if side < 0 else float(c.max())), ys, c
+    """One finger's contact search: the object's flank, the finger reference
+    at first contact, and the candidates (lo, 0, hi) with their clearances.
 
-
-def _cluster_contacts(ys: np.ndarray, residual: np.ndarray) -> list[float]:
-    """Pick representative contact positions from near-zero residuals.
-
-    Contiguous runs wider than the merge radius are extended contacts and
-    contribute their two endpoints; narrow runs collapse to their best
-    point.
+    The clearance c(y) between flank and finger front does not depend on
+    the finger position: the left finger at reference x_ref has clearance
+    c(y) - x_ref, the right finger x_ref - c(y).  Every flank and every face
+    is a line or a circular arc centred on y = 0, so over the lateral
+    overlap [lo, hi] = [-hi, hi] c is even in y and monotone in |y|.  Its
+    extremes lie at the centre or the ends, and the positions within a
+    tolerance of an extreme are the whole overlap, one band around the
+    centre or two bands at the ends.  Any new shape must keep this.
     """
-    mask = residual <= _CONTACT_TOL
-    if not mask.any():
-        return []
-    ys_hit = ys[mask]
-    res_hit = residual[mask]
-    gaps = np.diff(ys_hit)
-    typical = max(np.median(np.diff(ys)) if len(ys) > 1 else _MERGE_RADIUS, 1e-9)
-    breaks = np.nonzero(gaps > max(3.0 * typical, 1e-6))[0]
-    runs = np.split(np.arange(len(ys_hit)), breaks + 1)
-    points: list[float] = []
-    for run in runs:
-        span = ys_hit[run[-1]] - ys_hit[run[0]]
-        if span <= _MERGE_RADIUS:
-            best = run[np.argmin(res_hit[run])]
-            points.append(float(ys_hit[best]))
-        else:
-            points.extend([float(ys_hit[run[0]]), float(ys_hit[run[-1]])])
-    return points
+    boundary = side_boundary(spec, side)
+    ys = np.array([max(boundary.lo, -profile.width / 2.0), 0.0,
+                   min(boundary.hi, profile.width / 2.0)])
+    c = boundary.x_of(ys) + side * profile.height(ys)
+    return boundary, (float(c.min()) if side < 0 else float(c.max())), ys, c
 
 
 def _contact_normal(boundary: SideBoundary, profile: SurfaceProfile,
@@ -244,7 +200,7 @@ def _contact_normal(boundary: SideBoundary, profile: SurfaceProfile,
 
 def _side_contacts(spec: ObjectSpec, profile: SurfaceProfile, side: int,
                    x_ref: float | None, finger: str) -> list[Contact]:
-    boundary, ref, ys, c = _lateral_search(spec, profile.shape, profile.width, side)
+    boundary, ref, ys, c = _lateral_search(spec, profile, side)
     if x_ref is None:
         x_ref = ref
     residual = (c - x_ref) if side < 0 else (x_ref - c)
@@ -252,8 +208,15 @@ def _side_contacts(spec: ObjectSpec, profile: SurfaceProfile, side: int,
         raise ValueError(
             f"finger penetrates the object by {-residual.min():.3g} mm at the "
             "requested separation")
+    touching = residual <= _CONTACT_TOL
+    if not touching.all():   # one contact per band: the centre or each end
+        contact_ys = ys[touching]
+    elif ys[2] - ys[0] > _MERGE_RADIUS:   # an extended contact: its two ends
+        contact_ys = ys[::2]
+    else:   # a narrow one collapses to its best point
+        contact_ys = ys[[np.argmin(residual)]]
     contacts = []
-    for y in _cluster_contacts(ys, residual):
+    for y in contact_ys.tolist():
         point = (float(boundary.x_of(np.array([y]))[0]), y)
         normal = _contact_normal(boundary, profile, y, side)
         contacts.append(Contact(point=point, normal=normal, finger=finger))
@@ -268,7 +231,10 @@ def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfil
     first contact with the object.  With an explicit gap the finger
     reference planes sit symmetrically about the origin, gap apart, and
     only points within the contact tolerance count (an empty set means the
-    object is not touched at that separation).
+    object is not touched at that separation).  Contacts sit at the centre
+    or the ends of the lateral overlap of flank and face.  A contact along
+    the whole overlap is reported at its two ends, or at its best point if
+    the overlap is no wider than the merge radius.
     """
     x_left = None if gap is None else -gap / 2.0
     x_right = None if gap is None else gap / 2.0
@@ -282,10 +248,14 @@ def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfil
 @lru_cache(maxsize=64)
 def _finger_separation(left_face: tuple[SurfaceShape, float],
                        right_face: tuple[SurfaceShape, float]) -> float:
-    """Separation at which two (shape, width) faces touch each other."""
+    """Separation at which two (shape, width) faces touch each other.
+
+    Both faces are lines or circular arcs centred on y = 0, so the sum of
+    their heights is even in y and monotone in |y|: it peaks at the centre
+    or at the rims of the narrower face."""
     left, right = surface_profile(*left_face), surface_profile(*right_face)
     half = min(left.width, right.width) / 2.0
-    ys = np.linspace(-half, half, _GRID)
+    ys = np.array([-half, 0.0, half])
     return float((left.height(ys) + right.height(ys)).max())
 
 
@@ -299,8 +269,8 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile,
     separation.  Small objects nested in deep pockets can leave the fingers
     touching each other with the object untouched.
     """
-    _, ref_l, _, _ = _lateral_search(obj, left.shape, left.width, -1)
-    _, ref_r, _, _ = _lateral_search(obj, right.shape, right.width, +1)
+    _, ref_l, _, _ = _lateral_search(obj, left, -1)
+    _, ref_r, _, _ = _lateral_search(obj, right, +1)
     sep_obj = max(-2.0 * ref_l, 2.0 * ref_r)
     sep_fingers = _finger_separation((left.shape, left.width),
                                      (right.shape, right.width))

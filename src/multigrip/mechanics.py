@@ -318,6 +318,4 @@ def switch_interval(gears: GearGeometry, counts: SurfaceCounts) -> float:
 
 def gc_mode_count(counts: SurfaceCounts) -> int:
     """Number of distinct detent states the coupled rotation cycles through."""
-    if counts.n_4s % counts.n_3s == 0:
-        return counts.n_4s
-    return math.lcm(counts.n_4s, counts.n_3s)
+    return math.lcm(counts.n_3s, counts.n_4s)

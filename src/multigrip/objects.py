@@ -137,7 +137,7 @@ class ObjectSpec:
 
 
 def _arc_bulge(radius: float, chord: float) -> float:
-    return radius - math.sqrt(radius * radius - (chord / 2.0) ** 2)
+    return radius - math.sqrt(max(radius * radius - (chord / 2.0) ** 2, 0.0))
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,11 @@ class SideBoundary:
     normal_of: inward unit normal at a lateral position (only meaningful
         away from corners).
     corner_ys: lateral positions where the boundary has a corner.
-    feature_ys: extra candidate positions for contact search (tangency spots).
+
+    Every side is a line or a circular arc centred on y = 0 over the domain
+    [lo, hi] = [-hi, hi]: x_of is even in y and monotone in |y|, and so is
+    its sum with any finger face.  The contact search relies on this; any
+    new shape must keep it.
     """
 
     lo: float
@@ -156,7 +160,6 @@ class SideBoundary:
     x_of: Callable[[np.ndarray], np.ndarray]
     normal_of: Callable[[float], tuple[float, float]]
     corner_ys: tuple[float, ...] = ()
-    feature_ys: tuple[float, ...] = ()
 
 
 def _circle_side(radius: float, side: int) -> SideBoundary:
@@ -168,8 +171,7 @@ def _circle_side(radius: float, side: int) -> SideBoundary:
         x = side * math.sqrt(max(radius * radius - y * y, 0.0))
         return (-x / radius, -y / radius)
 
-    return SideBoundary(lo=-radius, hi=radius, x_of=x_of, normal_of=normal_of,
-                        feature_ys=(0.0,))
+    return SideBoundary(lo=-radius, hi=radius, x_of=x_of, normal_of=normal_of)
 
 
 def _flat_side(x_value: float, half_height: float, side: int) -> SideBoundary:
@@ -210,8 +212,7 @@ def _arc_side(face: FaceArc, flank_x: float, half_height: float, side: int) -> S
 
     return SideBoundary(lo=-half_height, hi=half_height, x_of=x_of,
                         normal_of=normal_of,
-                        corner_ys=(-half_height, half_height),
-                        feature_ys=(0.0,))
+                        corner_ys=(-half_height, half_height))
 
 
 def side_boundary(spec: ObjectSpec, side: int) -> SideBoundary:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: peaks come
 from plain dense sweeps, positive span from an LP plus randomized
 certificates, hull interiors from Qhull, caging escapes from
 `scipy.ndimage` labelling and erosion, configuration-space obstacles from an
-FFT convolution, cycle periods from literal sequence enumeration, and
-simulator traces from the public one-increment `step`.
+FFT convolution, cycle periods from literal sequence enumeration,
+simulator traces from the public one-increment `step`, and contact
+searches from a dense lateral grid.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from multigrip.control import Direction, PositionMove
-from multigrip.grasp import ContactSet
+from multigrip.grasp import _CONTACT_TOL, _MERGE_RADIUS, ContactSet
 from multigrip.mechanics import MagnetDetent, detent_torque
+from multigrip.objects import ObjectSpec, side_boundary
 from multigrip.sim import (EVENT_DETENT_REENGAGE, Phase, Scenario, ScenarioError,
                            SimError, SimEvent, SimTrace, TraceRow, initial_state,
                            step)
@@ -354,3 +356,79 @@ def cspace_obstacle_by_fft(finger_mask: np.ndarray, footprint: np.ndarray) -> np
     the object's reference point, as an FFT convolution."""
     spectrum = np.fft.rfft2(finger_mask, _fft_shape(finger_mask.shape, footprint.shape))
     return _blocked_by_convolution(spectrum, finger_mask.shape, footprint)
+
+
+# ---------------------------------------------------------------------------
+# Contact search on a dense lateral grid, the library's search before its
+# three-candidate closed form.  The flanks' feature positions were all y = 0,
+# which the grid always holds, so they are not listed.
+
+GRID = 4001   # lateral samples per contact search
+
+
+def grid_candidate_ys(boundary, profile) -> np.ndarray | None:
+    lo = max(boundary.lo, -profile.width / 2.0)
+    hi = min(boundary.hi, profile.width / 2.0)
+    if hi <= lo:
+        return None
+    ys = [np.linspace(lo, hi, GRID)]
+    extras = [*boundary.corner_ys,
+              boundary.lo, boundary.hi,
+              -profile.width / 2.0, profile.width / 2.0, 0.0]
+    extras = [y for y in extras if lo <= y <= hi]
+    if extras:
+        ys.append(np.array(extras))
+    return np.unique(np.concatenate(ys))
+
+
+def grid_lateral_search(spec: ObjectSpec, profile,
+                        side: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The finger reference at first contact, the grid, and its clearances."""
+    boundary = side_boundary(spec, side)
+    ys = grid_candidate_ys(boundary, profile)
+    c = boundary.x_of(ys) + side * profile.height(ys)
+    return (float(c.min()) if side < 0 else float(c.max())), ys, c
+
+
+def grid_cluster_contacts(ys: np.ndarray, residual: np.ndarray) -> list[float]:
+    """Pick representative contact positions from near-zero residuals.
+
+    Contiguous runs wider than the merge radius are extended contacts and
+    contribute their two endpoints; narrow runs collapse to their best
+    point.
+    """
+    mask = residual <= _CONTACT_TOL
+    if not mask.any():
+        return []
+    ys_hit = ys[mask]
+    res_hit = residual[mask]
+    gaps = np.diff(ys_hit)
+    typical = max(np.median(np.diff(ys)) if len(ys) > 1 else _MERGE_RADIUS, 1e-9)
+    breaks = np.nonzero(gaps > max(3.0 * typical, 1e-6))[0]
+    runs = np.split(np.arange(len(ys_hit)), breaks + 1)
+    points: list[float] = []
+    for run in runs:
+        span = ys_hit[run[-1]] - ys_hit[run[0]]
+        if span <= _MERGE_RADIUS:
+            best = run[np.argmin(res_hit[run])]
+            points.append(float(ys_hit[best]))
+        else:
+            points.extend([float(ys_hit[run[0]]), float(ys_hit[run[-1]])])
+    return points
+
+
+def grid_contact_ys(spec: ObjectSpec, profile, side: int,
+                    x_ref: float | None) -> list[float]:
+    """Lateral positions of one finger's contacts, at its first contact
+    when x_ref is None."""
+    ref, ys, c = grid_lateral_search(spec, profile, side)
+    if x_ref is None:
+        x_ref = ref
+    return grid_cluster_contacts(ys, (c - x_ref) if side < 0 else (x_ref - c))
+
+
+def grid_finger_separation(left, right) -> float:
+    """Separation at which two finger faces touch each other."""
+    half = min(left.width, right.width) / 2.0
+    ys = np.linspace(-half, half, GRID)
+    return float((left.height(ys) + right.height(ys)).max())

@@ -10,7 +10,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from multigrip import grasp
 from multigrip.config import default_config
-from multigrip.grasp import (_ERODE_CELLS, _HULL_MARGIN, CagingResolutionWarning, Contact,
+from multigrip.grasp import (_CONTACT_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RADIUS,
+                             CagingResolutionWarning, Contact,
                              ContactSet, DegenerateContactWarning, GraspOutcome,
                              _cspace_obstacle, _erode_xy, _erode_xy_from,
                              _escapes_from, _finger_polygon, _origin_strictly_inside,
@@ -20,9 +21,10 @@ from multigrip.grasp import (_ERODE_CELLS, _HULL_MARGIN, CagingResolutionWarning
                              surface_profile)
 from multigrip.modes import (build_mode_table, concave, convex, deformable_flat,
                              flat)
-from multigrip.objects import (Box, Circle, ObjectSpec, ThinPlate, load_object_file,
-                               object_polygon)
+from multigrip.objects import (Box, Circle, CompositeFaces, FaceArc, ObjectSpec, ThinPlate,
+                               load_object_file, object_polygon)
 from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
+                     grid_contact_ys, grid_finger_separation, grid_lateral_search,
                      hull_origin_inside, oracle_positive_span, oracle_wrenches,
                      points_in_polygon, points_to_polygon_distance,
                      polygons_intersect, runs_to_mask, seed_region_by_label,
@@ -56,6 +58,13 @@ class TestSurfaceProfile:
     def test_width_exceeding_arc_diameter(self):
         with pytest.raises(ValueError, match="cannot span"):
             surface_profile(convex(10.0), 21.0)
+
+    def test_arc_spanning_its_diameter(self):
+        # (w / 2) ** 2 rounds one ulp above r * r for this radius
+        r = 15.179190192080124
+        assert surface_profile(convex(r), 2 * r).height(np.array([0.0]))[0] == r
+        half_disk = CompositeFaces(FaceArc("convex", r), FaceArc("flat"), 5.0, 2 * r)
+        assert ObjectSpec(half_disk).closing_extent == 5.0 + r
 
     def test_deformable_is_geometrically_flat(self):
         p = surface_profile(deformable_flat(), 20.0)
@@ -120,7 +129,6 @@ class TestComputeContacts:
         assert right[0].point[0] == pytest.approx(15.0, abs=1e-6)
 
     def test_composite_convex_faces_tangent_contact(self):
-        from multigrip.objects import CompositeFaces, FaceArc
         pill = ObjectSpec(CompositeFaces(left=FaceArc("convex", 12.0),
                                          right=FaceArc("convex", 12.0),
                                          width=10.0, height=16.0), mu=0.5)
@@ -160,6 +168,108 @@ class TestClosureSeparation:
         lp = rp = surface_profile(flat(), 20.0)
         sep, touched = closure_separation(BOX, lp, rp)
         assert touched and sep == pytest.approx(20.0)
+
+
+_ROUNDING = 1e-12   # mm; spread of a clearance that is constant but for rounding
+
+
+@st.composite
+def _objects(draw):
+    size = st.floats(0.02, 40.0)   # down to overlaps narrower than the merge radius
+    kind = draw(st.sampled_from(["circle", "box", "plate", "composite"]))
+    if kind == "circle":
+        return ObjectSpec(Circle(draw(size)))
+    if kind == "box":
+        return ObjectSpec(Box(draw(size), draw(size)))
+    if kind == "plate":
+        return ObjectSpec(ThinPlate(draw(size), draw(st.floats(0.2, 5.0))))
+    height = draw(size)
+    arcs = [draw(st.sampled_from(["flat", "convex", "concave"])) for _ in range(2)]
+    left, right = (FaceArc(a) if a == "flat" else FaceArc(a, draw(st.floats(height / 2.0, 60.0)))
+                   for a in arcs)
+    return ObjectSpec(CompositeFaces(left, right, draw(size), height))
+
+
+@st.composite
+def _faces(draw):
+    width = draw(st.floats(0.05, 40.0))
+    kind = draw(st.sampled_from([flat, deformable_flat, convex, concave]))
+    if kind in (flat, deformable_flat):
+        return surface_profile(kind(), width)
+    return surface_profile(kind(draw(st.floats(width / 2.0, 40.0))), width)
+
+
+def _same_extremum(new: float, old: float, candidates: np.ndarray) -> bool:
+    """Bit-identical, or both rounding noise around a clearance that is
+    constant over the overlap: a flank conforming to the face."""
+    return new == old or (np.ptp(candidates) <= _ROUNDING
+                          and abs(new - old) <= _ROUNDING)
+
+
+def _same_up_to_named_changes(new: list[float], old: list[float]) -> bool:
+    """Contact positions of the closed form against the grid's.
+
+    Each grid contact joins the closed-form contact p nearest to it.  A lone
+    one is p itself, or a sample within 1e-12 of p = 0.0, the flank centre.
+    A pair is the two sampled ends of a band within tolerance around p that
+    is wider than the merge radius but not the whole overlap."""
+    if not new:
+        return not old
+    groups = {p: [] for p in new}
+    for y in old:
+        groups[min(new, key=lambda p: abs(p - y))].append(y)
+    for p, group in groups.items():
+        if len(group) == 1:
+            if not (group[0] == p or (p == 0.0 and abs(group[0]) <= 1e-12)):
+                return False
+        elif not (len(group) == 2 and group[0] <= p <= group[1]
+                  and group[1] - group[0] > _MERGE_RADIUS):
+            return False
+    return True
+
+
+class TestContactSearchMatchesGrid:
+    """The three-candidate search against the dense lateral grid it replaced."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(spec=_objects(), left=_faces(), right=_faces())
+    # a band within tolerance 0.121 mm wide around the flank centre
+    @example(spec=ObjectSpec(Circle(30.0)), left=surface_profile(concave(30.5), 20.0),
+             right=surface_profile(flat(), 20.0))
+    # a convex flank in a pocket of its own radius: the clearance is constant
+    @example(spec=ObjectSpec(CompositeFaces(FaceArc("convex", 15.0), FaceArc("flat"),
+                                            12.086082964244202, 30.0)),
+             left=surface_profile(concave(15.0), 30.0), right=surface_profile(flat(), 30.0))
+    def test_references_separations_and_contacts(self, spec, left, right):
+        sides = ((left, -1, "3S"), (right, +1, "4S"))
+        refs, exact = [], True
+        for profile, side, _ in sides:
+            _, ref, _, clearance = grasp._lateral_search(spec, profile, side)
+            refs.append(grid_lateral_search(spec, profile, side)[0])
+            assert _same_extremum(ref, refs[-1], clearance), (profile, side)
+            exact &= ref == refs[-1]
+
+        ys = np.array([-1.0, 0.0, 1.0]) * min(left.width, right.width) / 2.0
+        sep_fingers = grasp._finger_separation((left.shape, left.width),
+                                               (right.shape, right.width))
+        grid_fingers = grid_finger_separation(left, right)
+        assert _same_extremum(sep_fingers, grid_fingers, left.height(ys) + right.height(ys))
+        exact &= sep_fingers == grid_fingers
+        separation, _ = closure_separation(spec, left, right)
+        grid_separation = max(-2.0 * refs[0], 2.0 * refs[1], grid_fingers, 0.0)
+        assert separation == grid_separation or (
+            not exact and abs(separation - grid_separation) <= 2 * _ROUNDING)
+
+        for gap in (None, separation):
+            contacts = compute_contacts(spec, left, right, gap=gap)
+            for (profile, side, finger), ref in zip(sides, refs):
+                x_ref = ref if gap is None else side * gap / 2.0
+                points = np.array([c.point for c in contacts if c.finger == finger])
+                xs, ys = points.reshape(-1, 2).T
+                # each contact's clearance: the flank's x plus the face height
+                assert np.all(abs(xs + side * profile.height(ys) - x_ref) <= _CONTACT_TOL)
+                old = grid_contact_ys(spec, profile, side, None if gap is None else x_ref)
+                assert _same_up_to_named_changes(ys.tolist(), old), (profile, side, gap, ys, old)
 
 
 def _wrench_cross_check(cset: ContactSet, mu: float, expected: bool):
@@ -725,9 +835,12 @@ class TestClassify:
         with pytest.raises(ValueError, match="stroke"):
             classify_grasp(BIG, FF, stroke=25.0)
 
-    def test_frictionless_flat_grasp_fails_or_cages(self):
-        result = classify_grasp(BOX, FF, mu=0.0)
-        assert result.outcome in (GraspOutcome.CAGING, GraspOutcome.FAIL)
+    def test_frictionless_flat_grasp_fails(self):
+        # at mu = 0 the box slides out between the flats, along a channel
+        # of zero clearance
+        with pytest.warns(CagingResolutionWarning):
+            result = classify_grasp(BOX, FF, mu=0.0)
+        assert result.outcome is GraspOutcome.FAIL
 
     def test_full_outcome_matrix_stays_stable(self):
         # frozen behavior table over the four reference modes
@@ -761,29 +874,17 @@ class TestClassify:
 
 
 def _clear_caches():
-    for cached in (grasp._lateral_search, grasp._finger_separation, surface_profile):
+    for cached in (grasp._finger_separation, surface_profile):
         cached.cache_clear()
 
 
 class TestSearchOnce:
-    """Each side's contact search runs once per classification, and face
-    geometry is cached per face."""
-
-    def test_one_classification_builds_two_candidate_grids(self, monkeypatch):
-        _clear_caches()
-        builds = []
-        original = grasp._candidate_ys
-        monkeypatch.setattr(grasp, "_candidate_ys",
-                            lambda *a: builds.append(1) or original(*a))
-        result = classify_grasp(BOX, FF)
-        assert result.outcome is GraspOutcome.FORCE_CLOSURE and len(result.contacts) > 0
-        assert len(builds) == 2
+    """Face geometry is cached per face, and no result depends on the
+    state of those caches."""
 
     def test_cached_arrays_are_read_only(self):
-        _, _, ys, clearance = grasp._lateral_search(BOX, flat(), 20.0, -1)
-        for array in (ys, clearance, surface_profile(concave(10.0), 20.0).polyline):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            surface_profile(concave(10.0), 20.0).polyline[0] = 0.0
 
     def test_results_do_not_depend_on_cache_state(self, fixtures_dir):
         # two face widths, so a cache key without the width would show
