@@ -4,7 +4,9 @@ Angles are degrees and torques N*mm at this boundary; conversion to the
 library's radians happens here.  Subcommands write CSV to --out when given,
 otherwise to stdout.  Exit status is 0 on success and nonzero with a
 one-line diagnostic on stderr otherwise; each warning raised while a
-command runs is one stderr line, `warning: <message>`.
+command runs is one stderr line, `warning: <message>`.  The array layers,
+`grasp` and `sim`, are imported by the subcommands that use them, so the
+others start without numpy.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import io
 import math
 import sys
 import warnings
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import grasp, mechanics, modes, planner, sim
+from . import mechanics, modes, planner
 from .config import RunConfig, default_config, load_config, set_config_value
 from .objects import load_object_file
+
+if TYPE_CHECKING:
+    from . import grasp, sim
 
 __all__ = ["dispatch", "main"]
 
@@ -75,7 +80,13 @@ def _cmd_modes(args) -> int:
     return 0
 
 
-def _write_trace(args, trace: sim.SimTrace) -> None:
+def _run_and_write(args, scenario: sim.Scenario) -> sim.SimTrace:
+    """Run a scenario and write its trace; a simulator error is a CLI error."""
+    from . import sim
+    try:
+        trace = sim.run_scenario(scenario)
+    except sim.SimError as exc:
+        raise CliError(str(exc)) from None
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             sim.write_trace_csv(trace, fh)
@@ -84,10 +95,12 @@ def _write_trace(args, trace: sim.SimTrace) -> None:
     if getattr(args, "events", None):
         with open(args.events, "w", encoding="utf-8", newline="") as fh:
             sim.write_events_csv(trace, fh)
+    return trace
 
 
 def _classify(cfg: RunConfig, object_path: str, mode: int) -> grasp.GraspResult:
     """Classify the grasp of an object file in one mode of the configured table."""
+    from . import grasp
     desc = load_object_file(object_path)
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
     return grasp.classify_grasp(
@@ -96,6 +109,7 @@ def _classify(cfg: RunConfig, object_path: str, mode: int) -> grasp.GraspResult:
 
 
 def _cmd_simulate_grasp(args) -> int:
+    from . import sim
     cfg = _load(args)
     if args.gap > cfg.stroke_limit:
         raise CliError(f"gap {args.gap:g} mm exceeds the stroke limit "
@@ -105,8 +119,7 @@ def _cmd_simulate_grasp(args) -> int:
         target_force=args.force, gap=args.gap,
         stroke_limit=cfg.stroke_limit, step_deg=cfg.step_deg,
         torque_step=cfg.torque_step, friction_torque=cfg.friction_torque)
-    trace = sim.run_scenario(scenario)
-    _write_trace(args, trace)
+    trace = _run_and_write(args, scenario)
     final = trace.rows[-1]
     print(f"final_f_g_N={final.f_g:g} final_tau_m_Nmm={final.tau_m:g} "
           f"steps={final.step}", file=sys.stderr)
@@ -117,14 +130,14 @@ def _cmd_simulate_grasp(args) -> int:
 
 
 def _cmd_simulate_switch(args) -> int:
+    from . import sim
     cfg = _load(args)
     scenario, _ = sim.switch_scenario(
         cfg.gears, cfg.magnet, cfg.counts,
         from_mode=args.from_mode, to_mode=args.to_mode, gap=args.gap,
         stroke_limit=cfg.stroke_limit, step_deg=cfg.step_deg,
         friction_torque=cfg.friction_torque)
-    trace = sim.run_scenario(scenario)
-    _write_trace(args, trace)
+    trace = _run_and_write(args, scenario)
     changes = trace.events_of(sim.EVENT_MODE_CHANGED)
     open_ref = args.gap / cfg.gears.input_sprocket_radius
     switch_travel = math.degrees(trace.rows[-1].theta_m - open_ref)
@@ -161,6 +174,7 @@ def _cmd_classify(args) -> int:
         report += f" reason={result.reason!r}"
     _emit(args, report + "\n")
     if args.contacts_out:
+        from . import grasp
         with open(args.contacts_out, "w", encoding="utf-8", newline="") as fh:
             grasp.write_contacts_csv(result.contacts, fh)
     return 0
@@ -300,7 +314,7 @@ def dispatch(argv: Sequence[str]) -> int:
         warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
         try:
             return args.func(args)
-        except (CliError, ValueError, sim.SimError, OSError) as exc:
+        except (CliError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

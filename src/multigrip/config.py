@@ -11,14 +11,13 @@ import math
 from dataclasses import dataclass, replace
 
 from ._keyvalue import KeyValues, LineError
-from .grasp import DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD
 from .mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
                         GearGeometry, MagnetDetent, SurfaceCounts,
                         validate_antipodal_gearing)
-from .modes import (DEFAULT_FACE_RADIUS, SurfaceKind, SurfaceShape,
+from .modes import (DEFAULT_FACE_RADIUS, DEFAULT_FACE_WIDTH,
+                    DEFAULT_THIN_THRESHOLD, SurfaceKind, SurfaceShape,
                     default_order_3s, default_order_4s)
 from .planner import PlannerThresholds
-from .sim import Scenario
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
            "default_config", "set_config_value", "SWEEPABLE_PARAMS"]
@@ -39,10 +38,11 @@ class RunConfig:
     order_4s: tuple[SurfaceShape, ...]
     face_radius: float = DEFAULT_FACE_RADIUS
     face_width: float = DEFAULT_FACE_WIDTH
-    stroke_limit: float = Scenario.stroke_limit
-    step_deg: float = Scenario.step_deg
-    friction_torque: float = Scenario.friction_torque
-    torque_step: float = Scenario.torque_step
+    # sim.Scenario takes its defaults for these four from here
+    stroke_limit: float = 40.0
+    step_deg: float = 0.1
+    friction_torque: float = 0.0
+    torque_step: float = 10.0
     small_object_height: float = PlannerThresholds.small_object_height
     thin_object: float = DEFAULT_THIN_THRESHOLD
 

@@ -26,7 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .modes import SurfaceKind, SurfaceShape
+from .modes import (DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD, SurfaceKind,
+                    SurfaceShape)
 from .objects import (ObjectSpec, SideBoundary, ThinPlate, object_polygon,
                       side_boundary)
 
@@ -50,8 +51,6 @@ __all__ = [
     "write_contacts_csv",
 ]
 
-DEFAULT_FACE_WIDTH = 20.0
-DEFAULT_THIN_THRESHOLD = 3.0    # mm; thinner objects slip out of a deformable pad
 _CONTACT_TOL = 1e-6     # mm; how closely a point must sit on both boundaries
 _MERGE_RADIUS = 0.1     # mm; closer contact points collapse to one
 _HULL_MARGIN = 1e-9     # strict-interior margin for positive-span tests

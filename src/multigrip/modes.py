@@ -12,6 +12,8 @@ __all__ = [
     "SurfaceShape",
     "GcModeTable",
     "DEFAULT_FACE_RADIUS",
+    "DEFAULT_FACE_WIDTH",
+    "DEFAULT_THIN_THRESHOLD",
     "flat",
     "convex",
     "concave",
@@ -23,6 +25,8 @@ __all__ = [
 ]
 
 DEFAULT_FACE_RADIUS = 10.0
+DEFAULT_FACE_WIDTH = 20.0
+DEFAULT_THIN_THRESHOLD = 3.0    # mm; thinner objects slip out of a deformable pad
 
 
 class SurfaceKind(Enum):

@@ -3,7 +3,8 @@
 Objects live in the grasp plane with the closing axis along x and are
 centered on the origin.  Each primitive exposes its left/right side as a
 boundary function x(y) over a lateral domain, which is what the contact
-computation consumes.
+computation consumes.  numpy is imported only where those boundaries and
+the outline are built, so parsing an object file does not load it.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from ._keyvalue import KeyValues, LineError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Circle",
@@ -163,6 +165,7 @@ class SideBoundary:
 
 
 def _circle_side(radius: float, side: int) -> SideBoundary:
+    import numpy as np
     # side -1: left boundary (minimum x), +1: right boundary.
     def x_of(y: np.ndarray) -> np.ndarray:
         return side * np.sqrt(np.maximum(radius * radius - np.square(y), 0.0))
@@ -175,6 +178,8 @@ def _circle_side(radius: float, side: int) -> SideBoundary:
 
 
 def _flat_side(x_value: float, half_height: float, side: int) -> SideBoundary:
+    import numpy as np
+
     def x_of(y: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(y, dtype=float), x_value)
 
@@ -187,6 +192,7 @@ def _flat_side(x_value: float, half_height: float, side: int) -> SideBoundary:
 
 
 def _arc_side(face: FaceArc, flank_x: float, half_height: float, side: int) -> SideBoundary:
+    import numpy as np
     # side -1 builds the left boundary at flank x = -width/2, mirrored for +1.
     if face.kind == "flat":
         return _flat_side(side * flank_x, half_height, side)
@@ -230,6 +236,7 @@ def side_boundary(spec: ObjectSpec, side: int) -> SideBoundary:
 
 def object_polygon(spec: ObjectSpec) -> np.ndarray:
     """Closed outline of the object as a vertex array (a circle as a polygon)."""
+    import numpy as np
     s = spec.shape
     if isinstance(s, Circle):
         angles = np.linspace(0.0, 2.0 * math.pi, 4 * _SAMPLES_PER_ARC, endpoint=False)

@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import RunConfig
 from .control import (ControllerState, Direction, MotorCommand, PositionMove,
                       grasp_command, switch_command)
 from .mechanics import (GearGeometry, MagnetDetent, SurfaceCounts,
@@ -198,12 +199,12 @@ class Scenario:
     magnet: MagnetDetent
     counts: SurfaceCounts
     commands: tuple[MotorCommand, ...] = ()
-    stroke_limit: float = 40.0
+    stroke_limit: float = RunConfig.stroke_limit
     initial_position: float = 0.0
     object_contact: float | None = None
-    friction_torque: float = 0.0
-    step_deg: float = 0.1
-    torque_step: float = 10.0
+    friction_torque: float = RunConfig.friction_torque
+    step_deg: float = RunConfig.step_deg
+    torque_step: float = RunConfig.torque_step
     initial_mode: int = 1
     max_steps: int = 2_000_000
 

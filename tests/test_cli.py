@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from multigrip import sim
 from multigrip.cli import dispatch
 from multigrip.config import default_config
 from multigrip.sim import (EVENTS_HEADER, TRACE_HEADER, run_scenario,
@@ -131,6 +132,15 @@ class TestSimulate:
                          "--gap", "100")
         assert rc == 1
         assert "stroke" in err
+
+    def test_simulator_error_is_one_error_line(self, capsys, monkeypatch):
+        def refuse(scenario):
+            raise sim.StrokeLimitExceeded("finger travel 41 mm exceeds the stroke limit")
+
+        monkeypatch.setattr(sim, "run_scenario", refuse)
+        rc, out, err = run(capsys, "simulate", "switch", "--from", "1", "--to", "2")
+        assert (rc, out) == (1, "")
+        assert err == "error: finger travel 41 mm exceeds the stroke limit\n"
 
     def test_grasp_with_object_classification(self, capsys, fixtures_dir, tmp_path):
         rc, _, err = run(capsys, "simulate", "grasp", "--force", "20",
@@ -330,16 +340,25 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 class TestColdStart:
-    """The package and every CLI path, the caging search included, import
-    numpy but no scipy module; the caging search needs no numpy.fft either."""
+    """No CLI path imports a scipy module, and the caging search needs no
+    numpy.fft.  `import multigrip` and the subcommands built on plain
+    `math` (modes, validate-gears, plan, sweep) import no numpy at all;
+    only classify and simulate load it."""
 
     LIST_SCIPY = ("print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
     LIST_FFT = ("print(sorted(m for m in sys.modules "
                 "if m == 'numpy.fft' or m.startswith('numpy.fft.')), file=sys.stderr)")
+    LIST_NUMPY = ("print(sorted(m for m in sys.modules "
+                  "if m == 'numpy' or m.startswith('numpy.')), file=sys.stderr)")
 
     def test_import_loads_no_scipy(self):
         proc = _run_python("-c", "import sys, multigrip, multigrip.cli; " + self.LIST_SCIPY)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[]"
+
+    def test_import_loads_no_numpy(self):
+        proc = _run_python("-c", "import sys, multigrip; " + self.LIST_NUMPY)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "[]"
 
@@ -382,6 +401,20 @@ class TestColdStart:
     def test_plan_loads_no_scipy(self, fixtures_dir):
         proc = self._run_cli("plan", "--object",
                              str(fixtures_dir / "objects" / "complex_bracket.object"))
+        assert proc.stderr.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["modes"],
+        ["validate-gears"],
+        ["plan", "--object", "complex_bracket.object"],
+        *[["sweep", "--param", "detent.magnet_gap_mm", "--range", "0.5:1:0.25",
+           "--metric", metric] for metric in ("peak-detent", "breakaway",
+                                              "switch-interval")],
+    ], ids=lambda argv: argv[-1] if argv[0] == "sweep" else argv[0])
+    def test_math_subcommands_load_no_numpy(self, argv, fixtures_dir):
+        argv = [str(fixtures_dir / "objects" / a) if a.endswith(".object") else a
+                for a in argv]
+        proc = self._run_cli(*argv, listing=self.LIST_NUMPY)
         assert proc.stderr.strip() == "[]"
 
     def test_python_dash_m_runs_the_cli(self, capsys):
