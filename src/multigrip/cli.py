@@ -4,9 +4,9 @@ Angles are degrees and torques N*mm at this boundary; conversion to the
 library's radians happens here.  Subcommands write CSV to --out when given,
 otherwise to stdout.  Exit status is 0 on success and nonzero with a
 one-line diagnostic on stderr otherwise; each warning raised while a
-command runs is one stderr line, `warning: <message>`.  The array layers,
-`grasp` and `sim`, are imported by the subcommands that use them, so the
-others start without numpy.
+command runs is one stderr line, `warning: <message>`.  `grasp`, the
+array layer, and `sim` are imported by the subcommands that use them;
+only classifying an object loads numpy.
 """
 
 from __future__ import annotations

@@ -15,28 +15,30 @@ One dispatch, `_motion`, decides which motion a step makes, for `step` and
 for the runs alike, and a `Scenario` derives the constants of the step
 rules once, when it is built.
 
-`run_scenario` advances each run of plain full-increment steps in one numpy
+`run_scenario` advances each run of plain full-increment steps in one
 pass.  A run is a stretch with no landing, no event and no completed
 command: a translation toward the stopper, the object contact or the stroke
 limit, or a body rotation between detents.  Its positions are running sums
-(`np.add.accumulate` adds in order, so it rounds exactly as the step loop
-does), and every step condition is checked on the whole run at once.  The
-step at each boundary goes through `step`, so the trace is bit-identical to
-calling `step` one increment at a time.
+(`itertools.accumulate` adds in order, so it rounds exactly as the step loop
+does).  Every step condition is monotone in the step index, because float
+rounding is monotone, so a bisection finds where the run ends.  The step at
+each boundary goes through `step`, so the trace is bit-identical to calling
+`step` one increment at a time.  A trace is stored as columns, and
+`SimTrace.rows` builds each `TraceRow` only when it is read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import attrgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from .config import RunConfig
 from .control import (ControllerState, Direction, MotorCommand, PositionMove,
@@ -52,6 +54,7 @@ __all__ = [
     "TraceRow",
     "SimEvent",
     "SimTrace",
+    "TraceRows",
     "SimError",
     "StrokeLimitExceeded",
     "UnreachableTarget",
@@ -265,20 +268,76 @@ class SimEvent(NamedTuple):
     detail: str
 
 
+def _make_rows(columns):
+    """TraceRows from columns; tuple.__new__ builds each without a Python frame."""
+    return map(tuple.__new__, repeat(TraceRow), zip(*columns))
+
+
+class TraceRows(Sequence):
+    """Read-only view of a trace's columns as a sequence of TraceRows.
+
+    `columns` holds one sequence per TraceRow field: a list, or a range
+    for consecutive steps.  A row is built only when it is read; a slice is
+    a tuple of rows, and a view equals the tuple of the same rows.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple[Sequence, ...]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(_make_rows(col[index] for col in self.columns))
+        return tuple.__new__(TraceRow, [col[index] for col in self.columns])
+
+    def __iter__(self):
+        return _make_rows(self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, TraceRows):
+            # a range equals no list, so a failed match compares as lists
+            return all(a == b or list(a) == list(b)
+                       for a, b in zip(self.columns, other.columns))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class SimTrace:
-    rows: tuple[TraceRow, ...]
+    """A scenario's rows, events and final state.
+
+    Rows given one by one (a tuple of TraceRows, say) are stored as
+    columns, and every value keeps its own object.
+    """
+
+    rows: TraceRows
     events: tuple[SimEvent, ...]
     final_state: GripperState
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, TraceRows):
+            columns = (tuple(map(list, zip(*self.rows)))
+                       or tuple([] for _ in TraceRow._fields))
+            object.__setattr__(self, "rows", TraceRows(columns))
 
     def events_of(self, kind: str) -> tuple[SimEvent, ...]:
         return tuple(e for e in self.events if e.kind == kind)
 
 
-def _row(step_no: int, s: GripperState, sc: Scenario) -> TraceRow:
+def _append_row(columns: tuple[list, ...], s: GripperState, sc: Scenario) -> None:
+    """Append the state to the trace columns (all but step and d_f_4s)."""
     f_g = s.tau_m / sc.gears.input_sprocket_radius if s.phase is Phase.GRASPING else 0.0
-    return TraceRow(step_no, s.theta_m, s.tau_m, s.d_f_3s, s.d_f_4s,
-                    s.theta_fb_3s, s.theta_fb_4s, f_g, s.phase)
+    for col, value in zip(columns, (s.theta_m, s.tau_m, s.d_f_3s, s.theta_fb_3s,
+                                    s.theta_fb_4s, f_g, s.phase)):
+        col.append(value)
 
 
 def initial_state(scenario: Scenario) -> GripperState:
@@ -289,14 +348,14 @@ def initial_state(scenario: Scenario) -> GripperState:
         mode_index=scenario.initial_mode, phase=phase)
 
 
-def _switch_count(state: GripperState, kin: _Kinematics) -> int:
+def _switch_count(theta_fb_3s: float, kin: _Kinematics) -> int:
     """Completed switches since scenario start, from the 3S body angle."""
-    return math.floor(state.theta_fb_3s / kin.pitch_3s + 1e-9)
+    return math.floor(theta_fb_3s / kin.pitch_3s + 1e-9)
 
 
 def _rotation_offset_motor(state: GripperState, kin: _Kinematics) -> float:
     """Motor angle consumed since the last engaged detent (0 when engaged)."""
-    k = _switch_count(state, kin)
+    k = _switch_count(state.theta_fb_3s, kin)
     fb_bind = state.theta_fb_3s if kin.bind_3s else state.theta_fb_4s
     return max(fb_bind - k * kin.pitch_bind, 0.0) / kin.ratio_bind
 
@@ -323,8 +382,8 @@ def _translate_open(state: GripperState, budget: float,
         new_d = state.d_f_3s - r * use
         phase = Phase.TRANSLATING_OPEN
         events = ()
-    new = replace(state, theta_m=state.theta_m + use, tau_m=0.0,
-                  d_f_3s=new_d, phase=phase)
+    new = GripperState(state.theta_m + use, 0.0, new_d, state.theta_fb_3s,
+                       state.theta_fb_4s, state.mode_index, phase)
     return new, events
 
 
@@ -358,15 +417,16 @@ def _translate_close(state: GripperState, budget: float, sc: Scenario,
         raise StrokeLimitExceeded(
             f"finger travel {new_d:.6g} mm exceeds the stroke limit "
             f"{sc.stroke_limit:.6g} mm")
-    new = replace(state, theta_m=state.theta_m - use, tau_m=0.0,
-                  d_f_3s=new_d, phase=phase)
+    new = GripperState(state.theta_m - use, 0.0, new_d, state.theta_fb_3s,
+                       state.theta_fb_4s, state.mode_index, phase)
     return new, events
 
 
 def _begin_rotation(state: GripperState, tau_at_onset: float) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
     """Event-only step: the detent breaks and rotation becomes active."""
     detail = f"theta_m_deg={math.degrees(state.theta_m):.6f}"
-    new = replace(state, tau_m=tau_at_onset, phase=Phase.ROTATING)
+    new = GripperState(state.theta_m, tau_at_onset, state.d_f_3s, state.theta_fb_3s,
+                       state.theta_fb_4s, state.mode_index, Phase.ROTATING)
     return new, ((EVENT_BREAKAWAY, detail),)
 
 
@@ -379,21 +439,18 @@ def _rotate(state: GripperState, budget: float, sc: Scenario,
     use = min(budget, to_next)
     theta = state.theta_m + use
     if use >= to_next - _EPS_LANDING:
-        k = _switch_count(state, kin) + 1
+        k = _switch_count(state.theta_fb_3s, kin) + 1
         mode = (state.mode_index % kin.n_gc) + 1
-        new = replace(state, theta_m=theta, tau_m=0.0,
-                      theta_fb_3s=k * kin.pitch_3s,
-                      theta_fb_4s=k * kin.pitch_4s,
-                      mode_index=mode, phase=Phase.DETENT_ENGAGED)
+        new = GripperState(theta, 0.0, state.d_f_3s, k * kin.pitch_3s,
+                           k * kin.pitch_4s, mode, Phase.DETENT_ENGAGED)
         events = ((EVENT_DETENT_REENGAGE, ""),
                   (EVENT_MODE_CHANGED, f"mode={mode}"))
         return new, events
     tau = held_torque if held_torque is not None else _rotation_torque(offset + use, sc)
-    new = replace(state,
-                  theta_m=theta, tau_m=tau,
-                  theta_fb_3s=state.theta_fb_3s + kin.ratio_3s * use,
-                  theta_fb_4s=state.theta_fb_4s + kin.ratio_4s * use,
-                  phase=Phase.ROTATING)
+    new = GripperState(theta, tau, state.d_f_3s,
+                       state.theta_fb_3s + kin.ratio_3s * use,
+                       state.theta_fb_4s + kin.ratio_4s * use,
+                       state.mode_index, Phase.ROTATING)
     return new, ()
 
 
@@ -403,7 +460,7 @@ def _resolve_reversal(state: GripperState, sc: Scenario) -> ReversalDuringRotati
     offset = _rotation_offset_motor(state, kin)
     snap_forward = (offset > _EPS_ANGLE
                     and offset * kin.ratio_bind > kin.peak_angle)
-    k = _switch_count(state, kin)
+    k = _switch_count(state.theta_fb_3s, kin)
     events: tuple[tuple[str, str], ...] = ()
     mode = state.mode_index
     if snap_forward:
@@ -413,10 +470,8 @@ def _resolve_reversal(state: GripperState, sc: Scenario) -> ReversalDuringRotati
                   (EVENT_MODE_CHANGED, f"mode={mode}"))
     elif offset > _EPS_ANGLE:
         events = ((EVENT_DETENT_REENGAGE, "snap_back"),)
-    resolved = replace(state, tau_m=0.0,
-                       theta_fb_3s=k * kin.pitch_3s,
-                       theta_fb_4s=k * kin.pitch_4s,
-                       mode_index=mode, phase=Phase.DETENT_ENGAGED)
+    resolved = GripperState(state.theta_m, 0.0, state.d_f_3s, k * kin.pitch_3s,
+                            k * kin.pitch_4s, mode, Phase.DETENT_ENGAGED)
     where = ("forward to the next detent" if snap_forward
              else "back to the engaged detent")
     return ReversalDuringRotation(
@@ -489,10 +544,13 @@ def step(state: GripperState, cmd: MotorCommand,
     # "press": the torque ramps against the object or the stopper
     tau = min(state.tau_m + scenario.torque_step, cmd.target_torque)
     if cmd.direction is Direction.CLOSE:
-        return replace(state, tau_m=tau, phase=Phase.GRASPING), ()
-    if tau > scenario._kin.breakaway + scenario.friction_torque:
+        phase = Phase.GRASPING
+    elif tau > scenario._kin.breakaway + scenario.friction_torque:
         return _begin_rotation(state, tau_at_onset=tau)
-    return replace(state, tau_m=tau), ()
+    else:
+        phase = state.phase
+    return GripperState(state.theta_m, tau, state.d_f_3s, state.theta_fb_3s,
+                        state.theta_fb_4s, state.mode_index, phase), ()
 
 
 def _command_complete(state: GripperState, cmd: MotorCommand,
@@ -510,34 +568,33 @@ def _command_complete(state: GripperState, cmd: MotorCommand,
 
 
 # Runs estimated shorter than this go through `step` one increment at a
-# time: one numpy pass costs about as much as 4 to 8 calls to `step`.
-_MIN_RUN = 8
-# Longest run computed in one pass; bounds the arrays of one pass.
+# time.  A pass costs about as much as one or two single steps of the
+# `run_scenario` loop, and an estimate of n steps yields a run of n - 3 or
+# n - 2 steps, so a pass pays from an estimate of 5.
+_MIN_RUN = 5
+# Longest run computed in one pass; bounds the lists of one pass.
 _MAX_RUN = 1 << 15
 
 
-def _ramp(start: float, inc: float, n: int) -> np.ndarray:
+def _ramp(start: float, inc: float, n: int) -> list[float]:
     """start, start + inc, ... (n + 1 values), summed in order like the loop."""
-    col = np.full(n + 1, inc)
-    col[0] = start
-    return np.add.accumulate(col)
-
-
-def _leading_true(ok: np.ndarray) -> int:
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else len(ok)
+    return list(accumulate(repeat(inc, n), initial=start))
 
 
 def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
                max_len: int) -> tuple[int, tuple, GripperState] | None:
     """The longest run of plain full-increment steps from this state.
 
-    Returns (step count, columns of the new rows, state after the run), or
-    None when the run would be shorter than _MIN_RUN steps, so the next
-    step goes through `step`.  A plain step consumes exactly one motor
-    increment, lands on nothing, raises no event and leaves the command
-    incomplete; each condition is evaluated on every pre-step state, and
-    the run ends before the first step that fails one.
+    Returns (step count, the new rows' theta_m, tau_m, d_f_3s, theta_fb_3s
+    and theta_fb_4s columns, state after the run), or None when the run
+    would be shorter than _MIN_RUN steps, so the next step goes through
+    `step`.  A plain step consumes exactly one motor increment, lands on
+    nothing, raises no event and leaves the command incomplete; the run
+    ends before the first pre-step state that fails a condition.  Each
+    condition is monotone in the step index, as float rounding is, so the
+    states that pass form a prefix and a bisection finds its end.  A
+    rotation run also ends where the 3S switch count changes, which keeps
+    its detent offset monotone.
     """
     kin = sc._kin
     d_inc, r = kin.d_inc, kin.radius
@@ -567,62 +624,53 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
 
     sign = -1.0 if kind == "close" else 1.0
     theta = _ramp(state.theta_m, sign * d_inc, n)
-    pre = theta[:-1]
-    ok = np.ones(n, dtype=bool)
-    if target is not None:
+
+    def move_ok(i: int) -> bool:
         # full increment left in the move, and the move not yet complete
-        ok &= sign * (target - pre) >= d_inc
-        ok &= np.abs(pre - target) > _EPS_LANDING
+        return target is None or (sign * (target - theta[i]) >= d_inc
+                                  and abs(theta[i] - target) > _EPS_LANDING)
+
     if kind == "rotate":
         fb3 = _ramp(state.theta_fb_3s, kin.ratio_3s * d_inc, n)
         fb4 = _ramp(state.theta_fb_4s, kin.ratio_4s * d_inc, n)
-        k = np.floor(fb3[:-1] / kin.pitch_3s + 1e-9)
-        fb_bind = fb3[:-1] if kin.bind_3s else fb4[:-1]
-        offset = np.maximum(fb_bind - k * kin.pitch_bind, 0.0) / kin.ratio_bind
-        ok &= d_inc < (kin.interval - offset) - _EPS_LANDING
-        m = _leading_true(ok)
-        if m == 0:
-            return None
-        if target is None:
-            tau = repeat(state.tau_m)  # a torque ramp holds its torque
-            tau_end = state.tau_m
-        else:
-            a, b, c = kin.detent
-            angle = kin.ratio_bind * (offset[:m] + d_inc)
-            base = (a - b * np.cos(angle)).tolist()
-            # a Python pow: numpy's vectorized pow can differ in the last bit
-            detent = c * np.sin(angle) / np.array([x ** 1.5 for x in base])
-            tau = (r * detent / kin.arm + sc.friction_torque).tolist()
-            tau_end = tau[-1]
-        fb3_l, fb4_l = fb3[1:m + 1].tolist(), fb4[1:m + 1].tolist()
-        columns = (tau, repeat(state.d_f_3s), repeat(state.d_f_4s), fb3_l, fb4_l)
-        theta_l = theta[1:m + 1].tolist()
-        new = replace(state, theta_m=theta_l[-1], tau_m=tau_end,
-                      theta_fb_3s=fb3_l[-1], theta_fb_4s=fb4_l[-1])
-        return m, (theta_l, *columns), new
+        k = _switch_count(state.theta_fb_3s, kin)
+        base, ratio = k * kin.pitch_bind, kin.ratio_bind
+        # _rotation_offset_motor before each step while the switch count is
+        # k; the conditional is max(x - base, 0.0) without the call
+        offset = [(x - base if x >= base else 0.0) / ratio
+                  for x in (fb3 if kin.bind_3s else fb4)[:n]]
 
-    d = _ramp(state.d_f_3s, -sign * (r * d_inc), n)  # closing adds travel
-    d_pre = d[:-1]
-    if kind == "open":
-        ok &= d_pre > _EPS_TRAVEL
-        ok &= d_inc < d_pre / r - _EPS_LANDING
-        phase = Phase.TRANSLATING_OPEN
+        def ok(i: int) -> bool:
+            return (move_ok(i) and _switch_count(fb3[i], kin) == k
+                    and d_inc < (kin.interval - offset[i]) - _EPS_LANDING)
     else:
-        if sc.object_contact is not None:
-            if target is None:
-                ok &= d_pre < sc.object_contact - _EPS_TRAVEL
-            ok &= d_inc < (sc.object_contact - d_pre) / r - _EPS_LANDING
-        ok &= d[1:] <= sc.stroke_limit + _EPS_TRAVEL
-        phase = Phase.TRANSLATING_CLOSE
-    m = _leading_true(ok)
+        d = _ramp(state.d_f_3s, -sign * (r * d_inc), n)  # closing adds travel
+        contact = sc.object_contact
+
+        def ok(i: int) -> bool:
+            if kind == "open":
+                return move_ok(i) and d[i] > _EPS_TRAVEL and d_inc < d[i] / r - _EPS_LANDING
+            return (move_ok(i) and d[i + 1] <= sc.stroke_limit + _EPS_TRAVEL
+                    and (contact is None
+                         or ((target is not None or d[i] < contact - _EPS_TRAVEL)
+                             and d_inc < (contact - d[i]) / r - _EPS_LANDING)))
+    m = bisect_left(range(n), True, key=lambda i: not ok(i))
     if m == 0:
         return None
-    theta_l, d_l = theta[1:m + 1].tolist(), d[1:m + 1].tolist()
-    columns = (repeat(0.0), d_l, d_l, repeat(state.theta_fb_3s),
-               repeat(state.theta_fb_4s))
-    new = replace(state, theta_m=theta_l[-1], tau_m=0.0, d_f_3s=d_l[-1],
-                  phase=phase)
-    return m, (theta_l, *columns), new
+    if kind != "rotate":
+        phase = Phase.TRANSLATING_OPEN if kind == "open" else Phase.TRANSLATING_CLOSE
+        new = GripperState(theta[m], 0.0, d[m], state.theta_fb_3s, state.theta_fb_4s,
+                           state.mode_index, phase)
+        return m, (theta[1:m + 1], repeat(0.0, m), d[1:m + 1],
+                   repeat(state.theta_fb_3s, m), repeat(state.theta_fb_4s, m)), new
+    if target is None:
+        tau = [state.tau_m] * m  # a torque ramp holds its torque
+    else:
+        tau = list(map(_rotation_torque, [x + d_inc for x in offset[:m]], repeat(sc)))
+    new = GripperState(theta[m], tau[-1], state.d_f_3s, fb3[m], fb4[m],
+                       state.mode_index, state.phase)
+    return m, (theta[1:m + 1], tau, repeat(state.d_f_3s, m),
+               fb3[1:m + 1], fb4[1:m + 1]), new
 
 
 def run_scenario(scenario: Scenario) -> SimTrace:
@@ -634,7 +682,10 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     command indices.
     """
     state = initial_state(scenario)
-    rows = [_row(0, state, scenario)]
+    # one list per TraceRow field but step, which counts rows, and d_f_4s,
+    # which equals d_f_3s
+    columns = theta, tau, d_f, fb3, fb4, f_g, phase = tuple([] for _ in range(7))
+    _append_row(columns, state, scenario)
     events: list[SimEvent] = []
     step_no = 0
     for ci, cmd in enumerate(scenario.commands):
@@ -642,11 +693,10 @@ def run_scenario(scenario: Scenario) -> SimTrace:
         while not _command_complete(state, cmd, reengaged):
             run = _plain_run(state, cmd, scenario, scenario.max_steps - step_no)
             if run is not None:
-                m, columns, state = run
-                # tuple.__new__ builds each TraceRow without a Python frame
-                rows.extend(map(tuple.__new__, repeat(TraceRow), zip(
-                    range(step_no + 1, step_no + m + 1), *columns,
-                    repeat(0.0), repeat(state.phase))))
+                m, run_columns, state = run
+                for col, values in zip(columns, (*run_columns, repeat(0.0, m),
+                                                 repeat(state.phase, m))):
+                    col.extend(values)
                 step_no += m
                 continue
             try:
@@ -657,18 +707,20 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             if step_no > scenario.max_steps:
                 raise ScenarioError(step_no, ci,
                                     SimError("max step count exceeded"))
-            rows.append(_row(step_no, state, scenario))
+            _append_row(columns, state, scenario)
             for kind, detail in evts:
                 events.append(SimEvent(step_no, kind, detail))
                 if kind == EVENT_DETENT_REENGAGE:
                     reengaged = True
-    return SimTrace(rows=tuple(rows), events=tuple(events), final_state=state)
+    rows = TraceRows((range(step_no + 1), theta, tau, d_f, d_f, fb3, fb4, f_g, phase))
+    return SimTrace(rows=rows, events=tuple(events), final_state=state)
 
 
 def body_torque_trace(trace: SimTrace, gears: GearGeometry) -> list[tuple[float, float]]:
     """(motor angle, 3S body torque) pairs derived from the recorded torque."""
     scale = gears.torque_arm_3s / gears.input_sprocket_radius
-    return [(row.theta_m, scale * row.tau_m) for row in trace.rows]
+    _, theta, tau, *_ = trace.rows.columns
+    return [(t, scale * torque) for t, torque in zip(theta, tau)]
 
 
 def grasp_scenario(gears: GearGeometry, magnet: MagnetDetent, counts: SurfaceCounts, *,
@@ -730,14 +782,16 @@ def write_trace_csv(trace: SimTrace, stream) -> None:
     unquoted, as csv.writer leaves numbers and phase names.
     """
     stream.write(",".join(TRACE_HEADER) + "\n")
-    rows = trace.rows
-    for i in range(0, len(rows), _CSV_CHUNK):
-        step, theta, tau, d3, d4, fb3, fb4, f_g, phase = zip(*rows[i:i + _CSV_CHUNK])
-        fields = (map(str, step), _reprs(np.degrees(theta).tolist()),
-                  _reprs(tau), _reprs(d3), _reprs(d4),
-                  _reprs(np.degrees(fb3).tolist()),
-                  _reprs(np.degrees(fb4).tolist()), _reprs(f_g),
-                  map(_phase_text, phase))
+    step, theta, tau, d3, d4, fb3, fb4, f_g, phase = trace.rows.columns
+    for i in range(0, len(step), _CSV_CHUNK):
+        part = slice(i, i + _CSV_CHUNK)
+        d3_text = _reprs(d3[part])
+        d4_text = d3_text if d4 is d3 else _reprs(d4[part])  # run_scenario shares them
+        fields = (map(str, step[part]), _reprs(map(math.degrees, theta[part])),
+                  _reprs(tau[part]), d3_text, d4_text,
+                  _reprs(map(math.degrees, fb3[part])),
+                  _reprs(map(math.degrees, fb4[part])), _reprs(f_g[part]),
+                  map(_phase_text, phase[part]))
         stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 

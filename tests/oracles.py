@@ -5,7 +5,8 @@ from plain dense sweeps, positive span from an LP plus randomized
 certificates, hull interiors from Qhull, caging escapes from
 `scipy.ndimage` labelling and erosion, configuration-space obstacles from an
 FFT convolution, cycle periods from literal sequence enumeration,
-simulator traces from the public one-increment `step`, and contact
+simulator traces from the public one-increment `step`, simulator run
+lengths from a vectorized scan of every plain-step condition, and contact
 searches from a dense lateral grid.
 """
 
@@ -24,9 +25,10 @@ from multigrip.control import Direction, PositionMove
 from multigrip.grasp import _CONTACT_TOL, _MERGE_RADIUS, ContactSet
 from multigrip.mechanics import MagnetDetent, detent_torque
 from multigrip.objects import ObjectSpec, side_boundary
-from multigrip.sim import (EVENT_DETENT_REENGAGE, Phase, Scenario, ScenarioError,
-                           SimError, SimEvent, SimTrace, TraceRow, initial_state,
-                           step)
+from multigrip.sim import (_EPS_LANDING, _EPS_TRAVEL, EVENT_DETENT_REENGAGE,
+                           GripperState, Phase, Scenario, ScenarioError,
+                           SimError, SimEvent, SimTrace, TraceRow, _motion,
+                           initial_state, step)
 
 
 def sweep_peak(magnet: MagnetDetent, hi_deg: float = 60.0,
@@ -174,6 +176,59 @@ def replay_by_steps(scenario: Scenario) -> SimTrace:
                 events.append(SimEvent(n, kind, detail))
                 reengaged = reengaged or kind == EVENT_DETENT_REENGAGE
     return SimTrace(rows=tuple(rows), events=tuple(events), final_state=state)
+
+
+def plain_run_scan(state: GripperState, cmd, scenario: Scenario,
+                   n: int) -> tuple[int, int]:
+    """Check every plain-step condition on n pre-step states at once.
+
+    The states are numpy running sums of the increments from `state`.
+    Returns how many leading states pass every condition, and the index of
+    the first state whose 3S switch count differs from the first one's (n
+    when none does).  Translations keep the switch count.
+    """
+    kin = scenario._kin
+    d_inc, r = kin.d_inc, kin.radius
+    kind, _ = _motion(state, cmd, scenario)
+    sign = -1.0 if kind == "close" else 1.0
+
+    def ramp(start, inc):
+        col = np.full(n + 1, inc)
+        col[0] = start
+        return np.add.accumulate(col)
+
+    theta = ramp(state.theta_m, sign * d_inc)
+    pre = theta[:-1]
+    ok = np.ones(n, dtype=bool)
+    k = np.zeros(n)
+    if isinstance(cmd, PositionMove):
+        # full increment left in the move, and the move not yet complete
+        ok &= sign * (cmd.target_angle - pre) >= d_inc
+        ok &= np.abs(pre - cmd.target_angle) > _EPS_LANDING
+    if kind == "rotate":
+        fb3 = ramp(state.theta_fb_3s, kin.ratio_3s * d_inc)
+        fb4 = ramp(state.theta_fb_4s, kin.ratio_4s * d_inc)
+        k = np.floor(fb3[:-1] / kin.pitch_3s + 1e-9)
+        fb_bind = fb3[:-1] if kin.bind_3s else fb4[:-1]
+        offset = np.maximum(fb_bind - k * kin.pitch_bind, 0.0) / kin.ratio_bind
+        ok &= d_inc < (kin.interval - offset) - _EPS_LANDING
+    else:
+        d = ramp(state.d_f_3s, -sign * (r * d_inc))  # closing adds travel
+        d_pre = d[:-1]
+        contact = scenario.object_contact
+        if kind == "open":
+            ok &= d_pre > _EPS_TRAVEL
+            ok &= d_inc < d_pre / r - _EPS_LANDING
+        else:
+            if contact is not None:
+                if not isinstance(cmd, PositionMove):
+                    ok &= d_pre < contact - _EPS_TRAVEL
+                ok &= d_inc < (contact - d_pre) / r - _EPS_LANDING
+            ok &= d[1:] <= scenario.stroke_limit + _EPS_TRAVEL
+    bad = np.flatnonzero(~ok)
+    switched = np.flatnonzero(k != k[0])
+    return (int(bad[0]) if bad.size else n,
+            int(switched[0]) if switched.size else n)
 
 
 # Exact planar containment, distance and overlap tests; the caging grid is

@@ -342,8 +342,8 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 class TestColdStart:
     """No CLI path imports a scipy module, and the caging search needs no
     numpy.fft.  `import multigrip` and the subcommands built on plain
-    `math` (modes, validate-gears, plan, sweep) import no numpy at all;
-    only classify and simulate load it."""
+    Python (modes, validate-gears, plan, sweep, simulate) import no numpy
+    at all; only classify, and simulate grasp with --object, load it."""
 
     LIST_SCIPY = ("print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
@@ -410,12 +410,18 @@ class TestColdStart:
         *[["sweep", "--param", "detent.magnet_gap_mm", "--range", "0.5:1:0.25",
            "--metric", metric] for metric in ("peak-detent", "breakaway",
                                               "switch-interval")],
-    ], ids=lambda argv: argv[-1] if argv[0] == "sweep" else argv[0])
+        ["simulate", "grasp", "--force", "40", "--gap", "10"],
+        ["simulate", "switch", "--from", "1", "--to", "12"],
+    ], ids=lambda argv: (argv[-1] if argv[0] == "sweep"
+                         else "-".join(argv[:2]) if argv[0] == "simulate"
+                         else argv[0]))
     def test_math_subcommands_load_no_numpy(self, argv, fixtures_dir):
         argv = [str(fixtures_dir / "objects" / a) if a.endswith(".object") else a
                 for a in argv]
         proc = self._run_cli(*argv, listing=self.LIST_NUMPY)
-        assert proc.stderr.strip() == "[]"
+        *summary, listing = proc.stderr.strip().splitlines()
+        assert listing == "[]"
+        assert len(summary) == (argv[0] == "simulate")  # simulate's summary line
 
     def test_python_dash_m_runs_the_cli(self, capsys):
         proc = _run_python("-m", "multigrip", "validate-gears")

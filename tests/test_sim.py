@@ -21,7 +21,7 @@ from multigrip.sim import (EVENT_BREAKAWAY, EVENT_MODE_CHANGED,
                            grasp_scenario, initial_state, run_scenario, step,
                            switch_scenario, write_events_csv, write_trace_csv)
 
-from oracles import replay_by_steps
+from oracles import plain_run_scan, replay_by_steps
 from test_golden import TRACE_GOLDENS
 
 
@@ -338,6 +338,31 @@ class TestCsv:
         assert len(rows) == len(tr.events) + 1
 
 
+class TestTraceRows:
+    def test_view_reads_like_the_tuple_of_rows(self, gears, magnet, counts):
+        sc, _ = switch_scenario(gears, magnet, counts, from_mode=1, to_mode=2,
+                                step_deg=1.0)
+        tr = run_scenario(sc)
+        rows = tuple(tr.rows)
+        assert all(type(r) is sim.TraceRow for r in rows)
+        assert [r.step for r in rows] == list(range(len(rows)))
+        assert len(tr.rows) == len(rows) > 100
+        assert (tr.rows[0], tr.rows[-1], tr.rows[7]) == (rows[0], rows[-1], rows[7])
+        assert tr.rows[3:40:3] == rows[3:40:3] and type(tr.rows[3:5]) is tuple
+        assert tr.rows == rows and rows == tr.rows and tr.rows != rows[:-1]
+        assert list(reversed(tr.rows)) == list(reversed(rows))
+        # a hand-built trace holds list columns, a run a range of steps
+        again = dataclasses.replace(tr, rows=rows)
+        assert again == tr and again.rows == tr.rows
+        assert hash(again) == hash(tr) == hash(dataclasses.replace(tr, rows=list(rows)))
+        changed = rows[:-1] + (rows[-1]._replace(tau_m=1.0),)
+        assert dataclasses.replace(tr, rows=changed).rows != tr.rows
+        with pytest.raises(IndexError):
+            tr.rows[len(rows)]
+        empty = dataclasses.replace(tr, rows=())
+        assert len(empty.rows) == 0 and empty.rows == ()
+
+
 def random_valid_design(rng: random.Random):
     """A gear/magnet/counts triple that satisfies the antipodal identity."""
     n_3s = rng.randint(2, 5)
@@ -558,3 +583,35 @@ class TestSegmentRunsMatchStep:
     def test_edge_scenarios(self, gears, counts):
         for scenario in _edge_scenarios(gears, counts):
             self._check(scenario, cut=True)
+
+
+class TestRunLengthMatchesScan:
+    """Each run the bisection finds ends where the vectorized scan of the
+    plain-step conditions ends, or sooner where the 3S switch count
+    changes."""
+
+    def test_random_population(self, monkeypatch, gears, counts):
+        runs = []
+        plain_run = sim._plain_run
+
+        def recording(state, cmd, sc, max_len):
+            run = plain_run(state, cmd, sc, max_len)
+            if run is not None:
+                runs.append((state, cmd, sc, max_len, run[0]))
+            return run
+
+        monkeypatch.setattr(sim, "_plain_run", recording)
+        rng = random.Random(20240901)
+        scenarios = [random_scenario(rng) for _ in range(300)]
+        for scenario in scenarios + _edge_scenarios(gears, counts):
+            try:
+                run_scenario(scenario)
+            except ScenarioError:
+                pass
+        assert len(runs) > 500
+        for state, cmd, sc, max_len, m in runs:
+            # one state past the run shows whether the scan goes on
+            n = min(max_len, sim._MAX_RUN, m + 1)
+            length, first_switch = plain_run_scan(state, cmd, sc, n)
+            assert m <= length
+            assert m == length or first_switch == m
