@@ -1,12 +1,17 @@
-"""Golden traces: the simulator's exact output, pinned by SHA-256 digest.
+"""Golden outputs: the simulator's and the grasp classifier's exact output,
+pinned by SHA-256 digest.
 
-Each digest covers the trace CSV and the events CSV of one scenario, byte
-for byte, so any change in a float's last bit, a step count or an event
+Each trace digest covers the trace CSV and the events CSV of one scenario,
+byte for byte, so any change in a float's last bit, a step count or an event
 fails here.  Error cases pin the failing step and command indices and a
 digest of the message and, for a reversal, the resolved state and events.
+Each grasp digest covers one fixture object classified in all 12 modes at
+the CLI defaults of fixtures/default.cfg: the outcome, the reason, the
+posture flag, `repr` of the separation and the contacts CSV.
 
-To re-pin after a deliberate output change, print `_trace_digest(...)` or
-`_error_digest(...)` for the scenario and name the change in CHANGES.md.
+To re-pin after a deliberate output change, print `_trace_digest(...)`,
+`_error_digest(...)` or `_grasp_digest(name)` for the case and name the
+change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -15,14 +20,18 @@ import dataclasses
 import hashlib
 import io
 import math
+from pathlib import Path
 
 import pytest
 
-from multigrip.config import default_config
+from multigrip.config import default_config, load_config
 from multigrip.control import (ControllerState, Direction, PositionMove,
                                TorqueRamp, release_then_switch)
+from multigrip.grasp import classify_grasp, write_contacts_csv
 from multigrip.mechanics import (MagnetDetent, breakaway_motor_torque,
                                  switch_interval)
+from multigrip.modes import build_mode_table
+from multigrip.objects import load_object_file
 from multigrip.sim import (ReversalDuringRotation, Scenario, ScenarioError,
                            grasp_scenario, run_scenario, switch_scenario,
                            write_events_csv, write_trace_csv)
@@ -143,3 +152,41 @@ ERROR_GOLDENS = {
 def test_error_matches_golden(name):
     build, expected = ERROR_GOLDENS[name]
     assert _error_digest(build()) == expected
+
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def _grasp_digest(name: str) -> str:
+    cfg = load_config(FIXTURES / "default.cfg")
+    table = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+    spec = load_object_file(FIXTURES / "objects" / f"{name}.object").spec
+    parts = []
+    for mode in range(1, len(table) + 1):
+        result = classify_grasp(spec, table.entry(mode), face_width=cfg.face_width,
+                                thin_threshold=cfg.thin_object, stroke=cfg.stroke_limit)
+        contacts = io.StringIO()
+        write_contacts_csv(result.contacts, contacts)
+        parts.append(f"{mode}\x00{result.outcome.value}\x00{result.reason}"
+                     f"\x00{result.posture_uncertain}\x00{result.separation!r}"
+                     f"\x00{contacts.getvalue()}")
+    return hashlib.sha256("\x00".join(parts).encode()).hexdigest()
+
+
+GRASP_GOLDENS = {
+    "box":
+        "05404751bebc5dfbbc0e5dc649f2f970ced11609832b8fdc8543a9f142f2ac5d",
+    "complex_bracket":
+        "4209b8bb02aeb6d18f313e798f8c417a095328121ca97dc2fc3f8d97d4b37ce1",
+    "large_cylinder":
+        "27f5f48e6d4e08c2da1dc5d280836eb2e69e61bf1e026defd187a144a46c27ec",
+    "small_cylinder":
+        "ffbc7245d8c37af6b6789ef044ac71538cb5ba3f30851b84281f4269cd267a87",
+    "thin_plate":
+        "4f9e29157e3c44f11e7991ea04ba713b7e38e87cfce4b286495436d0b8eeaf39",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRASP_GOLDENS))
+def test_grasp_matches_golden(name):
+    assert _grasp_digest(name) == GRASP_GOLDENS[name]
