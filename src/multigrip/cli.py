@@ -98,14 +98,17 @@ def _run_and_write(args, scenario: sim.Scenario) -> sim.SimTrace:
     return trace
 
 
-def _classify(cfg: RunConfig, object_path: str, mode: int) -> grasp.GraspResult:
-    """Classify the grasp of an object file in one mode of the configured table."""
-    from . import grasp
-    desc = load_object_file(object_path)
+def _grasp_target(cfg: RunConfig, object_path: str, mode: int) -> tuple:
+    """An object file's spec and the surface pair of one mode of the configured table."""
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
-    return grasp.classify_grasp(
-        desc.spec, table.entry(mode), face_width=cfg.face_width,
-        thin_threshold=cfg.thin_object, stroke=cfg.stroke_limit)
+    return load_object_file(object_path).spec, table.entry(mode)
+
+
+def _classify(cfg: RunConfig, target: tuple) -> grasp.GraspResult:
+    """Classify the grasp of a (spec, surface pair) target."""
+    from . import grasp
+    return grasp.classify_grasp(*target, face_width=cfg.face_width,
+                                thin_threshold=cfg.thin_object, stroke=cfg.stroke_limit)
 
 
 def _cmd_simulate_grasp(args) -> int:
@@ -114,6 +117,7 @@ def _cmd_simulate_grasp(args) -> int:
     if args.gap > cfg.stroke_limit:
         raise CliError(f"gap {args.gap:g} mm exceeds the stroke limit "
                        f"{cfg.stroke_limit:g} mm")
+    target = _grasp_target(cfg, args.object, args.mode) if args.object else None
     scenario = sim.grasp_scenario(
         cfg.gears, cfg.magnet, cfg.counts,
         target_force=args.force, gap=args.gap,
@@ -123,8 +127,8 @@ def _cmd_simulate_grasp(args) -> int:
     final = trace.rows[-1]
     print(f"final_f_g_N={final.f_g:g} final_tau_m_Nmm={final.tau_m:g} "
           f"steps={final.step}", file=sys.stderr)
-    if args.object:
-        result = _classify(cfg, args.object, args.mode)
+    if target:
+        result = _classify(cfg, target)
         print(f"classification={result.outcome.value}", file=sys.stderr)
     return 0
 
@@ -166,7 +170,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    result = _classify(_load(args), args.object, args.mode)
+    cfg = _load(args)
+    result = _classify(cfg, _grasp_target(cfg, args.object, args.mode))
     report = (f"classification={result.outcome.value} "
               f"contacts={len(result.contacts)} "
               f"posture_uncertain={str(result.posture_uncertain).lower()}")

@@ -2,7 +2,8 @@
 
 The grasp plane has the closing axis along x; the object sits centered on
 the origin with the left finger approaching from -x and the right finger
-from +x.  In the default pairing the 3S finger is the left one.
+from +x, a pose given by their reference positions (x_left, x_right).  In
+the default pairing the 3S finger is the left one.
 
 Classification runs the closure tests in precedence order (form closure,
 then force closure, then caging) on the contact configuration the
@@ -135,8 +136,7 @@ class Contact:
 @dataclass(frozen=True)
 class ContactSet:
     contacts: tuple[Contact, ...]
-    rotation_free: bool = False   # rotations about the centroid are symmetries
-    centroid: tuple[float, float] = (0.0, 0.0)
+    rotation_free: bool = False   # rotations about the origin are symmetries
 
     def __len__(self) -> int:
         return len(self.contacts)
@@ -206,7 +206,7 @@ def _side_contacts(spec: ObjectSpec, profile: SurfaceProfile, side: int,
     if residual.min() < -_CONTACT_TOL:
         raise ValueError(
             f"finger penetrates the object by {-residual.min():.3g} mm at the "
-            "requested separation")
+            "requested finger position")
     touching = residual <= _CONTACT_TOL
     if not touching.all():   # one contact per band: the centre or each end
         contact_ys = ys[touching]
@@ -223,25 +223,22 @@ def _side_contacts(spec: ObjectSpec, profile: SurfaceProfile, side: int,
 
 
 def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
-                     gap: float | None = None) -> ContactSet:
+                     positions: tuple[float, float] | None = None) -> ContactSet:
     """Contact points between the object and the two opposed finger faces.
 
-    With gap=None each finger advances along the closing axis to its own
-    first contact with the object.  With an explicit gap the finger
-    reference planes sit symmetrically about the origin, gap apart, and
-    only points within the contact tolerance count (an empty set means the
-    object is not touched at that separation).  Contacts sit at the centre
-    or the ends of the lateral overlap of flank and face.  A contact along
-    the whole overlap is reported at its two ends, or at its best point if
-    the overlap is no wider than the merge radius.
+    With positions=None each finger advances along the closing axis to its
+    own first contact with the object.  With positions (x_left, x_right)
+    the finger reference planes sit there, and only points within the
+    contact tolerance count (a finger with no contacts does not touch the
+    object there).  Contacts sit at the centre or the ends of the lateral
+    overlap of flank and face.  A contact along the whole overlap is
+    reported at its two ends, or at its best point if the overlap is no
+    wider than the merge radius.
     """
-    x_left = None if gap is None else -gap / 2.0
-    x_right = None if gap is None else gap / 2.0
-    left_contacts = _side_contacts(obj, left, -1, x_left, "3S")
-    right_contacts = _side_contacts(obj, right, +1, x_right, "4S")
-    return ContactSet(contacts=tuple(left_contacts + right_contacts),
-                      rotation_free=obj.rotation_symmetric,
-                      centroid=(0.0, 0.0))
+    x_left, x_right = (None, None) if positions is None else positions
+    contacts = (_side_contacts(obj, left, -1, x_left, "3S")
+                + _side_contacts(obj, right, +1, x_right, "4S"))
+    return ContactSet(contacts=tuple(contacts), rotation_free=obj.rotation_symmetric)
 
 
 @lru_cache(maxsize=64)
@@ -258,15 +255,16 @@ def _finger_separation(left_face: tuple[SurfaceShape, float],
     return float((left.height(ys) + right.height(ys)).max())
 
 
-def closure_separation(obj: ObjectSpec, left: SurfaceProfile,
-                       right: SurfaceProfile) -> tuple[float, bool]:
-    """Separation at which symmetric closing stops, and whether the object
-    is touched there.
+def closure_separation(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile
+                       ) -> tuple[tuple[float, float], bool]:
+    """Finger positions (x_left, x_right) where symmetric closing stops, and
+    whether the object is touched there.
 
-    Closing stops at the first contact of either finger with the object or
-    of the fingers with each other, whichever happens at the larger
-    separation.  Small objects nested in deep pockets can leave the fingers
-    touching each other with the object untouched.
+    They are (-s/2, s/2) for the separation s at the first contact of
+    either finger with the object or of the fingers with each other,
+    whichever happens at the larger separation.  Small objects nested in
+    deep pockets can leave the fingers touching each other with the object
+    untouched.
     """
     _, ref_l, _, _ = _lateral_search(obj, left, -1)
     _, ref_r, _, _ = _lateral_search(obj, right, +1)
@@ -275,7 +273,7 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile,
                                      (right.shape, right.width))
     separation = max(sep_obj, sep_fingers, 0.0)
     touched = sep_obj >= sep_fingers - _CONTACT_TOL
-    return separation, touched
+    return (-separation / 2.0, separation / 2.0), touched
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +335,12 @@ def _origin_strictly_inside(points: np.ndarray) -> bool:
         (below & (offsets < reach)) | (above & (offsets > -reach))).any()
 
 
-def _wrench_rows(contacts: list[Contact], centroid: tuple[float, float],
-                 directions_per_contact) -> np.ndarray:
-    arms = [math.hypot(c.point[0] - centroid[0], c.point[1] - centroid[1])
-            for c in contacts]
-    rho = max(max(arms, default=0.0), 1e-9)
+def _wrench_rows(contacts: list[Contact], directions_per_contact) -> np.ndarray:
+    """Wrenches of the contact directions, moments about the origin."""
+    rho = max(max((math.hypot(*c.point) for c in contacts), default=0.0), 1e-9)
     rows = []
     for c in contacts:
-        px = c.point[0] - centroid[0]
-        py = c.point[1] - centroid[1]
+        px, py = c.point
         for dx, dy in directions_per_contact(c):
             rows.append((dx, dy, (px * dy - py * dx) / rho))
     return np.array(rows)
@@ -356,7 +351,7 @@ def form_closure_test(cset: ContactSet) -> bool:
 
     The normal wrenches must positively span the planar wrench space,
     checked as the origin lying strictly inside their convex hull.  For
-    rotationally symmetric objects rotation about the centroid is a
+    rotationally symmetric objects rotation about the origin is a
     symmetry, not a mobility, so the test reduces to the force components
     spanning the translation plane.  That is force closure at mu = 0,
     whose friction cones collapse to the normals.
@@ -394,7 +389,7 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
         return ((nx * cos_p - ny * sin_p, nx * sin_p + ny * cos_p),
                 (nx * cos_p + ny * sin_p, -nx * sin_p + ny * cos_p))
 
-    wrenches = _wrench_rows(contacts, cset.centroid, edges)
+    wrenches = _wrench_rows(contacts, edges)
     return _origin_strictly_inside(wrenches)
 
 
@@ -534,31 +529,31 @@ def _cspace_obstacle(fingers: np.ndarray, footprint: np.ndarray, centre: int,
 
 
 def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
-                separation: float, *, cell: float = 0.5,
+                positions: tuple[float, float], *, cell: float = 0.5,
                 angle_cell_deg: float = 5.0) -> bool:
     """Rasterized configuration-space check that the object cannot escape.
 
     For each rotation slice (one for a rotation-symmetric object such as a
-    disk) the obstacle is the finger bodies at the given separation dilated
-    by the rotated object footprint, a Minkowski sum (Lozano-Pérez, IEEE
-    T-C 1983) computed exactly on the grid from the x-runs of both
+    disk) the obstacle is the finger bodies at positions (x_left, x_right)
+    dilated by the rotated object footprint, a Minkowski sum (Lozano-Pérez,
+    IEEE T-C 1983) computed exactly on the grid from the x-runs of both
     rasterized shapes.  The object is caged iff the free region connected to
-    the rest pose never reaches the border of the workspace box; the region
-    is a flood fill over the graph of free y-runs.  An escape that vanishes
-    once free space is eroded by two cells in x-y runs through a gap at most
-    two cells wide, so the verdict may depend on the grid: that raises
+    the rest pose at the origin never reaches the border of the workspace box;
+    the region is a flood fill over the graph of free y-runs.  An escape that
+    vanishes once free space is eroded by two cells in x-y runs through a gap
+    at most two cells wide, so the verdict may depend on the grid: that raises
     CagingResolutionWarning.  The erosion keeps the cells the rest pose
     reaches within its depth, so a contact at rest is not taken for such a
     gap.  A wide escape within the rest-angle slice alone, a subset of the
     full search, decides the test before the other slices are built.
     """
-    poly_left = _finger_polygon(left, -separation / 2.0, -1, _BODY_DEPTH)
-    poly_right = _finger_polygon(right, separation / 2.0, +1, _BODY_DEPTH)
-    fingers = np.vstack([poly_left, poly_right])
+    poly_left = _finger_polygon(left, positions[0], -1, _BODY_DEPTH)
+    poly_right = _finger_polygon(right, positions[1], +1, _BODY_DEPTH)
+    vertices = np.vstack([poly_left, poly_right])
     base = object_polygon(obj)
     reach = float(np.max(np.hypot(base[:, 0], base[:, 1])))
     xs, ys = (np.arange(c.min() - reach - 3 * cell,
-                        c.max() + reach + 3 * cell + cell, cell) for c in fingers.T)
+                        c.max() + reach + 3 * cell + cell, cell) for c in vertices.T)
     seed = (0, int(np.argmin(np.abs(xs))), int(np.argmin(np.abs(ys))))
 
     finger_runs = np.vstack([_polygon_runs(poly_left, xs, ys),
@@ -621,8 +616,9 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
             reason="object is thinner than the deformable-surface limit; the "
                    "face deforms around it and the object slips")
 
-    separation, touched = closure_separation(obj, left, right)
-    contacts = compute_contacts(obj, left, right, gap=separation)
+    positions, touched = closure_separation(obj, left, right)
+    contacts = compute_contacts(obj, left, right, positions)
+    separation = positions[1] - positions[0]
 
     concave_involved = any(s.kind is SurfaceKind.CONCAVE for s in pair)
     if isinstance(obj.shape, ThinPlate) and concave_involved:
@@ -638,7 +634,7 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
         if mu > 0 and force_closure_test(contacts, mu):
             return GraspResult(GraspOutcome.FORCE_CLOSURE, contacts, separation)
 
-    if caging_test(obj, left, right, separation):
+    if caging_test(obj, left, right, positions):
         return GraspResult(GraspOutcome.CAGING, contacts, separation,
                            reason="" if touched else
                            "fingers close on each other before reaching the "

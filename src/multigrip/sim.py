@@ -12,8 +12,8 @@ or body rotation, never both), and steps land exactly on contact, stopper
 and detent boundaries so events line up with trace rows.
 
 One dispatch, `_motion`, decides which motion a step makes, for `step` and
-for the runs alike, and a `Scenario` derives the constants of the step
-rules once, when it is built.
+for the runs alike; `run_scenario` makes it once per step.  A `Scenario`
+derives the constants of the step rules once, when it is built.
 
 `run_scenario` advances each run of plain full-increment steps in one
 pass.  A run is a stretch with no landing, no event and no completed
@@ -22,9 +22,9 @@ limit, or a body rotation between detents.  Its positions are running sums
 (`itertools.accumulate` adds in order, so it rounds exactly as the step loop
 does).  Every step condition is monotone in the step index, because float
 rounding is monotone, so a bisection finds where the run ends.  The step at
-each boundary goes through `step`, so the trace is bit-identical to calling
-`step` one increment at a time.  A trace is stored as columns, and
-`SimTrace.rows` builds each `TraceRow` only when it is read.
+each boundary goes through the body of `step`, so the trace is bit-identical
+to calling `step` one increment at a time.  A trace is stored as columns,
+and `SimTrace.rows` builds each `TraceRow` only when it is read.
 """
 
 from __future__ import annotations
@@ -390,6 +390,7 @@ def _translate_open(state: GripperState, budget: float,
 def _translate_close(state: GripperState, budget: float, sc: Scenario,
                      position_mode: bool) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
     r = sc._kin.radius
+    use, lands = budget, False
     if sc.object_contact is not None:
         to_contact = (sc.object_contact - state.d_f_3s) / r
         if to_contact <= _EPS_ANGLE:
@@ -400,19 +401,11 @@ def _translate_close(state: GripperState, budget: float, sc: Scenario,
             # Torque mode in contact presses instead (see _motion).
             raise AssertionError("closing translation requested while in contact")
         use = min(budget, to_contact)
-        if use >= to_contact - _EPS_LANDING:
-            new_d = sc.object_contact
-            phase = Phase.GRASPING
-            events: tuple[tuple[str, str], ...] = ((EVENT_OBJECT_CONTACT, ""),)
-        else:
-            new_d = state.d_f_3s + r * use
-            phase = Phase.TRANSLATING_CLOSE
-            events = ()
+        lands = use >= to_contact - _EPS_LANDING
+    if lands:
+        new_d, phase, events = sc.object_contact, Phase.GRASPING, ((EVENT_OBJECT_CONTACT, ""),)
     else:
-        use = budget
-        new_d = state.d_f_3s + r * use
-        phase = Phase.TRANSLATING_CLOSE
-        events = ()
+        new_d, phase, events = state.d_f_3s + r * use, Phase.TRANSLATING_CLOSE, ()
     if new_d > sc.stroke_limit + _EPS_TRAVEL:
         raise StrokeLimitExceeded(
             f"finger travel {new_d:.6g} mm exceeds the stroke limit "
@@ -525,7 +518,12 @@ def step(state: GripperState, cmd: MotorCommand,
     increment instead.  Pure function: identical inputs give identical
     outputs.
     """
-    kind, budget = _motion(state, cmd, scenario)
+    return _advance(state, cmd, scenario, *_motion(state, cmd, scenario))
+
+
+def _advance(state: GripperState, cmd: MotorCommand, scenario: Scenario,
+             kind: str, budget: float) -> tuple[GripperState, tuple[tuple[str, str], ...]]:
+    """`step` for the motion `_motion` chose."""
     if kind == "open":
         return _translate_open(state, budget, scenario)
     if kind == "close":
@@ -581,9 +579,9 @@ def _ramp(start: float, inc: float, n: int) -> list[float]:
     return list(accumulate(repeat(inc, n), initial=start))
 
 
-def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
+def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario, motion: tuple[str, float],
                max_len: int) -> tuple[int, tuple, GripperState] | None:
-    """The longest run of plain full-increment steps from this state.
+    """The longest run of plain full-increment `motion` steps from this state.
 
     Returns (step count, the new rows' theta_m, tau_m, d_f_3s, theta_fb_3s
     and theta_fb_4s columns, state after the run), or None when the run
@@ -598,7 +596,7 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario,
     """
     kin = sc._kin
     d_inc, r = kin.d_inc, kin.radius
-    kind, budget = _motion(state, cmd, sc)
+    kind, budget = motion
     if kind not in ("open", "close", "rotate") or budget < d_inc:
         return None
     if isinstance(cmd, PositionMove):
@@ -691,7 +689,8 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     for ci, cmd in enumerate(scenario.commands):
         reengaged = False
         while not _command_complete(state, cmd, reengaged):
-            run = _plain_run(state, cmd, scenario, scenario.max_steps - step_no)
+            motion = _motion(state, cmd, scenario)
+            run = _plain_run(state, cmd, scenario, motion, scenario.max_steps - step_no)
             if run is not None:
                 m, run_columns, state = run
                 for col, values in zip(columns, (*run_columns, repeat(0.0, m),
@@ -700,7 +699,7 @@ def run_scenario(scenario: Scenario) -> SimTrace:
                 step_no += m
                 continue
             try:
-                state, evts = step(state, cmd, scenario)
+                state, evts = _advance(state, cmd, scenario, *motion)
             except SimError as exc:
                 raise ScenarioError(step_no + 1, ci, exc) from exc
             step_no += 1

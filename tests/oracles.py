@@ -59,13 +59,12 @@ def oracle_wrenches(cset: ContactSet, mu: float) -> np.ndarray:
 
     Frictionless contacts contribute their normal; frictional ones the two
     cone edges.  Rotationally symmetric objects are tested in the 2D force
-    space because spinning about their centroid changes nothing.
+    space because spinning about the origin changes nothing.
     """
     rows = []
     for c in cset.contacts:
         nx, ny = c.normal
-        px = c.point[0] - cset.centroid[0]
-        py = c.point[1] - cset.centroid[1]
+        px, py = c.point
         if mu == 0.0:
             dirs = [(nx, ny)]
         else:

@@ -179,8 +179,8 @@ def test_criterion_08_grasp_classification():
 
     assert classify_grasp(small, cc).outcome is GraspOutcome.CAGING
     lp = rp = surface_profile(concave(10.0), 20.0)
-    sep, _ = closure_separation(small, lp, rp)
-    assert caging_test(small, lp, rp, sep, cell=0.5, angle_cell_deg=5.0)
+    positions, _ = closure_separation(small, lp, rp)
+    assert caging_test(small, lp, rp, positions, cell=0.5, angle_cell_deg=5.0)
 
     fail = classify_grasp(plate, (flat(), deformable_flat()))
     assert fail.outcome is GraspOutcome.FAIL
@@ -191,8 +191,8 @@ def test_criterion_08_grasp_classification():
                       (box, ff), (plate, ff)]:
         left = surface_profile(pair[0], 20.0)
         right = surface_profile(pair[1], 20.0)
-        sep, touched = closure_separation(obj, left, right)
-        contacts = compute_contacts(obj, left, right, gap=sep)
+        positions, touched = closure_separation(obj, left, right)
+        contacts = compute_contacts(obj, left, right, positions)
         if len(contacts) == 0:
             continue
         form = form_closure_test(contacts)

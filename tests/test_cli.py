@@ -150,6 +150,18 @@ class TestSimulate:
         assert rc == 0
         assert "classification=force_closure" in err
 
+    @pytest.mark.parametrize("obj, mode", [("box.object", "99"), ("nope.object", "1")])
+    def test_grasp_bad_object_or_mode_fails_before_simulating(self, capsys, fixtures_dir,
+                                                             tmp_path, obj, mode):
+        out_file = tmp_path / "t.csv"
+        rc, out, err = run(capsys, "simulate", "grasp", "--force", "40", "--gap", "10",
+                           "--object", str(fixtures_dir / "objects" / obj),
+                           "--mode", mode, "--out", str(out_file))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+
 
 class TestPlanAndClassify:
     def test_plan_thin_plate(self, capsys, fixtures_dir):

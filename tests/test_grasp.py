@@ -143,31 +143,52 @@ class TestComputeContacts:
     def test_explicit_gap_penetration_rejected(self):
         lp = rp = surface_profile(flat(), 20.0)
         with pytest.raises(ValueError, match="penetrates"):
-            compute_contacts(BOX, lp, rp, gap=19.0)
+            compute_contacts(BOX, lp, rp, (-9.5, 9.5))
 
     def test_explicit_gap_apart_gives_no_contacts(self):
         lp = rp = surface_profile(flat(), 20.0)
-        cs = compute_contacts(BOX, lp, rp, gap=25.0)
+        cs = compute_contacts(BOX, lp, rp, (-12.5, 12.5))
         assert len(cs) == 0
 
 
 class TestClosureSeparation:
     def test_large_circle_touches_before_fingers_meet(self):
         lp = rp = surface_profile(concave(10.0), 20.0)
-        sep, touched = closure_separation(BIG, lp, rp)
+        (x_left, x_right), touched = closure_separation(BIG, lp, rp)
+        sep = x_right - x_left
         assert touched
         assert sep == pytest.approx(2 * math.sqrt(125.0), rel=1e-9)
 
     def test_small_circle_fingers_meet_first(self):
         lp = rp = surface_profile(concave(10.0), 20.0)
-        sep, touched = closure_separation(SMALL, lp, rp)
+        (x_left, x_right), touched = closure_separation(SMALL, lp, rp)
+        sep = x_right - x_left
         assert not touched
         assert sep == pytest.approx(0.0, abs=1e-9)
 
     def test_box_between_flats(self):
         lp = rp = surface_profile(flat(), 20.0)
-        sep, touched = closure_separation(BOX, lp, rp)
+        (x_left, x_right), touched = closure_separation(BOX, lp, rp)
+        sep = x_right - x_left
         assert touched and sep == pytest.approx(20.0)
+
+
+class TestPerFingerPlacement:
+    def test_each_finger_at_its_own_position(self):
+        # convex against flat: each finger at its own first contact touches,
+        # symmetric closing stops with the flat finger short of the box
+        left, right = surface_profile(convex(10.0), 20.0), surface_profile(flat(), 20.0)
+        cs = compute_contacts(BOX, left, right)
+        assert [c.finger for c in cs] == ["3S", "4S", "4S"]
+        assert force_closure_test(cs, 0.5) is True
+        positions, touched = closure_separation(BOX, left, right)
+        assert touched
+        assert [c.finger for c in compute_contacts(BOX, left, right, positions)] == ["3S"]
+        # the disk is caged between closed pockets until one finger backs off
+        lp = rp = surface_profile(concave(10.0), 20.0)
+        (x_left, x_right), _ = closure_separation(SMALL, lp, rp)
+        assert caging_test(SMALL, lp, rp, (x_left, x_right)) is True
+        assert caging_test(SMALL, lp, rp, (x_left, x_right + 30.0)) is False
 
 
 _ROUNDING = 1e-12   # mm; spread of a clearance that is constant but for rounding
@@ -255,21 +276,23 @@ class TestContactSearchMatchesGrid:
         grid_fingers = grid_finger_separation(left, right)
         assert _same_extremum(sep_fingers, grid_fingers, left.height(ys) + right.height(ys))
         exact &= sep_fingers == grid_fingers
-        separation, _ = closure_separation(spec, left, right)
+        (x_left, x_right), _ = closure_separation(spec, left, right)
+        separation = x_right - x_left
         grid_separation = max(-2.0 * refs[0], 2.0 * refs[1], grid_fingers, 0.0)
         assert separation == grid_separation or (
             not exact and abs(separation - grid_separation) <= 2 * _ROUNDING)
 
-        for gap in (None, separation):
-            contacts = compute_contacts(spec, left, right, gap=gap)
+        for positions in (None, (x_left, x_right)):
+            contacts = compute_contacts(spec, left, right, positions)
             for (profile, side, finger), ref in zip(sides, refs):
-                x_ref = ref if gap is None else side * gap / 2.0
+                x_ref = ref if positions is None else positions[side > 0]
                 points = np.array([c.point for c in contacts if c.finger == finger])
                 xs, ys = points.reshape(-1, 2).T
                 # each contact's clearance: the flank's x plus the face height
                 assert np.all(abs(xs + side * profile.height(ys) - x_ref) <= _CONTACT_TOL)
-                old = grid_contact_ys(spec, profile, side, None if gap is None else x_ref)
-                assert _same_up_to_named_changes(ys.tolist(), old), (profile, side, gap, ys, old)
+                old = grid_contact_ys(spec, profile, side, None if positions is None else x_ref)
+                assert _same_up_to_named_changes(ys.tolist(), old), (profile, side, positions,
+                                                                     ys, old)
 
 
 def _wrench_cross_check(cset: ContactSet, mu: float, expected: bool):
@@ -504,36 +527,36 @@ class TestFrictionProperties:
 class TestCaging:
     def test_small_circle_in_closed_pockets(self):
         lp = rp = surface_profile(concave(10.0), 20.0)
-        sep, _ = closure_separation(SMALL, lp, rp)
-        assert caging_test(SMALL, lp, rp, sep) is True
+        positions, _ = closure_separation(SMALL, lp, rp)
+        assert caging_test(SMALL, lp, rp, positions) is True
 
     def test_circle_between_flats_escapes_sideways(self):
         lp = rp = surface_profile(flat(), 20.0)
-        assert caging_test(SMALL, lp, rp, 12.0) is False
+        assert caging_test(SMALL, lp, rp, (-6.0, 6.0)) is False
 
     def test_form_closed_configuration_is_caged(self):
         lp = rp = surface_profile(concave(10.0), 20.0)
-        sep, _ = closure_separation(BIG, lp, rp)
-        assert caging_test(BIG, lp, rp, sep) is True
+        positions, _ = closure_separation(BIG, lp, rp)
+        assert caging_test(BIG, lp, rp, positions) is True
 
     def test_box_caging_with_rotation_grid(self):
         # a box in deep pockets cannot escape even allowing rotation
         small_box = ObjectSpec(Box(8.0, 8.0), mu=0.5)
         lp = rp = surface_profile(concave(10.0), 20.0)
-        sep, _ = closure_separation(small_box, lp, rp)
-        assert caging_test(small_box, lp, rp, sep, cell=1.0,
+        positions, _ = closure_separation(small_box, lp, rp)
+        assert caging_test(small_box, lp, rp, positions, cell=1.0,
                            angle_cell_deg=30.0) is True
 
     def test_box_escape_with_rotation_grid(self):
         small_box = ObjectSpec(Box(6.0, 6.0), mu=0.5)
         lp = rp = surface_profile(flat(), 20.0)
-        assert caging_test(small_box, lp, rp, 14.0, cell=1.0,
+        assert caging_test(small_box, lp, rp, (-7.0, 7.0), cell=1.0,
                            angle_cell_deg=30.0) is False
 
     def test_coarse_grid_reported(self):
         lp = rp = surface_profile(flat(), 20.0)
         with pytest.warns(CagingResolutionWarning):
-            caging_test(SMALL, lp, rp, 10.8, cell=0.5)
+            caging_test(SMALL, lp, rp, (-5.4, 5.4), cell=0.5)
 
     def test_cspace_obstacle_matches_exact_collision(self):
         # the rasterized configuration-space obstacle must agree with exact
@@ -595,14 +618,14 @@ class TestCaging:
         lp = rp = surface_profile(flat(), 20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CagingResolutionWarning)
-            assert caging_test(SMALL, lp, rp, 14.0, cell=0.5) is False
+            assert caging_test(SMALL, lp, rp, (-7.0, 7.0), cell=0.5) is False
 
     def test_polygon_escape_through_narrow_passage_reported(self):
         # 0.4 mm on each side of the box, below two 0.5 mm cells
         lp = rp = surface_profile(flat(), 20.0)
         small_box = ObjectSpec(Box(6.0, 6.0), mu=0.5)
         with pytest.warns(CagingResolutionWarning, match="two grid cells"):
-            assert caging_test(small_box, lp, rp, 6.8, cell=0.5) is False
+            assert caging_test(small_box, lp, rp, (-3.4, 3.4), cell=0.5) is False
 
     def test_wide_escape_at_rest_angle_builds_one_slice(self, monkeypatch):
         # a box with 2 mm of room each side slides out at its rest angle, so
@@ -617,11 +640,11 @@ class TestCaging:
         small_box = ObjectSpec(Box(6.0, 6.0), mu=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CagingResolutionWarning)
-            assert caging_test(small_box, lp, rp, 10.0, cell=0.5) is False
+            assert caging_test(small_box, lp, rp, (-5.0, 5.0), cell=0.5) is False
         assert len(builds) == 1
         builds.clear()
         with pytest.warns(CagingResolutionWarning):
-            assert caging_test(small_box, lp, rp, 6.8, cell=0.5) is False
+            assert caging_test(small_box, lp, rp, (-3.4, 3.4), cell=0.5) is False
         assert len(builds) == 72
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

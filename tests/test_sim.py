@@ -594,8 +594,8 @@ class TestRunLengthMatchesScan:
         runs = []
         plain_run = sim._plain_run
 
-        def recording(state, cmd, sc, max_len):
-            run = plain_run(state, cmd, sc, max_len)
+        def recording(state, cmd, sc, motion, max_len):
+            run = plain_run(state, cmd, sc, motion, max_len)
             if run is not None:
                 runs.append((state, cmd, sc, max_len, run[0]))
             return run
