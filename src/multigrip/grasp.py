@@ -271,7 +271,7 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProf
     sep_obj = max(-2.0 * ref_l, 2.0 * ref_r)
     sep_fingers = _finger_separation((left.shape, left.width),
                                      (right.shape, right.width))
-    separation = max(sep_obj, sep_fingers, 0.0)
+    separation = max(0.0, sep_obj, sep_fingers)   # ties keep +0.0
     touched = sep_obj >= sep_fingers - _CONTACT_TOL
     return (-separation / 2.0, separation / 2.0), touched
 
