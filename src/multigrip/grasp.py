@@ -10,10 +10,11 @@ then force closure, then caging) on the contact configuration the
 mechanism can physically reach: both fingers advance symmetrically until
 either one touches the object or the fingers touch each other.
 
-The contact search is exact.  Every object flank and finger face is a line
-or a circular arc centred on y = 0, so the clearance between a flank and a
-face takes its extremes at the centre or the ends of their lateral overlap,
-and three evaluations find each first contact.
+The contact search is exact.  Every object flank and finger face is an
+`Arc`, a line or a circular arc centred on y = 0, so the clearance between
+a flank and a face takes its extremes at the centre or the ends of their
+lateral overlap, and three evaluations in plain floats find each first
+contact.  numpy serves the closure tests, caging and the object outline.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 
 from .modes import (DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD, SurfaceKind,
                     SurfaceShape)
-from .objects import (ObjectSpec, SideBoundary, ThinPlate, object_polygon,
-                      side_boundary)
+from .objects import Arc, ObjectSpec, ThinPlate, object_polygon, side_boundary
 
 __all__ = [
     "SurfaceProfile",
@@ -71,35 +71,21 @@ class CagingResolutionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SurfaceProfile:
-    """One finger face in the finger frame: x is protrusion toward the object."""
+    """One finger face in the finger frame: x is protrusion toward the object,
+    zero at the rims, and `arc` is the face as a curve x(y)."""
 
     shape: SurfaceShape
     width: float
+    arc: Arc
     polyline: np.ndarray
 
     @property
     def deformable(self) -> bool:
         return self.shape.kind is SurfaceKind.DEFORMABLE_FLAT
 
-    def height(self, y: np.ndarray) -> np.ndarray:
+    def height(self, y: float) -> float:
         """Signed protrusion toward the object at lateral position y."""
-        kind = self.shape.kind
-        if kind in (SurfaceKind.FLAT, SurfaceKind.DEFORMABLE_FLAT):
-            return np.zeros_like(np.asarray(y, dtype=float))
-        r = self.shape.radius
-        c = math.sqrt(max(r * r - (self.width / 2.0) ** 2, 0.0))
-        bulge = np.sqrt(np.maximum(r * r - np.square(y), 0.0)) - c
-        return bulge if kind is SurfaceKind.CONVEX else -bulge
-
-    def outward_normal(self, y: float) -> tuple[float, float]:
-        """Unit normal of the face pointing toward the object (finger frame)."""
-        kind = self.shape.kind
-        if kind in (SurfaceKind.FLAT, SurfaceKind.DEFORMABLE_FLAT):
-            return (1.0, 0.0)
-        r = self.shape.radius
-        nx = math.sqrt(max(r * r - y * y, 0.0)) / r
-        ny = y / r
-        return (nx, ny) if kind is SurfaceKind.CONVEX else (nx, -ny)
+        return self.arc.x_of(y)
 
 
 @lru_cache(maxsize=16)
@@ -114,16 +100,22 @@ def surface_profile(shape: SurfaceShape,
     """
     if not width > 0:
         raise ValueError("face width must be positive")
+    half = width / 2.0
     if shape.kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE):
-        if width > 2 * shape.radius:
+        r = shape.radius
+        if width > 2 * r:
             raise ValueError(
                 f"face width {width:g} mm exceeds the arc diameter "
-                f"{2 * shape.radius:g} mm; the arc cannot span the face")
-    ys = np.linspace(-width / 2.0, width / 2.0, _PROFILE_POINTS)
-    probe = SurfaceProfile(shape=shape, width=width, polyline=np.empty((0, 2)))
-    polyline = np.column_stack([probe.height(ys), ys])
+                f"{2 * r:g} mm; the arc cannot span the face")
+        c = math.sqrt(max(r * r - half ** 2, 0.0))   # centre's depth behind the rims
+        sign = 1 if shape.kind is SurfaceKind.CONVEX else -1
+        arc = Arc(x0=-sign * c, half=half, sign=sign, r=r, corners=(-half, half))
+    else:
+        arc = Arc(x0=0.0, half=half, corners=(-half, half))
+    ys = np.linspace(-half, half, _PROFILE_POINTS).tolist()
+    polyline = np.array([(arc.x_of(y), y) for y in ys])
     polyline.flags.writeable = False
-    return SurfaceProfile(shape=shape, width=width, polyline=polyline)
+    return SurfaceProfile(shape=shape, width=width, arc=arc, polyline=polyline)
 
 
 @dataclass(frozen=True)
@@ -164,62 +156,61 @@ class GraspResult:
 # ---------------------------------------------------------------------------
 # Contact computation
 
-def _lateral_search(spec: ObjectSpec, profile: SurfaceProfile,
-                    side: int) -> tuple[SideBoundary, float, np.ndarray, np.ndarray]:
+def _lateral_search(spec: ObjectSpec, profile: SurfaceProfile, side: int
+                    ) -> tuple[Arc, float, tuple[float, float, float], list[float]]:
     """One finger's contact search: the object's flank, the finger reference
     at first contact, and the candidates (lo, 0, hi) with their clearances.
 
     The clearance c(y) between flank and finger front does not depend on
     the finger position: the left finger at reference x_ref has clearance
-    c(y) - x_ref, the right finger x_ref - c(y).  Every flank and every face
-    is a line or a circular arc centred on y = 0, so over the lateral
-    overlap [lo, hi] = [-hi, hi] c is even in y and monotone in |y|.  Its
-    extremes lie at the centre or the ends, and the positions within a
-    tolerance of an extreme are the whole overlap, one band around the
-    centre or two bands at the ends.  Any new shape must keep this.
+    c(y) - x_ref, the right finger x_ref - c(y).  The flank and the face are
+    both `Arc`s, so over the lateral overlap [lo, hi] = [-hi, hi] c is even
+    in y and monotone in |y|.  Its extremes lie at the centre or the ends,
+    and the positions within a tolerance of an extreme are the whole
+    overlap, one band around the centre or two bands at the ends.
     """
-    boundary = side_boundary(spec, side)
-    ys = np.array([max(boundary.lo, -profile.width / 2.0), 0.0,
-                   min(boundary.hi, profile.width / 2.0)])
-    c = boundary.x_of(ys) + side * profile.height(ys)
-    return boundary, (float(c.min()) if side < 0 else float(c.max())), ys, c
+    flank = side_boundary(spec, side)
+    hi = min(flank.half, profile.arc.half)
+    ys = (-hi, 0.0, hi)
+    c = [flank.x_of(y) + side * profile.height(y) for y in ys]
+    return flank, (min(c) if side < 0 else max(c)), ys, c
 
 
-def _contact_normal(boundary: SideBoundary, profile: SurfaceProfile,
-                    y: float, side: int) -> tuple[float, float]:
-    at_obj_corner = any(abs(y - cy) <= _CORNER_TOL for cy in boundary.corner_ys)
-    at_rim = abs(abs(y) - profile.width / 2.0) <= _CORNER_TOL
-    if not at_obj_corner:
-        return boundary.normal_of(y)
-    if not at_rim:
-        nx, ny = profile.outward_normal(y)
-        return (nx, ny) if side < 0 else (-nx, ny)
-    return (1.0, 0.0) if side < 0 else (-1.0, 0.0)
+def _at_corner(arc: Arc, y: float) -> bool:
+    return any(abs(y - corner) <= _CORNER_TOL for corner in arc.corners)
+
+
+def _contact_normal(flank: Arc, face: Arc, y: float, side: int) -> tuple[float, float]:
+    """Unit normal into the object: the flank's, the face's at an object
+    corner, or along the closing axis where a corner meets a face rim."""
+    if not _at_corner(flank, y):
+        return flank.normal(y, -side)
+    if not _at_corner(face, y):
+        nx, ny = face.normal(y, 1.0)   # finger frame: mirror x for the right finger
+        return (-side * nx, ny)
+    return (-side * 1.0, 0.0)
 
 
 def _side_contacts(spec: ObjectSpec, profile: SurfaceProfile, side: int,
                    x_ref: float | None, finger: str) -> list[Contact]:
-    boundary, ref, ys, c = _lateral_search(spec, profile, side)
+    flank, ref, ys, c = _lateral_search(spec, profile, side)
     if x_ref is None:
         x_ref = ref
-    residual = (c - x_ref) if side < 0 else (x_ref - c)
-    if residual.min() < -_CONTACT_TOL:
+    residual = [side * (x_ref - ci) for ci in c]
+    worst = min(residual)
+    if worst < -_CONTACT_TOL:
         raise ValueError(
-            f"finger penetrates the object by {-residual.min():.3g} mm at the "
+            f"finger penetrates the object by {-worst:.3g} mm at the "
             "requested finger position")
-    touching = residual <= _CONTACT_TOL
-    if not touching.all():   # one contact per band: the centre or each end
-        contact_ys = ys[touching]
-    elif ys[2] - ys[0] > _MERGE_RADIUS:   # an extended contact: its two ends
-        contact_ys = ys[::2]
-    else:   # a narrow one collapses to its best point
-        contact_ys = ys[[np.argmin(residual)]]
-    contacts = []
-    for y in contact_ys.tolist():
-        point = (float(boundary.x_of(np.array([y]))[0]), y)
-        normal = _contact_normal(boundary, profile, y, side)
-        contacts.append(Contact(point=point, normal=normal, finger=finger))
-    return contacts
+    contact_ys = [y for y, res in zip(ys, residual) if res <= _CONTACT_TOL]
+    if len(contact_ys) == 3:   # else one contact per band: the centre or each end
+        if ys[2] - ys[0] > _MERGE_RADIUS:   # an extended contact: its two ends
+            contact_ys = [ys[0], ys[2]]
+        else:   # a narrow one collapses to its best point
+            contact_ys = [ys[residual.index(worst)]]
+    return [Contact(point=(flank.x_of(y), y),
+                    normal=_contact_normal(flank, profile.arc, y, side), finger=finger)
+            for y in contact_ys]
 
 
 def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
@@ -251,8 +242,7 @@ def _finger_separation(left_face: tuple[SurfaceShape, float],
     or at the rims of the narrower face."""
     left, right = surface_profile(*left_face), surface_profile(*right_face)
     half = min(left.width, right.width) / 2.0
-    ys = np.array([-half, 0.0, half])
-    return float((left.height(ys) + right.height(ys)).max())
+    return max(left.height(y) + right.height(y) for y in (-half, 0.0, half))
 
 
 def closure_separation(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile

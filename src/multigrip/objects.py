@@ -1,10 +1,11 @@
 """Planar object primitives for grasp analysis, plus the object file format.
 
 Objects live in the grasp plane with the closing axis along x and are
-centered on the origin.  Each primitive exposes its left/right side as a
-boundary function x(y) over a lateral domain, which is what the contact
-computation consumes.  numpy is imported only where those boundaries and
-the outline are built, so parsing an object file does not load it.
+centered on the origin.  Each primitive exposes its left/right flank as an
+`Arc`, a line or a circular arc x(y) centred on y = 0, which is what the
+contact computation consumes; the finger faces are arcs of the same kind.
+numpy is imported only where the outline is built, so parsing an object
+file and building its flanks do not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ._keyvalue import KeyValues, LineError
 
@@ -27,7 +28,7 @@ __all__ = [
     "CompositeFaces",
     "ObjectShape",
     "ObjectSpec",
-    "SideBoundary",
+    "Arc",
     "ObjectDescription",
     "ObjectFileError",
     "parse_object_file",
@@ -127,111 +128,69 @@ class ObjectSpec:
             return s.width
         if isinstance(s, ThinPlate):
             return s.thickness
-        extent = s.width
-        for face in (s.left, s.right):
-            if face.kind == "convex":
-                extent += _arc_bulge(face.radius, s.height)
-        return extent
+        # a convex face bulges past its flank edges at y = 0
+        return sum(max(side * side_boundary(self, side).x_of(0.0), s.width / 2.0)
+                   for side in (-1, 1))
 
     @property
     def rotation_symmetric(self) -> bool:
         return isinstance(self.shape, Circle)
 
 
-def _arc_bulge(radius: float, chord: float) -> float:
-    return radius - math.sqrt(max(radius * radius - (chord / 2.0) ** 2, 0.0))
-
-
 @dataclass(frozen=True)
-class SideBoundary:
-    """One side of an object as x(y) over a lateral domain.
+class Arc:
+    """An object flank or a finger face: x(y) over the lateral domain
+    [-half, half], a line x = x0 (sign 0) or the half of the circle of
+    radius r centred on (x0, 0) toward +x (sign +1) or -x (sign -1).
 
-    x_of: vectorized boundary function.
-    normal_of: inward unit normal at a lateral position (only meaningful
-        away from corners).
-    corner_ys: lateral positions where the boundary has a corner.
+    corners: lateral positions where the curve ends in a corner.
 
-    Every side is a line or a circular arc centred on y = 0 over the domain
-    [lo, hi] = [-hi, hi]: x_of is even in y and monotone in |y|, and so is
-    its sum with any finger face.  The contact search relies on this; any
-    new shape must keep it.
+    Every curve is centred on y = 0, so x_of is even in y and monotone in
+    |y| over the domain, and so is the sum of any two.  The contact search
+    relies on this; any new shape must be built from such arcs.
     """
 
-    lo: float
-    hi: float
-    x_of: Callable[[np.ndarray], np.ndarray]
-    normal_of: Callable[[float], tuple[float, float]]
-    corner_ys: tuple[float, ...] = ()
+    x0: float
+    half: float
+    sign: int = 0
+    r: float = 0.0
+    corners: tuple[float, ...] = ()
+
+    def x_of(self, y: float) -> float:
+        return self.x0 + self.sign * math.sqrt(max(self.r * self.r - y * y, 0.0))
+
+    def normal(self, y: float, toward: float) -> tuple[float, float]:
+        """Unit normal at lateral position y whose x component has the sign
+        of toward (+1 or -1)."""
+        if not self.sign:
+            return (toward, 0.0)
+        r = self.r
+        return (toward * math.sqrt(max(r * r - y * y, 0.0)) / r,
+                toward * self.sign * y / r)
 
 
-def _circle_side(radius: float, side: int) -> SideBoundary:
-    import numpy as np
-    # side -1: left boundary (minimum x), +1: right boundary.
-    def x_of(y: np.ndarray) -> np.ndarray:
-        return side * np.sqrt(np.maximum(radius * radius - np.square(y), 0.0))
-
-    def normal_of(y: float) -> tuple[float, float]:
-        x = side * math.sqrt(max(radius * radius - y * y, 0.0))
-        return (-x / radius, -y / radius)
-
-    return SideBoundary(lo=-radius, hi=radius, x_of=x_of, normal_of=normal_of)
-
-
-def _flat_side(x_value: float, half_height: float, side: int) -> SideBoundary:
-    import numpy as np
-
-    def x_of(y: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(y, dtype=float), x_value)
-
-    def normal_of(y: float) -> tuple[float, float]:
-        return (-side, 0.0)
-
-    return SideBoundary(lo=-half_height, hi=half_height, x_of=x_of,
-                        normal_of=normal_of,
-                        corner_ys=(-half_height, half_height))
-
-
-def _arc_side(face: FaceArc, flank_x: float, half_height: float, side: int) -> SideBoundary:
-    import numpy as np
-    # side -1 builds the left boundary at flank x = -width/2, mirrored for +1.
-    if face.kind == "flat":
-        return _flat_side(side * flank_x, half_height, side)
-    r = face.radius
-    c = math.sqrt(r * r - half_height * half_height)
-    if face.kind == "convex":
-        center_x = side * (flank_x - c)
-        arc_sign = side  # boundary on the outward side of the arc circle
-
-        def normal_of(y: float) -> tuple[float, float]:
-            x = center_x + arc_sign * math.sqrt(max(r * r - y * y, 0.0))
-            return ((center_x - x) / r, -y / r)
-    else:  # concave pocket
-        center_x = side * (flank_x + c)
-        arc_sign = -side
-
-        def normal_of(y: float) -> tuple[float, float]:
-            x = center_x + arc_sign * math.sqrt(max(r * r - y * y, 0.0))
-            return ((x - center_x) / r, y / r)
-
-    def x_of(y: np.ndarray) -> np.ndarray:
-        return center_x + arc_sign * np.sqrt(np.maximum(r * r - np.square(y), 0.0))
-
-    return SideBoundary(lo=-half_height, hi=half_height, x_of=x_of,
-                        normal_of=normal_of,
-                        corner_ys=(-half_height, half_height))
-
-
-def side_boundary(spec: ObjectSpec, side: int) -> SideBoundary:
-    """Boundary of the object's left (side=-1) or right (side=+1) flank."""
+def side_boundary(spec: ObjectSpec, side: int) -> Arc:
+    """The object's left (side=-1) or right (side=+1) flank."""
     s = spec.shape
     if isinstance(s, Circle):
-        return _circle_side(s.radius, side)
+        # a signed-zero centre keeps the sign of side at x_of(+-radius)
+        return Arc(x0=side * 0.0, half=s.radius, sign=side, r=s.radius)
+    face = None
     if isinstance(s, Box):
-        return _flat_side(side * s.width / 2.0, s.height / 2.0, side)
-    if isinstance(s, ThinPlate):
-        return _flat_side(side * s.thickness / 2.0, s.length / 2.0, side)
-    face = s.left if side < 0 else s.right
-    return _arc_side(face, s.width / 2.0, s.height / 2.0, side)
+        flank_x, half = s.width / 2.0, s.height / 2.0
+    elif isinstance(s, ThinPlate):
+        flank_x, half = s.thickness / 2.0, s.length / 2.0
+    else:
+        flank_x, half = s.width / 2.0, s.height / 2.0
+        face = s.left if side < 0 else s.right
+    corners = (-half, half)
+    if face is None or face.kind == "flat":
+        return Arc(x0=side * flank_x, half=half, corners=corners)
+    r = face.radius
+    c = math.sqrt(r * r - half * half)   # centre's distance behind the chord
+    if face.kind == "convex":   # the outer half of a circle, bulging outward
+        return Arc(x0=side * (flank_x - c), half=half, sign=side, r=r, corners=corners)
+    return Arc(x0=side * (flank_x + c), half=half, sign=-side, r=r, corners=corners)
 
 
 def object_polygon(spec: ObjectSpec) -> np.ndarray:
@@ -248,10 +207,9 @@ def object_polygon(spec: ObjectSpec) -> np.ndarray:
     else:
         left = side_boundary(spec, -1)
         right = side_boundary(spec, +1)
-        ys = np.linspace(-s.height / 2.0, s.height / 2.0, _SAMPLES_PER_ARC)
-        left_pts = np.column_stack([left.x_of(ys), ys])
-        right_pts = np.column_stack([right.x_of(ys[::-1]), ys[::-1]])
-        return np.vstack([left_pts, right_pts])
+        ys = np.linspace(-s.height / 2.0, s.height / 2.0, _SAMPLES_PER_ARC).tolist()
+        return np.array([(left.x_of(y), y) for y in ys]
+                        + [(right.x_of(y), y) for y in reversed(ys)])
     return np.array([[-w, -h], [w, -h], [w, h], [-w, h]])
 
 

@@ -415,19 +415,26 @@ def cspace_obstacle_by_fft(finger_mask: np.ndarray, footprint: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 # Contact search on a dense lateral grid, the library's search before its
 # three-candidate closed form.  The flanks' feature positions were all y = 0,
-# which the grid always holds, so they are not listed.
+# which the grid always holds, so they are not listed.  Each curve is
+# evaluated from its arc parameters by the oracle's own array expression,
+# not by `Arc.x_of`.
 
 GRID = 4001   # lateral samples per contact search
 
 
-def grid_candidate_ys(boundary, profile) -> np.ndarray | None:
-    lo = max(boundary.lo, -profile.width / 2.0)
-    hi = min(boundary.hi, profile.width / 2.0)
+def arc_xs(arc, ys: np.ndarray) -> np.ndarray:
+    """x of the line or circular arc (x0, sign, r) at each lateral position."""
+    return arc.x0 + arc.sign * np.sqrt(np.maximum(arc.r * arc.r - np.square(ys), 0.0))
+
+
+def grid_candidate_ys(flank, profile) -> np.ndarray | None:
+    lo = max(-flank.half, -profile.width / 2.0)
+    hi = min(flank.half, profile.width / 2.0)
     if hi <= lo:
         return None
     ys = [np.linspace(lo, hi, GRID)]
-    extras = [*boundary.corner_ys,
-              boundary.lo, boundary.hi,
+    extras = [*flank.corners,
+              -flank.half, flank.half,
               -profile.width / 2.0, profile.width / 2.0, 0.0]
     extras = [y for y in extras if lo <= y <= hi]
     if extras:
@@ -438,9 +445,9 @@ def grid_candidate_ys(boundary, profile) -> np.ndarray | None:
 def grid_lateral_search(spec: ObjectSpec, profile,
                         side: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The finger reference at first contact, the grid, and its clearances."""
-    boundary = side_boundary(spec, side)
-    ys = grid_candidate_ys(boundary, profile)
-    c = boundary.x_of(ys) + side * profile.height(ys)
+    flank = side_boundary(spec, side)
+    ys = grid_candidate_ys(flank, profile)
+    c = arc_xs(flank, ys) + side * arc_xs(profile.arc, ys)
     return (float(c.min()) if side < 0 else float(c.max())), ys, c
 
 
@@ -485,4 +492,4 @@ def grid_finger_separation(left, right) -> float:
     """Separation at which two finger faces touch each other."""
     half = min(left.width, right.width) / 2.0
     ys = np.linspace(-half, half, GRID)
-    return float((left.height(ys) + right.height(ys)).max())
+    return float((arc_xs(left.arc, ys) + arc_xs(right.arc, ys)).max())

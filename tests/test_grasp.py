@@ -22,7 +22,7 @@ from multigrip.grasp import (_CONTACT_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RA
 from multigrip.modes import (build_mode_table, concave, convex, deformable_flat,
                              flat)
 from multigrip.objects import (Box, Circle, CompositeFaces, FaceArc, ObjectSpec, ThinPlate,
-                               load_object_file, object_polygon)
+                               load_object_file, object_polygon, side_boundary)
 from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
                      grid_contact_ys, grid_finger_separation, grid_lateral_search,
                      hull_origin_inside, oracle_positive_span, oracle_wrenches,
@@ -48,12 +48,12 @@ class TestSurfaceProfile:
 
     def test_convex_semicircle_sagitta(self):
         p = surface_profile(convex(10.0), 20.0)
-        assert p.height(np.array([0.0]))[0] == pytest.approx(10.0)
-        assert p.height(np.array([10.0]))[0] == pytest.approx(0.0)
+        assert p.height(0.0) == pytest.approx(10.0)
+        assert p.height(10.0) == pytest.approx(0.0)
 
     def test_concave_sagitta_partial_arc(self):
         p = surface_profile(concave(10.0), 16.0)
-        assert p.height(np.array([0.0]))[0] == pytest.approx(-4.0)
+        assert p.height(0.0) == pytest.approx(-4.0)
 
     def test_width_exceeding_arc_diameter(self):
         with pytest.raises(ValueError, match="cannot span"):
@@ -62,14 +62,14 @@ class TestSurfaceProfile:
     def test_arc_spanning_its_diameter(self):
         # (w / 2) ** 2 rounds one ulp above r * r for this radius
         r = 15.179190192080124
-        assert surface_profile(convex(r), 2 * r).height(np.array([0.0]))[0] == r
+        assert surface_profile(convex(r), 2 * r).height(0.0) == r
         half_disk = CompositeFaces(FaceArc("convex", r), FaceArc("flat"), 5.0, 2 * r)
         assert ObjectSpec(half_disk).closing_extent == 5.0 + r
 
     def test_deformable_is_geometrically_flat(self):
         p = surface_profile(deformable_flat(), 20.0)
         assert p.deformable
-        assert p.height(np.array([3.0]))[0] == 0.0
+        assert p.height(3.0) == 0.0
 
 
 class TestComputeContacts:
@@ -274,7 +274,8 @@ class TestContactSearchMatchesGrid:
         sep_fingers = grasp._finger_separation((left.shape, left.width),
                                                (right.shape, right.width))
         grid_fingers = grid_finger_separation(left, right)
-        assert _same_extremum(sep_fingers, grid_fingers, left.height(ys) + right.height(ys))
+        assert _same_extremum(sep_fingers, grid_fingers,
+                              [left.height(y) + right.height(y) for y in ys])
         exact &= sep_fingers == grid_fingers
         (x_left, x_right), _ = closure_separation(spec, left, right)
         separation = x_right - x_left
@@ -289,10 +290,33 @@ class TestContactSearchMatchesGrid:
                 points = np.array([c.point for c in contacts if c.finger == finger])
                 xs, ys = points.reshape(-1, 2).T
                 # each contact's clearance: the flank's x plus the face height
-                assert np.all(abs(xs + side * profile.height(ys) - x_ref) <= _CONTACT_TOL)
+                heights = np.array([profile.height(y) for y in ys])
+                assert np.all(abs(xs + side * heights - x_ref) <= _CONTACT_TOL)
                 old = grid_contact_ys(spec, profile, side, None if positions is None else x_ref)
                 assert _same_up_to_named_changes(ys.tolist(), old), (profile, side, positions,
                                                                      ys, old)
+
+
+class TestArcInvariant:
+    """What the three-candidate search relies on: every object flank and
+    finger face is even in y and monotone in |y| over its domain, and its
+    normals are unit vectors with the requested x sign."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(spec=_objects(), face=_faces(),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_even_monotone_with_unit_normals(self, spec, face, fractions):
+        for arc in (side_boundary(spec, -1), side_boundary(spec, +1), face.arc):
+            ys = sorted({0.0, arc.half, *(f * arc.half for f in fractions)})
+            xs = [arc.x_of(y) for y in ys]
+            assert [arc.x_of(-y) for y in ys] == xs, arc
+            steps = [b - a for a, b in zip(xs, xs[1:])]
+            assert all(d >= 0.0 for d in steps) or all(d <= 0.0 for d in steps), arc
+            for y in ys:
+                for toward in (-1, 1):
+                    nx, ny = arc.normal(y, toward)
+                    assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-12), (arc, y)
+                    assert math.copysign(1.0, nx) == toward, (arc, y)
 
 
 def _wrench_cross_check(cset: ContactSet, mu: float, expected: bool):
