@@ -163,7 +163,7 @@ class Arc:
         """Unit normal at lateral position y whose x component has the sign
         of toward (+1 or -1)."""
         if not self.sign:
-            return (toward, 0.0)
+            return (float(toward), 0.0)
         r = self.r
         return (toward * math.sqrt(max(r * r - y * y, 0.0)) / r,
                 toward * self.sign * y / r)

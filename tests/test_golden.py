@@ -175,15 +175,15 @@ def _grasp_digest(name: str) -> str:
 
 GRASP_GOLDENS = {
     "box":
-        "05404751bebc5dfbbc0e5dc649f2f970ced11609832b8fdc8543a9f142f2ac5d",
+        "664890b4d6eec09522f3876b27493cac77be69b4d2a41f9110b03079399c2e67",
     "complex_bracket":
-        "4209b8bb02aeb6d18f313e798f8c417a095328121ca97dc2fc3f8d97d4b37ce1",
+        "1504a3b4a89c933e0218458511e33452f40dc5db8d0132df757e7e65c3dc4943",
     "large_cylinder":
         "27f5f48e6d4e08c2da1dc5d280836eb2e69e61bf1e026defd187a144a46c27ec",
     "small_cylinder":
         "bda00c7ef59c7ecd8b52d5fef72cf40358b58f886b261cf5a909fff35fa939a6",
     "thin_plate":
-        "4f9e29157e3c44f11e7991ea04ba713b7e38e87cfce4b286495436d0b8eeaf39",
+        "5f55e3b496291bba1151091541e48c60089d80e2803eecc681f48f802f119eab",
 }
 
 

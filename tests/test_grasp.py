@@ -319,6 +319,18 @@ class TestArcInvariant:
                     assert math.copysign(1.0, nx) == toward, (arc, y)
 
 
+class TestContactNormals:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(spec=_objects(), left=_faces(), right=_faces())
+    def test_components_are_floats(self, spec, left, right):
+        # the contacts CSV prints a flat flank's normal as 1.0, not 1
+        positions, _ = closure_separation(spec, left, right)
+        for contacts in (compute_contacts(spec, left, right),
+                         compute_contacts(spec, left, right, positions)):
+            for c in contacts:
+                assert all(type(v) is float for v in c.normal), c
+
+
 def _wrench_cross_check(cset: ContactSet, mu: float, expected: bool):
     vectors = oracle_wrenches(cset, mu)
     assert oracle_positive_span(vectors) == expected
