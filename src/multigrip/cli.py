@@ -99,9 +99,12 @@ def _run_and_write(args, scenario: sim.Scenario) -> sim.SimTrace:
 
 
 def _grasp_target(cfg: RunConfig, object_path: str, mode: int) -> tuple:
-    """An object file's spec and the surface pair of one mode of the configured table."""
+    """An object file's spec and the surface pair of one mode of the configured
+    table, for an object the stroke can span."""
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
-    return load_object_file(object_path).spec, table.entry(mode)
+    spec, pair = load_object_file(object_path).spec, table.entry(mode)
+    spec.check_stroke(cfg.stroke_limit)
+    return spec, pair
 
 
 def _classify(cfg: RunConfig, target: tuple) -> grasp.GraspResult:

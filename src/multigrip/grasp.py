@@ -591,10 +591,8 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
     """
     if mu is None:
         mu = obj.mu
-    if stroke is not None and obj.closing_extent > stroke:
-        raise ValueError(
-            f"object extent {obj.closing_extent:g} mm exceeds the stroke "
-            f"{stroke:g} mm")
+    if stroke is not None:
+        obj.check_stroke(stroke)
     left = surface_profile(pair[0], face_width)
     right = surface_profile(pair[1], face_width)
     empty = ContactSet(contacts=(), rotation_free=obj.rotation_symmetric)

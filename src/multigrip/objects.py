@@ -136,6 +136,12 @@ class ObjectSpec:
     def rotation_symmetric(self) -> bool:
         return isinstance(self.shape, Circle)
 
+    def check_stroke(self, stroke: float) -> None:
+        """Raise ValueError if the fingers cannot open wide enough for the object."""
+        if self.closing_extent > stroke:
+            raise ValueError(f"object extent {self.closing_extent:g} mm exceeds the "
+                             f"stroke {stroke:g} mm")
+
 
 @dataclass(frozen=True)
 class Arc:

@@ -162,6 +162,19 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.exists()
 
+    def test_grasp_object_wider_than_stroke_fails_before_simulating(self, capsys,
+                                                                   tmp_path):
+        obj = tmp_path / "wide.object"
+        obj.write_text("shape = circle\nradius_mm = 25\n")
+        out_file = tmp_path / "t.csv"
+        rc, out, err = run(capsys, "simulate", "grasp", "--force", "40", "--gap", "10",
+                           "--object", str(obj), "--mode", "3", "--out", str(out_file))
+        assert (rc, out) == (1, "")
+        assert err == "error: object extent 50 mm exceeds the stroke 40 mm\n"
+        assert not out_file.exists()
+        # the same check and message as classify
+        assert run(capsys, "classify", "--object", str(obj), "--mode", "3") == (1, "", err)
+
 
 class TestPlanAndClassify:
     def test_plan_thin_plate(self, capsys, fixtures_dir):
