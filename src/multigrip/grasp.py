@@ -400,15 +400,21 @@ def _polygon_runs(polygon: np.ndarray, xs: np.ndarray,
     """Cells (xs[i], ys[j]) whose centres lie inside the polygon, as rows
     (j, i0, i1) with i0 <= i < i1, none empty; xs increasing.
 
-    Crossing-number test with each edge's crossing computed once per grid
-    row: a centre is inside iff an odd number of its row's crossings lie
-    strictly to its right, i.e. have insertion points above i, so the
+    Crossing-number test, with the work proportional to the edge crossings.
+    An edge from ya to yb crosses grid row j iff min(ya, yb) <= ys[j] <
+    max(ya, yb) (half-open, so a vertex on a row counts once); ys is
+    increasing, so those rows form one range per edge, found by binary
+    search.  A centre is inside iff an odd number of its row's crossings
+    lie strictly to its right, i.e. have insertion points above i, so the
     row's sorted insertion points k1 <= k2 <= ... pair into [k1, k2),
     [k3, k4), ...  A pair with no centre between its crossings is empty
     and is dropped, since a dilation would paint cells for it."""
     a = np.asarray(polygon, dtype=float)
-    b = np.roll(a, -1, axis=0)
-    row, e = np.nonzero((a[:, 1] <= ys[:, None]) != (b[:, 1] <= ys[:, None]))
+    b = np.concatenate([a[1:], a[:1]])
+    first = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]))
+    n = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1])) - first
+    e = np.repeat(np.arange(len(a)), n)
+    row = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - first, n)
     x_cross = a[e, 0] + (ys[row] - a[e, 1]) * (b[e, 0] - a[e, 0]) / (b[e, 1] - a[e, 1])
     span = len(xs) + 1
     row, cut = np.divmod(np.sort(row * span + np.searchsorted(xs, x_cross)), span)
@@ -426,14 +432,17 @@ def _reachable_region(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
     the lesser one, then jump pointers until each run points at its root."""
     na, nx, ny = free.shape
     w = ny + 1
-    padded = np.pad(free, ((0, 0), (0, 0), (1, 1)))
+    padded = np.zeros((na, nx, ny + 2), dtype=bool)
+    padded[..., 1:-1] = free
     padded[seed[0], seed[1], seed[2] + 1] = True
     # transitions at line * w + y alternate: run start, run end (exclusive)
     start, end = np.flatnonzero(padded[..., 1:] != padded[..., :-1]).reshape(-1, 2).T
     line = start // w
+    neighbours = [(line + 1, line % nx < nx - 1)]   # next x, same slice
+    if na > 1:
+        neighbours.append(((line + nx) % (na * nx), True))   # next slice
     edges = []
-    for target, ok in ((line + 1, line % nx < nx - 1),   # next x, same slice
-                       ((line + nx) % (na * nx), na > 1)):   # next slice
+    for target, ok in neighbours:
         offset = (target - line) * w   # its runs lo .. lo + n - 1 overlap this one
         lo = np.searchsorted(end, start + offset, side="right")
         n = np.where(ok, np.searchsorted(start, end + offset) - lo, 0)
@@ -456,7 +465,8 @@ def _escapes_from(free: np.ndarray, seed: tuple[int, ...]) -> bool:
     """Whether a pose reached from the seed lies on the border of the workspace box."""
     _, nx, ny = free.shape
     line, y0, y1 = _reachable_region(free, seed).T
-    return bool(np.isin(line % nx, (0, nx - 1)).any()
+    x = line % nx
+    return bool((x == 0).any() or (x == nx - 1).any()
                 or (y0 == 0).any() or (y1 == ny).any())
 
 
@@ -464,8 +474,12 @@ def _erode_xy(free: np.ndarray) -> np.ndarray:
     """Free space eroded _ERODE_CELLS times by the x-y plane cross, the
     border counting as free."""
     for _ in range(_ERODE_CELLS):
-        p = np.pad(free, ((0, 0), (1, 1), (1, 1)), constant_values=True)
-        free = free & p[:, :-2, 1:-1] & p[:, 2:, 1:-1] & p[:, 1:-1, :-2] & p[:, 1:-1, 2:]
+        eroded = free.copy()   # a border cell has no neighbour to clear it
+        eroded[:, 1:] &= free[:, :-1]
+        eroded[:, :-1] &= free[:, 1:]
+        eroded[:, :, 1:] &= free[:, :, :-1]
+        eroded[:, :, :-1] &= free[:, :, 1:]
+        free = eroded
     return free
 
 
