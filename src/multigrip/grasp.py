@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -77,7 +77,7 @@ class SurfaceProfile:
     shape: SurfaceShape
     width: float
     arc: Arc
-    polyline: np.ndarray
+    polyline: np.ndarray = field(compare=False)   # derived from arc and width
 
     @property
     def deformable(self) -> bool:

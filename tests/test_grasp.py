@@ -71,6 +71,15 @@ class TestSurfaceProfile:
         assert p.deformable
         assert p.height(3.0) == 0.0
 
+    def test_profiles_of_one_face_compare_and_hash_equal(self):
+        # built apart, so they hold distinct polyline arrays
+        first = surface_profile(concave(10.0), 20.0)
+        surface_profile.cache_clear()
+        second = surface_profile(concave(10.0), 20.0)
+        assert first.polyline is not second.polyline
+        assert first == second and hash(first) == hash(second)
+        assert surface_profile(concave(10.0), 16.0) != first
+
 
 class TestComputeContacts:
     def test_large_circle_pocket_edges(self):
