@@ -30,7 +30,8 @@ import numpy as np
 
 from .modes import (DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD, SurfaceKind,
                     SurfaceShape)
-from .objects import Arc, ObjectSpec, ThinPlate, object_polygon, side_boundary
+from .objects import (Arc, ObjectSpec, ThinPlate, check_friction, object_polygon,
+                      side_boundary)
 
 __all__ = [
     "SurfaceProfile",
@@ -358,8 +359,7 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
     edge wrenches must positively span the wrench space.  Frictionless
     cones collapse to the contact normals.
     """
-    if mu < 0:
-        raise ValueError("friction coefficient must be >= 0")
+    check_friction(mu)
     if len(cset) == 0:
         raise ValueError("force closure test needs at least one contact")
     contacts = _effective_contacts(cset)
@@ -549,8 +549,12 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     CagingResolutionWarning.  The erosion keeps the cells the rest pose
     reaches within its depth, so a contact at rest is not taken for such a
     gap.  A wide escape within the rest-angle slice alone, a subset of the
-    full search, decides the test before the other slices are built.
+    full search, decides the test before the other slices are built.  The
+    cell (mm) and the rotation step must be positive and finite.
     """
+    for name, value in (("cell", cell), ("angle_cell_deg", angle_cell_deg)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite")
     poly_left = _finger_polygon(left, positions[0], -1, _BODY_DEPTH)
     poly_right = _finger_polygon(right, positions[1], +1, _BODY_DEPTH)
     vertices = np.vstack([poly_left, poly_right])
@@ -605,6 +609,7 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
     """
     if mu is None:
         mu = obj.mu
+    check_friction(mu)
     if stroke is not None:
         obj.check_stroke(stroke)
     left = surface_profile(pair[0], face_width)

@@ -107,6 +107,12 @@ class CompositeFaces:
 ObjectShape = Circle | Box | ThinPlate | CompositeFaces
 
 
+def check_friction(mu: float) -> None:
+    """Raise ValueError unless mu is a usable friction coefficient."""
+    if not (mu >= 0 and math.isfinite(mu)):
+        raise ValueError("friction coefficient must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     """An object plus its surface friction coefficient."""
@@ -115,8 +121,7 @@ class ObjectSpec:
     mu: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.mu >= 0 and math.isfinite(self.mu)):
-            raise ValueError("friction coefficient must be finite and >= 0")
+        check_friction(self.mu)
 
     @property
     def closing_extent(self) -> float:

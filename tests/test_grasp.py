@@ -501,6 +501,16 @@ class TestForceClosure:
         with pytest.raises(ValueError):
             force_closure_test(cs, -0.1)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_mu_rejected_at_both_entries(self, mu):
+        lp = rp = surface_profile(flat(), 20.0)
+        cs = compute_contacts(BOX, lp, rp)
+        message = "^friction coefficient must be finite and >= 0$"
+        with pytest.raises(ValueError, match=message):
+            force_closure_test(cs, mu)
+        with pytest.raises(ValueError, match=message):
+            classify_grasp(BOX, FF, mu=mu)
+
 
 _ANGLE = st.floats(-math.pi, math.pi, allow_subnormal=False)
 _COORD = st.floats(-20.0, 20.0, allow_subnormal=False)
@@ -597,6 +607,13 @@ class TestCaging:
         lp = rp = surface_profile(flat(), 20.0)
         assert caging_test(small_box, lp, rp, (-7.0, 7.0), cell=1.0,
                            angle_cell_deg=30.0) is False
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["cell", "angle_cell_deg"])
+    def test_grid_arguments_out_of_domain_rejected(self, name, value):
+        lp = rp = surface_profile(flat(), 20.0)
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            caging_test(BOX, lp, rp, (-12.0, 12.0), **{name: value})
 
     def test_coarse_grid_reported(self):
         lp = rp = surface_profile(flat(), 20.0)
