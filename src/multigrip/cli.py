@@ -4,9 +4,14 @@ Angles are degrees and torques N*mm at this boundary; conversion to the
 library's radians happens here.  Subcommands write CSV to --out when given,
 otherwise to stdout.  Exit status is 0 on success and nonzero with a
 one-line diagnostic on stderr otherwise; each warning raised while a
-command runs is one stderr line, `warning: <message>`.  `grasp`, the
-array layer, and `sim` are imported by the subcommands that use them;
-only classifying an object loads numpy.
+command runs is one stderr line, `warning: <message>`.
+
+Each subcommand imports only the layers it runs.  All of them load
+`config`, which brings `mechanics`, `modes` and `_keyvalue`; that is all
+`validate-gears`, `modes` and `sweep` need.  `simulate` adds `control`
+and `sim`, `plan` adds `planner`, `control` and `objects`, and `classify`
+adds `objects` and `grasp`, the array layer.  So only classifying an
+object, by `classify` or `simulate grasp --object`, loads numpy.
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, Sequence
 
-from . import mechanics, modes, planner
+from . import mechanics, modes
 from .config import RunConfig, default_config, load_config, set_config_value
-from .objects import load_object_file
 
 if TYPE_CHECKING:
-    from . import grasp, sim
+    from . import grasp, objects, sim
 
 __all__ = ["dispatch", "main"]
 
@@ -37,6 +41,11 @@ def _load(args) -> RunConfig:
     if args.config:
         return load_config(args.config)
     return default_config()
+
+
+def load_object_file(path) -> objects.ObjectDescription:
+    from . import objects
+    return objects.load_object_file(path)
 
 
 def _emit(args, text: str) -> None:
@@ -114,12 +123,25 @@ def _classify(cfg: RunConfig, target: tuple) -> grasp.GraspResult:
                                 thin_threshold=cfg.thin_object, stroke=cfg.stroke_limit)
 
 
+def _check_flag(flag: str, value: float, positive: bool) -> None:
+    """Refuse a non-finite or out-of-domain flag value, naming the flag."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        domain = "positive" if positive else "non-negative"
+        raise CliError(f"{flag} must be {domain} and finite, got {value:g}")
+
+
+def _check_gap(gap: float, cfg: RunConfig, positive: bool) -> None:
+    _check_flag("--gap", gap, positive)
+    if gap > cfg.stroke_limit:
+        raise CliError(f"gap {gap:g} mm exceeds the stroke limit "
+                       f"{cfg.stroke_limit:g} mm")
+
+
 def _cmd_simulate_grasp(args) -> int:
     from . import sim
     cfg = _load(args)
-    if args.gap > cfg.stroke_limit:
-        raise CliError(f"gap {args.gap:g} mm exceeds the stroke limit "
-                       f"{cfg.stroke_limit:g} mm")
+    _check_flag("--force", args.force, positive=True)
+    _check_gap(args.gap, cfg, positive=True)   # the object must be touched
     target = _grasp_target(cfg, args.object, args.mode) if args.object else None
     scenario = sim.grasp_scenario(
         cfg.gears, cfg.magnet, cfg.counts,
@@ -139,6 +161,7 @@ def _cmd_simulate_grasp(args) -> int:
 def _cmd_simulate_switch(args) -> int:
     from . import sim
     cfg = _load(args)
+    _check_gap(args.gap, cfg, positive=False)   # 0 starts at the stopper
     scenario, _ = sim.switch_scenario(
         cfg.gears, cfg.magnet, cfg.counts,
         from_mode=args.from_mode, to_mode=args.to_mode, gap=args.gap,
@@ -154,6 +177,7 @@ def _cmd_simulate_switch(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import planner
     cfg = _load(args)
     desc = load_object_file(args.object)
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)

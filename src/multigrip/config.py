@@ -15,9 +15,8 @@ from .mechanics import (DEFAULT_COUNTS, DEFAULT_GEARS, DEFAULT_MAGNET,
                         GearGeometry, MagnetDetent, SurfaceCounts,
                         validate_antipodal_gearing)
 from .modes import (DEFAULT_FACE_RADIUS, DEFAULT_FACE_WIDTH,
-                    DEFAULT_THIN_THRESHOLD, SurfaceKind, SurfaceShape,
-                    default_order_3s, default_order_4s)
-from .planner import PlannerThresholds
+                    DEFAULT_SMALL_OBJECT_HEIGHT, DEFAULT_THIN_THRESHOLD,
+                    SurfaceKind, SurfaceShape, default_order_3s, default_order_4s)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
            "default_config", "set_config_value", "SWEEPABLE_PARAMS"]
@@ -43,7 +42,7 @@ class RunConfig:
     step_deg: float = 0.1
     friction_torque: float = 0.0
     torque_step: float = 10.0
-    small_object_height: float = PlannerThresholds.small_object_height
+    small_object_height: float = DEFAULT_SMALL_OBJECT_HEIGHT
     thin_object: float = DEFAULT_THIN_THRESHOLD
 
     def __post_init__(self) -> None:

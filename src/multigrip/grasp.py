@@ -234,14 +234,12 @@ def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfil
 
 
 @lru_cache(maxsize=64)
-def _finger_separation(left_face: tuple[SurfaceShape, float],
-                       right_face: tuple[SurfaceShape, float]) -> float:
-    """Separation at which two (shape, width) faces touch each other.
+def _finger_separation(left: SurfaceProfile, right: SurfaceProfile) -> float:
+    """Separation at which two finger faces touch each other.
 
     Both faces are lines or circular arcs centred on y = 0, so the sum of
     their heights is even in y and monotone in |y|: it peaks at the centre
     or at the rims of the narrower face."""
-    left, right = surface_profile(*left_face), surface_profile(*right_face)
     half = min(left.width, right.width) / 2.0
     return max(left.height(y) + right.height(y) for y in (-half, 0.0, half))
 
@@ -260,8 +258,7 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProf
     _, ref_l, _, _ = _lateral_search(obj, left, -1)
     _, ref_r, _, _ = _lateral_search(obj, right, +1)
     sep_obj = max(-2.0 * ref_l, 2.0 * ref_r)
-    sep_fingers = _finger_separation((left.shape, left.width),
-                                     (right.shape, right.width))
+    sep_fingers = _finger_separation(left, right)
     separation = max(0.0, sep_obj, sep_fingers)   # ties keep +0.0
     touched = sep_obj >= sep_fingers - _CONTACT_TOL
     return (-separation / 2.0, separation / 2.0), touched
@@ -527,9 +524,10 @@ def _cspace_obstacle(fingers: np.ndarray, footprint: np.ndarray, centre: int,
     hi = np.minimum(a1 - (u0 - centre), nx)
     keep = (row >= 0) & (row < ny) & (lo < hi)
     row = row[keep]
-    steps = (np.bincount(lo[keep] * ny + row, minlength=(nx + 1) * ny)
-             - np.bincount(hi[keep] * ny + row, minlength=(nx + 1) * ny))
-    return np.cumsum(steps.reshape(nx + 1, ny)[:nx], axis=0) > 0
+    # in place and summed in int32: fewer and smaller temporaries per slice
+    steps = np.bincount(lo[keep] * ny + row, minlength=(nx + 1) * ny)
+    steps -= np.bincount(hi[keep] * ny + row, minlength=(nx + 1) * ny)
+    return np.cumsum(steps.reshape(nx + 1, ny)[:nx], axis=0, dtype=np.int32) > 0
 
 
 def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
@@ -537,20 +535,22 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
                 angle_cell_deg: float = 5.0) -> bool:
     """Rasterized configuration-space check that the object cannot escape.
 
-    For each rotation slice (one for a rotation-symmetric object such as a
-    disk) the obstacle is the finger bodies at positions (x_left, x_right)
-    dilated by the rotated object footprint, a Minkowski sum (Lozano-Pérez,
-    IEEE T-C 1983) computed exactly on the grid from the x-runs of both
-    rasterized shapes.  The object is caged iff the free region connected to
-    the rest pose at the origin never reaches the border of the workspace box;
-    the region is a flood fill over the graph of free y-runs.  An escape that
-    vanishes once free space is eroded by two cells in x-y runs through a gap
-    at most two cells wide, so the verdict may depend on the grid: that raises
+    The rotations are n = round(360 / angle_cell_deg) slices 360/n degrees
+    apart, so the last slice is one step from the first; a rotation-symmetric
+    object such as a disk has one slice.  In each slice the obstacle is the
+    finger bodies at positions (x_left, x_right) dilated by the rotated
+    object footprint, a Minkowski sum (Lozano-Pérez, IEEE T-C 1983) computed
+    exactly on the grid from the x-runs of both rasterized shapes.  The
+    object is caged iff the free region connected to the rest pose at the
+    origin never reaches the border of the workspace box; the region is a
+    flood fill over the graph of free y-runs.  An escape that vanishes once
+    free space is eroded by two cells in x-y runs through a gap at most two
+    cells wide, so the verdict may depend on the grid: that raises
     CagingResolutionWarning.  The erosion keeps the cells the rest pose
     reaches within its depth, so a contact at rest is not taken for such a
     gap.  A wide escape within the rest-angle slice alone, a subset of the
-    full search, decides the test before the other slices are built.  The
-    cell (mm) and the rotation step must be positive and finite.
+    full search, decides the test before the other slices are built or
+    stored.  The cell (mm) and the rotation step must be positive and finite.
     """
     for name, value in (("cell", cell), ("angle_cell_deg", angle_cell_deg)):
         if not (value > 0 and math.isfinite(value)):
@@ -570,15 +570,17 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     local = np.arange(-m, m + 1) * cell
     n_angles = (1 if obj.rotation_symmetric
                 else max(int(round(360.0 / angle_cell_deg)), 1))
-    free3 = np.zeros((n_angles, len(xs), len(ys)), dtype=bool)
     for ia in range(n_angles):
-        a = math.radians(ia * angle_cell_deg)
+        a = math.radians(ia * 360.0 / n_angles)
         rot = np.array([[math.cos(a), -math.sin(a)],
                         [math.sin(a), math.cos(a)]])
         footprint = _polygon_runs(base @ rot.T, local, local)
-        free3[ia] = ~_cspace_obstacle(finger_runs, footprint, m, free3.shape[1:])
-        if ia == 0 and _escapes_from(_erode_xy_from(free3[:1], seed), seed):
-            return False
+        free = ~_cspace_obstacle(finger_runs, footprint, m, (len(xs), len(ys)))
+        if ia == 0:
+            if _escapes_from(_erode_xy_from(free[None], seed), seed):
+                return False
+            free3 = np.empty((n_angles, *free.shape), dtype=bool)
+        free3[ia] = free
 
     if not _escapes_from(free3, seed):
         return True

@@ -14,6 +14,7 @@ __all__ = [
     "DEFAULT_FACE_RADIUS",
     "DEFAULT_FACE_WIDTH",
     "DEFAULT_THIN_THRESHOLD",
+    "DEFAULT_SMALL_OBJECT_HEIGHT",
     "flat",
     "convex",
     "concave",
@@ -27,6 +28,7 @@ __all__ = [
 DEFAULT_FACE_RADIUS = 10.0
 DEFAULT_FACE_WIDTH = 20.0
 DEFAULT_THIN_THRESHOLD = 3.0    # mm; thinner objects slip out of a deformable pad
+DEFAULT_SMALL_OBJECT_HEIGHT = 10.0   # mm; lower objects give a convex face no purchase
 
 
 class SurfaceKind(Enum):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .control import switch_rotation
-from .modes import GcModeTable, SurfaceKind
+from .modes import DEFAULT_SMALL_OBJECT_HEIGHT, GcModeTable, SurfaceKind
 from .objects import ObjectDescription
 
 __all__ = [
@@ -58,7 +58,7 @@ class PlannerThresholds:
         (a convex face cannot get purchase on a small object).
     """
 
-    small_object_height: float = 10.0
+    small_object_height: float = DEFAULT_SMALL_OBJECT_HEIGHT
 
 
 @dataclass(frozen=True)

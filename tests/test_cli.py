@@ -133,6 +133,28 @@ class TestSimulate:
         assert rc == 1
         assert "stroke" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["grasp", "--force", "40", "--gap", "0"], "--gap must be positive and finite, got 0"),
+        (["grasp", "--force", "40", "--gap", "nan"],
+         "--gap must be positive and finite, got nan"),
+        (["grasp", "--force", "inf", "--gap", "10"],
+         "--force must be positive and finite, got inf"),
+        (["grasp", "--force", "-5", "--gap", "10"],
+         "--force must be positive and finite, got -5"),
+        (["switch", "--from", "1", "--to", "2", "--gap", "nan"],
+         "--gap must be non-negative and finite, got nan"),
+        (["switch", "--from", "1", "--to", "2", "--gap", "-1"],
+         "--gap must be non-negative and finite, got -1"),
+        (["switch", "--from", "1", "--to", "2", "--gap", "41"],
+         "gap 41 mm exceeds the stroke limit 40 mm"),
+    ], ids=["grasp-gap-0", "grasp-gap-nan", "grasp-force-inf", "grasp-force-negative",
+            "switch-gap-nan", "switch-gap-negative", "switch-gap-beyond-stroke"])
+    def test_bad_gap_or_force_names_the_flag(self, capsys, tmp_path, argv, message):
+        out_file = tmp_path / "t.csv"
+        rc, out, err = run(capsys, "simulate", *argv, "--out", str(out_file))
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+        assert not out_file.exists()
+
     def test_simulator_error_is_one_error_line(self, capsys, monkeypatch):
         def refuse(scenario):
             raise sim.StrokeLimitExceeded("finger travel 41 mm exceeds the stroke limit")
@@ -368,7 +390,8 @@ class TestColdStart:
     """No CLI path imports a scipy module, and the caging search needs no
     numpy.fft.  `import multigrip` and the subcommands built on plain
     Python (modes, validate-gears, plan, sweep, simulate) import no numpy
-    at all; only classify, and simulate grasp with --object, load it."""
+    at all; only classify, and simulate grasp with --object, load it.  Each
+    subcommand loads exactly the package modules of the layers it runs."""
 
     LIST_SCIPY = ("print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
@@ -376,6 +399,9 @@ class TestColdStart:
                 "if m == 'numpy.fft' or m.startswith('numpy.fft.')), file=sys.stderr)")
     LIST_NUMPY = ("print(sorted(m for m in sys.modules "
                   "if m == 'numpy' or m.startswith('numpy.')), file=sys.stderr)")
+    LIST_PACKAGE = ("print(sorted(m for m in sys.modules "
+                    "if m.startswith('multigrip.')), file=sys.stderr)")
+    CONFIG_LAYERS = ["_keyvalue", "cli", "config", "mechanics", "modes"]
 
     def test_import_loads_no_scipy(self):
         proc = _run_python("-c", "import sys, multigrip, multigrip.cli; " + self.LIST_SCIPY)
@@ -447,6 +473,24 @@ class TestColdStart:
         *summary, listing = proc.stderr.strip().splitlines()
         assert listing == "[]"
         assert len(summary) == (argv[0] == "simulate")  # simulate's summary line
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["validate-gears"], []),
+        (["modes"], []),
+        (["sweep", "--param", "detent.magnet_gap_mm", "--range", "0.5:1:0.25",
+          "--metric", "peak-detent"], []),
+        (["simulate", "switch", "--from", "1", "--to", "12"], ["control", "sim"]),
+        (["simulate", "grasp", "--force", "40", "--gap", "10"], ["control", "sim"]),
+        (["plan", "--object", "complex_bracket.object"], ["control", "objects", "planner"]),
+        (["classify", "--object", "box.object", "--mode", "1"], ["grasp", "objects"]),
+    ], ids=["validate-gears", "modes", "sweep", "simulate-switch", "simulate-grasp", "plan",
+            "classify"])
+    def test_subcommand_loads_only_its_layers(self, argv, layers, fixtures_dir):
+        argv = [str(fixtures_dir / "objects" / a) if a.endswith(".object") else a
+                for a in argv]
+        proc = self._run_cli(*argv, listing=self.LIST_PACKAGE)
+        loaded = proc.stderr.strip().splitlines()[-1]
+        assert loaded == repr(sorted(f"multigrip.{m}" for m in self.CONFIG_LAYERS + layers))
 
     def test_python_dash_m_runs_the_cli(self, capsys):
         proc = _run_python("-m", "multigrip", "validate-gears")

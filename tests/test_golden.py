@@ -7,11 +7,12 @@ fails here.  Error cases pin the failing step and command indices and a
 digest of the message and, for a reversal, the resolved state and events.
 Each grasp digest covers one fixture object classified in all 12 modes at
 the CLI defaults of fixtures/default.cfg: the outcome, the reason, the
-posture flag, `repr` of the separation and the contacts CSV.
+posture flag, `repr` of the separation and the contacts CSV.  Each CLI
+digest covers the stdout of one subcommand run with fixtures/default.cfg.
 
 To re-pin after a deliberate output change, print `_trace_digest(...)`,
-`_error_digest(...)` or `_grasp_digest(name)` for the case and name the
-change in CHANGES.md.
+`_error_digest(...)`, `_grasp_digest(name)` or `_cli_digest(capsys, argv)`
+for the case and name the change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from multigrip.cli import dispatch
 from multigrip.config import default_config, load_config
 from multigrip.control import (ControllerState, Direction, PositionMove,
                                TorqueRamp, release_then_switch)
@@ -203,3 +205,71 @@ def test_grasp_separation_has_no_negative_sign_bit(name):
                                     thin_threshold=cfg.thin_object,
                                     stroke=cfg.stroke_limit).separation
         assert math.copysign(1.0, separation) == 1.0, (mode, separation)
+
+
+def _cli_digest(capsys, argv: list[str]) -> str:
+    capsys.readouterr()
+    rc = dispatch(["--config", str(FIXTURES / "default.cfg"), *argv])
+    out = capsys.readouterr().out
+    assert rc == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def _plan(name: str, mode: int) -> list[str]:
+    return ["plan", "--object", str(FIXTURES / "objects" / f"{name}.object"),
+            "--current-mode", str(mode)]
+
+
+def _sweep(metric: str) -> list[str]:
+    return ["sweep", "--param", "detent.magnet_gap_mm", "--range", "0.5:1:0.25",
+            "--metric", metric]
+
+
+# Both flat-faced fixtures plan alike, and so do both cylinders.
+_FLAT_1 = "e6a859bd24eb9dfb060ae6f192b51ad6f40e5f9c3916a80c6783b8be115cb3c0"
+_FLAT_7 = "3db2ae7c61ef9242a66dbdc7d7fbb82375cf612589225687d60c58410c47795f"
+_ROUND_1 = "14c70da086001fb9c5b5d71a2a06c3ba8caf8b5e5dcc04889973a77f2e001624"
+_ROUND_7 = "d933068f7bd92ec9499a8ddeaf2b2de5860a65d7b30ad3dbf9ac3e34f1f721da"
+
+CLI_GOLDENS = {
+    "modes": (["modes"],
+              "62a0fcbdf5c57664cbcd3e9b80a0a77ae377ebaab325dd8fe1f750dbf9aef10a"),
+    "validate-gears": (
+        ["validate-gears"],
+        "55b61e8a7699c877ded1fcec310098b0c37742fa2910cf99155d0a39d231fff4"),
+    "sweep-breakaway": (
+        _sweep("breakaway"),
+        "b56d5445122ae72251180fbb4fccb220472ee9ee115ad9f3a887df9088d6b8fb"),
+    "sweep-peak-detent": (
+        _sweep("peak-detent"),
+        "2e84193d53e5b516eb3dc8ce46a78761b834b55e9b8128d1ed87036f50d39c75"),
+    "sweep-switch-interval": (
+        _sweep("switch-interval"),
+        "75785d6650b383111c9553d5a2a67eae7704bf1b8b1aaef635d336e8e9348920"),
+    "plan-box-1": (_plan("box", 1), _FLAT_1),
+    "plan-box-7": (_plan("box", 7), _FLAT_7),
+    "plan-complex_bracket-1": (
+        _plan("complex_bracket", 1),
+        "c303b60d93748ef2e78e8639a81bcac76b92aa23a15525d32d06ecfd46eb4cc4"),
+    "plan-complex_bracket-7": (
+        _plan("complex_bracket", 7),
+        "6e12ae3f45d5ed2d37af736add395fe1b5179cbd38931b2251778b3608f7afde"),
+    "plan-large_cylinder-1": (_plan("large_cylinder", 1), _ROUND_1),
+    "plan-large_cylinder-7": (_plan("large_cylinder", 7), _ROUND_7),
+    "plan-small_cylinder-1": (_plan("small_cylinder", 1), _ROUND_1),
+    "plan-small_cylinder-7": (_plan("small_cylinder", 7), _ROUND_7),
+    "plan-thin_plate-1": (_plan("thin_plate", 1), _FLAT_1),
+    "plan-thin_plate-7": (_plan("thin_plate", 7), _FLAT_7),
+    "simulate-switch": (
+        ["simulate", "switch", "--from", "1", "--to", "2"],
+        "88752fb80412e9697fea9eb17bf9b5b94f0af2e6bf963939a85e811035579d60"),
+    "simulate-grasp": (
+        ["simulate", "grasp", "--force", "40", "--gap", "10"],
+        "87a930ad08913d17d969a0c30bfa4f20a2f28af90f4816612443f7f7a1a12cbf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_stdout_matches_golden(capsys, name):
+    argv, digest = CLI_GOLDENS[name]
+    assert _cli_digest(capsys, argv) == digest

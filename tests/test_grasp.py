@@ -280,8 +280,7 @@ class TestContactSearchMatchesGrid:
             exact &= ref == refs[-1]
 
         ys = np.array([-1.0, 0.0, 1.0]) * min(left.width, right.width) / 2.0
-        sep_fingers = grasp._finger_separation((left.shape, left.width),
-                                               (right.shape, right.width))
+        sep_fingers = grasp._finger_separation(left, right)
         grid_fingers = grid_finger_separation(left, right)
         assert _same_extremum(sep_fingers, grid_fingers,
                               [left.height(y) + right.height(y) for y in ys])
@@ -614,6 +613,24 @@ class TestCaging:
         lp = rp = surface_profile(flat(), 20.0)
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
             caging_test(BOX, lp, rp, (-12.0, 12.0), **{name: value})
+
+    @pytest.mark.parametrize("angle_cell_deg, n", [(5.0, 72), (7.0, 51), (200.0, 2)])
+    def test_rotation_slices_divide_the_turn_evenly(self, monkeypatch, angle_cell_deg, n):
+        # a 6 mm box between flats 0.4 mm off each side: no wide escape at
+        # rest, so every slice is built; footprints are the 4-vertex polygons
+        box = ObjectSpec(Box(6.0, 6.0), mu=0.5)
+        lp = rp = surface_profile(flat(), 20.0)
+        builds, footprints = [], []
+        build, runs = grasp._cspace_obstacle, grasp._polygon_runs
+        monkeypatch.setattr(grasp, "_cspace_obstacle", lambda *a: builds.append(1) or build(*a))
+        monkeypatch.setattr(grasp, "_polygon_runs",
+                            lambda p, *a: (len(p) == 4 and footprints.append(p)) or runs(p, *a))
+        with pytest.warns(CagingResolutionWarning):
+            assert caging_test(box, lp, rp, (-3.4, 3.4), angle_cell_deg=angle_cell_deg) is False
+        rest = math.atan2(-3.0, -3.0)   # first vertex, (-w/2, -h/2)
+        angles = [math.degrees(math.atan2(p[0][1], p[0][0]) - rest) % 360.0 for p in footprints]
+        assert len(builds) == n
+        assert angles == pytest.approx([k * 360.0 / n for k in range(n)], abs=1e-9)
 
     def test_coarse_grid_reported(self):
         lp = rp = surface_profile(flat(), 20.0)
