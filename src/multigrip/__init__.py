@@ -10,10 +10,9 @@ mode selection, plus a CLI over all of it.
 `import multigrip` loads no submodule: each name below, and each
 submodule, is imported on first use (PEP 562).  Only `grasp` and the
 object outlines in `objects` use numpy, so the other layers, the
-simulator included, never load it.
+simulator included, never load it.  Loads go through the import
+statement's own machinery, so `-X importtime` lists each submodule.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -52,10 +51,11 @@ __all__ = [*_EXPORTS, *_MODULE_OF]
 
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
+        __import__(f"{__name__}.{name}")   # binds the submodule in globals()
+        return globals()[name]
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    value = getattr(__getattr__(_MODULE_OF[name]), name)
     globals()[name] = value   # later lookups skip this hook
     return value
 

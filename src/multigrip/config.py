@@ -93,13 +93,6 @@ _SECTIONS = {
     "sim": set(_SCALAR_KEYS["sim"]),
 }
 
-_SURFACE_NAMES = {
-    "flat": SurfaceKind.FLAT,
-    "convex": SurfaceKind.CONVEX,
-    "concave": SurfaceKind.CONCAVE,
-    "deformable": SurfaceKind.DEFORMABLE_FLAT,
-}
-
 DEFAULT_DETENT_VALUES = {key: getattr(DEFAULT_MAGNET, attr)
                          for key, attr in _DETENT_KEYS.items()}
 
@@ -133,9 +126,11 @@ def _surface_order(fields: KeyValues, key: str, face_radius: float,
     shapes = []
     for name in value.split(","):
         name = name.strip().lower()
-        if name not in _SURFACE_NAMES:
-            raise ConfigError(f"unknown surface {name!r} in {key}", fields.line(key))
-        kind = _SURFACE_NAMES[name]
+        try:
+            kind = SurfaceKind(name)
+        except ValueError:
+            raise ConfigError(f"unknown surface {name!r} in {key}",
+                              fields.line(key)) from None
         radius = face_radius if kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE) else None
         shapes.append(SurfaceShape(kind, radius))
     return tuple(shapes)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -30,8 +30,8 @@ import numpy as np
 
 from .modes import (DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD, SurfaceKind,
                     SurfaceShape)
-from .objects import (Arc, ObjectSpec, ThinPlate, check_friction, object_polygon,
-                      side_boundary)
+from .objects import (Arc, ObjectSpec, ThinPlate, check_friction, face_arc,
+                      object_polygon, side_boundary)
 
 __all__ = [
     "SurfaceProfile",
@@ -56,7 +56,7 @@ __all__ = [
 _CONTACT_TOL = 1e-6     # mm; how closely a point must sit on both boundaries
 _MERGE_RADIUS = 0.1     # mm; closer contact points collapse to one
 _HULL_MARGIN = 1e-9     # strict-interior margin for positive-span tests
-_PROFILE_POINTS = 129   # vertices of a finger-face polyline
+_PROFILE_POINTS = 129   # vertices of a finger face's outline in caging
 _CORNER_TOL = 1e-9      # mm; how close to a corner a contact counts as at it
 _BODY_DEPTH = 15.0      # mm; finger body behind the face, for caging
 _ERODE_CELLS = 2        # x-y erosion depth of the caging resolution check
@@ -78,7 +78,6 @@ class SurfaceProfile:
     shape: SurfaceShape
     width: float
     arc: Arc
-    polyline: np.ndarray = field(compare=False)   # derived from arc and width
 
     @property
     def deformable(self) -> bool:
@@ -92,31 +91,22 @@ class SurfaceProfile:
 @lru_cache(maxsize=16)
 def surface_profile(shape: SurfaceShape,
                     width: float = DEFAULT_FACE_WIDTH) -> SurfaceProfile:
-    """Discretize a finger surface into a polyline spanning the face width.
+    """A finger surface as an `Arc` spanning the face width.
 
     Flat and deformable-flat faces are straight segments; convex and
     concave faces are circular arcs whose chord is the face width, bulging
-    toward and away from the object respectively.  Cached per face, so the
-    polyline is read-only.
+    toward and away from the object respectively.  The width must be
+    positive and finite.
     """
-    if not width > 0:
-        raise ValueError("face width must be positive")
-    half = width / 2.0
-    if shape.kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE):
-        r = shape.radius
-        if width > 2 * r:
-            raise ValueError(
-                f"face width {width:g} mm exceeds the arc diameter "
-                f"{2 * r:g} mm; the arc cannot span the face")
-        c = math.sqrt(max(r * r - half ** 2, 0.0))   # centre's depth behind the rims
-        sign = 1 if shape.kind is SurfaceKind.CONVEX else -1
-        arc = Arc(x0=-sign * c, half=half, sign=sign, r=r, corners=(-half, half))
-    else:
-        arc = Arc(x0=0.0, half=half, corners=(-half, half))
-    ys = np.linspace(-half, half, _PROFILE_POINTS).tolist()
-    polyline = np.array([(arc.x_of(y), y) for y in ys])
-    polyline.flags.writeable = False
-    return SurfaceProfile(shape=shape, width=width, arc=arc, polyline=polyline)
+    if not (width > 0 and math.isfinite(width)):
+        raise ValueError("face width must be positive and finite")
+    curved = shape.kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE)
+    if curved and width > 2 * shape.radius:
+        raise ValueError(
+            f"face width {width:g} mm exceeds the arc diameter "
+            f"{2 * shape.radius:g} mm; the arc cannot span the face")
+    arc = face_arc(shape.kind.value if curved else "flat", shape.radius, width / 2.0, 0.0, 1)
+    return SurfaceProfile(shape=shape, width=width, arc=arc)
 
 
 @dataclass(frozen=True)
@@ -383,10 +373,20 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
 # ---------------------------------------------------------------------------
 # Caging
 
-def _finger_polygon(profile: SurfaceProfile, x_ref: float, side: int,
-                    body_depth: float) -> np.ndarray:
-    front = profile.polyline
-    back_x = x_ref + side * body_depth
+@lru_cache(maxsize=16)
+def _face_outline(profile: SurfaceProfile) -> np.ndarray:
+    """The face as _PROFILE_POINTS vertices (x, y) across it; cached, so read-only."""
+    half = profile.arc.half
+    ys = np.linspace(-half, half, _PROFILE_POINTS).tolist()
+    outline = np.array([(profile.arc.x_of(y), y) for y in ys])
+    outline.flags.writeable = False
+    return outline
+
+
+def _finger_polygon(profile: SurfaceProfile, x_ref: float, side: int) -> np.ndarray:
+    """The finger body at reference x_ref: its face, and _BODY_DEPTH behind it."""
+    front = _face_outline(profile)
+    back_x = x_ref + side * _BODY_DEPTH
     w = profile.width / 2.0
     return np.vstack([np.column_stack([x_ref - side * front[:, 0], front[:, 1]]),
                       [[back_x, w], [back_x, -w]]])
@@ -555,8 +555,8 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     for name, value in (("cell", cell), ("angle_cell_deg", angle_cell_deg)):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite")
-    poly_left = _finger_polygon(left, positions[0], -1, _BODY_DEPTH)
-    poly_right = _finger_polygon(right, positions[1], +1, _BODY_DEPTH)
+    poly_left = _finger_polygon(left, positions[0], -1)
+    poly_right = _finger_polygon(right, positions[1], +1)
     vertices = np.vstack([poly_left, poly_right])
     base = object_polygon(obj)
     reach = float(np.max(np.hypot(base[:, 0], base[:, 1])))
@@ -612,6 +612,8 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
     if mu is None:
         mu = obj.mu
     check_friction(mu)
+    if not math.isfinite(thin_threshold):
+        raise ValueError(f"thin_threshold must be finite, got {thin_threshold!r}")
     if stroke is not None:
         obj.check_stroke(stroke)
     left = surface_profile(pair[0], face_width)

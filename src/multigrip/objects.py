@@ -129,13 +129,12 @@ class ObjectSpec:
         s = self.shape
         if isinstance(s, Circle):
             return 2 * s.radius
-        if isinstance(s, Box):
-            return s.width
-        if isinstance(s, ThinPlate):
-            return s.thickness
-        # a convex face bulges past its flank edges at y = 0
-        return sum(max(side * side_boundary(self, side).x_of(0.0), s.width / 2.0)
-                   for side in (-1, 1))
+        flank, _ = _half_extents(s)
+        if isinstance(s, CompositeFaces):
+            # a convex face bulges past its flank edges at y = 0
+            return sum(max(side * side_boundary(self, side).x_of(0.0), flank)
+                       for side in (-1, 1))
+        return 2 * flank
 
     @property
     def rotation_symmetric(self) -> bool:
@@ -143,6 +142,8 @@ class ObjectSpec:
 
     def check_stroke(self, stroke: float) -> None:
         """Raise ValueError if the fingers cannot open wide enough for the object."""
+        if not math.isfinite(stroke):
+            raise ValueError(f"stroke must be finite, got {stroke!r}")
         if self.closing_extent > stroke:
             raise ValueError(f"object extent {self.closing_extent:g} mm exceeds the "
                              f"stroke {stroke:g} mm")
@@ -180,28 +181,37 @@ class Arc:
                 toward * self.sign * y / r)
 
 
+def _half_extents(shape: Box | ThinPlate | CompositeFaces) -> tuple[float, float]:
+    """Half extents (closing axis, lateral) of a rectangular object."""
+    if isinstance(shape, ThinPlate):
+        return shape.thickness / 2.0, shape.length / 2.0
+    return shape.width / 2.0, shape.height / 2.0
+
+
+def face_arc(kind: str, radius: float | None, half: float, rim: float,
+             side: int) -> Arc:
+    """A flat, convex or concave object flank or finger face across the chord
+    [-half, half], its rims at x = side * rim, bulging toward side * x if convex."""
+    corners = (-half, half)
+    if kind == "flat":
+        return Arc(x0=side * rim, half=half, corners=corners)
+    c = math.sqrt(max(radius * radius - half * half, 0.0))   # centre's distance behind the chord
+    if kind == "convex":   # the outer half of a circle
+        return Arc(x0=side * (rim - c), half=half, sign=side, r=radius, corners=corners)
+    return Arc(x0=side * (rim + c), half=half, sign=-side, r=radius, corners=corners)
+
+
 def side_boundary(spec: ObjectSpec, side: int) -> Arc:
     """The object's left (side=-1) or right (side=+1) flank."""
     s = spec.shape
     if isinstance(s, Circle):
         # a signed-zero centre keeps the sign of side at x_of(+-radius)
         return Arc(x0=side * 0.0, half=s.radius, sign=side, r=s.radius)
-    face = None
-    if isinstance(s, Box):
-        flank_x, half = s.width / 2.0, s.height / 2.0
-    elif isinstance(s, ThinPlate):
-        flank_x, half = s.thickness / 2.0, s.length / 2.0
-    else:
-        flank_x, half = s.width / 2.0, s.height / 2.0
-        face = s.left if side < 0 else s.right
-    corners = (-half, half)
-    if face is None or face.kind == "flat":
-        return Arc(x0=side * flank_x, half=half, corners=corners)
-    r = face.radius
-    c = math.sqrt(r * r - half * half)   # centre's distance behind the chord
-    if face.kind == "convex":   # the outer half of a circle, bulging outward
-        return Arc(x0=side * (flank_x - c), half=half, sign=side, r=r, corners=corners)
-    return Arc(x0=side * (flank_x + c), half=half, sign=-side, r=r, corners=corners)
+    flank_x, half = _half_extents(s)
+    if not isinstance(s, CompositeFaces):
+        return face_arc("flat", None, half, flank_x, side)
+    face = s.left if side < 0 else s.right
+    return face_arc(face.kind, face.radius, half, flank_x, side)
 
 
 def object_polygon(spec: ObjectSpec) -> np.ndarray:
@@ -211,14 +221,10 @@ def object_polygon(spec: ObjectSpec) -> np.ndarray:
     if isinstance(s, Circle):
         angles = np.linspace(0.0, 2.0 * math.pi, 4 * _SAMPLES_PER_ARC, endpoint=False)
         return np.column_stack([s.radius * np.cos(angles), s.radius * np.sin(angles)])
-    if isinstance(s, Box):
-        w, h = s.width / 2.0, s.height / 2.0
-    elif isinstance(s, ThinPlate):
-        w, h = s.thickness / 2.0, s.length / 2.0
-    else:
-        left = side_boundary(spec, -1)
-        right = side_boundary(spec, +1)
-        ys = np.linspace(-s.height / 2.0, s.height / 2.0, _SAMPLES_PER_ARC).tolist()
+    w, h = _half_extents(s)
+    if isinstance(s, CompositeFaces):
+        left, right = (side_boundary(spec, side) for side in (-1, 1))
+        ys = np.linspace(-h, h, _SAMPLES_PER_ARC).tolist()
         return np.array([(left.x_of(y), y) for y in ys]
                         + [(right.x_of(y), y) for y in reversed(ys)])
     return np.array([[-w, -h], [w, -h], [w, h], [-w, h]])
@@ -247,11 +253,7 @@ class ObjectDescription:
         s = self.spec.shape
         if isinstance(s, Circle):
             return 2 * s.radius
-        if isinstance(s, Box):
-            return s.height
-        if isinstance(s, ThinPlate):
-            return s.length
-        return s.height
+        return 2 * _half_extents(s)[1]
 
 
 _KNOWN_KEYS = {

@@ -604,9 +604,6 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario, motion: tup
         bound = abs(target - state.theta_m)
     else:
         target, bound = None, math.inf
-        # after one step tau_m is 0; stop if that completes the command
-        if kind == "open" and 0.0 >= cmd.target_torque - _EPS_TRAVEL:
-            return None
     if kind == "open":
         bound = min(bound, state.d_f_3s / r)
     elif kind == "close":

@@ -413,6 +413,18 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "[]"
 
+    @pytest.mark.parametrize("code, modules", [
+        ("import multigrip; multigrip.grasp", ["multigrip.grasp"]),
+        ("import multigrip; multigrip.SurfaceKind", ["multigrip.modes"]),
+        ("import multigrip.cli", ["multigrip.config", "multigrip.mechanics",
+                                  "multigrip.modes"]),
+    ])
+    def test_lazy_loads_show_in_importtime(self, code, modules):
+        proc = _run_python("-X", "importtime", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert set(modules) <= logged
+
     def test_validate_gears_loads_no_scipy(self):
         code = ("import sys\n"
                 "from multigrip.cli import main\n"

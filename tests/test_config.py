@@ -100,6 +100,17 @@ order_4s = flat, convex, convex, deformable
         assert cfg.order_3s[1].kind.value == "flat"
         assert cfg.order_4s[2].kind.value == "convex"
 
+    def test_every_surface_kind_parses(self):
+        text = MINIMAL + "[surfaces]\norder_4s = flat, convex, concave, deformable\n"
+        assert [s.kind for s in parse_config(text).order_4s] == list(modes.SurfaceKind)
+
+    def test_unknown_surface_line_number(self):
+        text = MINIMAL + "[surfaces]\norder_3s = flat, wavy, concave\n"
+        lineno = text.splitlines().index("order_3s = flat, wavy, concave") + 1
+        with pytest.raises(ConfigError,
+                           match=f"^line {lineno}: unknown surface 'wavy' in order_3s$"):
+            parse_config(text)
+
     def test_order_count_mismatch(self):
         text = MINIMAL + "[surfaces]\ncount_3s = 3\norder_3s = flat, convex\n"
         with pytest.raises(ConfigError, match="3S"):
@@ -279,6 +290,20 @@ class TestObjectFiles:
     def test_non_numeric(self):
         with pytest.raises(ObjectFileError, match="non-numeric"):
             parse_object_file("shape = circle\nradius_mm = big\n")
+
+    def test_complex_composite_face_is_read_as_flat(self):
+        desc = parse_object_file("shape = composite\nwidth_mm = 10\nheight_mm = 20\n"
+                                 "left_face_shape = complex\n")
+        assert desc.spec.shape.left == FaceArc("flat")
+
+    @pytest.mark.parametrize("text, height", [
+        ("shape = circle\nradius_mm = 6\n", 12.0),
+        ("shape = thin_plate\nlength_mm = 30\nthickness_mm = 1\n", 30.0),
+    ])
+    def test_planner_height_without_height_key(self, text, height):
+        desc = parse_object_file(text)
+        assert desc.height is None
+        assert desc.planner_height == height
 
     def test_bad_face_name(self):
         with pytest.raises(ObjectFileError, match="left_face"):

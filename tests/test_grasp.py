@@ -14,9 +14,9 @@ from multigrip.grasp import (_CONTACT_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RA
                              CagingResolutionWarning, Contact,
                              ContactSet, DegenerateContactWarning, GraspOutcome,
                              _cspace_obstacle, _erode_xy, _erode_xy_from,
-                             _escapes_from, _finger_polygon, _origin_strictly_inside,
-                             _polygon_runs, caging_test, classify_grasp,
-                             closure_separation, compute_contacts,
+                             _escapes_from, _face_outline, _finger_polygon,
+                             _origin_strictly_inside, _polygon_runs, caging_test,
+                             classify_grasp, closure_separation, compute_contacts,
                              force_closure_test, form_closure_test,
                              surface_profile)
 from multigrip.modes import (build_mode_table, concave, convex, deformable_flat,
@@ -42,9 +42,9 @@ FIXTURES = [BIG, SMALL, BOX, PLATE]
 
 class TestSurfaceProfile:
     def test_flat_segment(self):
-        p = surface_profile(flat(), 20.0)
-        assert p.polyline[:, 0] == pytest.approx(0.0)
-        assert p.polyline[0, 1] == -10.0 and p.polyline[-1, 1] == 10.0
+        outline = _face_outline(surface_profile(flat(), 20.0))
+        assert outline[:, 0] == pytest.approx(0.0)
+        assert outline[0, 1] == -10.0 and outline[-1, 1] == 10.0
 
     def test_convex_semicircle_sagitta(self):
         p = surface_profile(convex(10.0), 20.0)
@@ -72,11 +72,11 @@ class TestSurfaceProfile:
         assert p.height(3.0) == 0.0
 
     def test_profiles_of_one_face_compare_and_hash_equal(self):
-        # built apart, so they hold distinct polyline arrays
+        # built apart, so they are distinct objects
         first = surface_profile(concave(10.0), 20.0)
         surface_profile.cache_clear()
         second = surface_profile(concave(10.0), 20.0)
-        assert first.polyline is not second.polyline
+        assert first is not second
         assert first == second and hash(first) == hash(second)
         assert surface_profile(concave(10.0), 16.0) != first
 
@@ -645,7 +645,7 @@ class TestCaging:
 
         cell = 1.0
         lp = surface_profile(concave(10.0), 20.0)
-        poly = _finger_polygon(lp, -6.0, -1, 15.0)
+        poly = _finger_polygon(lp, -6.0, -1)
         xs = np.arange(-30.0, 30.0 + cell, cell)
         ys = np.arange(-25.0, 25.0 + cell, cell)
         fingers = _polygon_runs(poly, xs, ys)
@@ -937,6 +937,43 @@ class TestClassify:
         with pytest.raises(ValueError, match="stroke"):
             classify_grasp(BIG, FF, stroke=25.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: surface_profile(flat(), math.inf), "face width must be positive and finite"),
+        (lambda: surface_profile(concave(10.0), math.nan),
+         "face width must be positive and finite"),
+        (lambda: classify_grasp(BOX, FF, face_width=math.inf),
+         "face width must be positive and finite"),
+        (lambda: classify_grasp(PLATE, (flat(), deformable_flat()), thin_threshold=math.nan),
+         "thin_threshold must be finite"),
+        (lambda: classify_grasp(BOX, FF, thin_threshold=-math.inf),
+         "thin_threshold must be finite"),
+        (lambda: classify_grasp(ObjectSpec(Box(50.0, 50.0)), FF, stroke=math.nan),
+         "stroke must be finite"),
+        (lambda: BOX.check_stroke(math.inf), "stroke must be finite"),
+    ], ids=["profile-inf-width", "profile-nan-width", "classify-inf-width",
+            "nan-thin-threshold", "neg-inf-thin-threshold", "nan-stroke", "inf-stroke"])
+    def test_non_finite_argument_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("width, height", [
+        (20.0, 25.0), (8.0, 30.0), (40.0, 12.0), (3.0, 6.0), (30.0, 30.0)])
+    def test_flat_composite_classifies_like_its_box(self, width, height):
+        # the modes that FAIL run the caging search on the composite's outline
+        cfg = default_config()
+        table = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+        box = ObjectSpec(Box(width, height))
+        composite = ObjectSpec(CompositeFaces(FaceArc("flat"), FaceArc("flat"),
+                                              width, height))
+        for mode in range(1, len(table) + 1):
+            seen = []
+            for spec in (box, composite):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    result = classify_grasp(spec, table.entry(mode))
+                seen.append((result, [(w.category, str(w.message)) for w in caught]))
+            assert seen[0] == seen[1], mode
+
     def test_frictionless_flat_grasp_fails(self):
         # at mu = 0 the box slides out between the flats, along a channel
         # of zero clearance
@@ -976,7 +1013,7 @@ class TestClassify:
 
 
 def _clear_caches():
-    for cached in (grasp._finger_separation, surface_profile):
+    for cached in (grasp._finger_separation, grasp._face_outline, surface_profile):
         cached.cache_clear()
 
 
@@ -986,7 +1023,7 @@ class TestSearchOnce:
 
     def test_cached_arrays_are_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
-            surface_profile(concave(10.0), 20.0).polyline[0] = 0.0
+            _face_outline(surface_profile(concave(10.0), 20.0))[0] = 0.0
 
     def test_results_do_not_depend_on_cache_state(self, fixtures_dir):
         # two face widths, so a cache key without the width would show

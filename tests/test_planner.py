@@ -2,7 +2,9 @@ import math
 
 from multigrip.control import switch_rotation
 from multigrip.grasp import GraspOutcome, classify_grasp
-from multigrip.modes import SurfaceKind
+from multigrip.mechanics import DEFAULT_COUNTS
+from multigrip.modes import (SurfaceKind, build_mode_table, convex, deformable_flat,
+                             flat)
 from multigrip.objects import (Box, Circle, ObjectSpec, ThinPlate,
                                parse_object_file)
 from multigrip.planner import (ObjectFace, ObjectFaces, PlannerThresholds,
@@ -104,6 +106,18 @@ class TestSelectMode:
                     if _fits(table.entry(k), set(cand_l), set(cand_r))]
                 for k in pool:
                     assert chosen <= switch_rotation(k_now, k, 12, INTERVAL) + 1e-12
+
+    def test_second_tier_when_no_mode_pairs_both_preferred(self):
+        # no concave finger at all, so a two-convex-faced object falls to
+        # the full candidate sets, where only the flat-flat modes fit
+        table = build_mode_table(DEFAULT_COUNTS, (flat(), convex(10.0), flat()),
+                                 (convex(10.0), flat(), convex(10.0), deformable_flat()))
+        faces = ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0)
+        result = select_mode(faces, 1, table, INTERVAL)
+        assert result.k_goal == 6
+        assert not result.fallback_used
+        assert "no mode pairs both preferred surfaces; feasible modes [6, 10]" \
+            in result.rationale[-1]
 
     def test_determinism(self, table):
         faces = ObjectFaces(ObjectFace.CONVEX, ObjectFace.CONVEX, 30.0)

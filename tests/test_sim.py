@@ -89,6 +89,12 @@ class TestStep:
         assert resolved.mode_index == 2
         assert any(kind == EVENT_MODE_CHANGED for kind, _ in err.value.events)
 
+    def test_finished_position_move_is_a_no_op(self, gears, magnet, counts):
+        move = PositionMove(math.radians(30.0))
+        sc = Scenario(gears=gears, magnet=magnet, counts=counts, commands=(move,))
+        state = run_scenario(sc).final_state
+        assert step(state, move, sc) == (state, ())
+
     def test_position_close_into_contact_is_unreachable(self, gears, magnet, counts):
         sc = Scenario(gears=gears, magnet=magnet, counts=counts,
                       object_contact=5.0,
