@@ -8,7 +8,8 @@ the default pairing the 3S finger is the left one.
 Classification runs the closure tests in precedence order (form closure,
 then force closure, then caging) on the contact configuration the
 mechanism can physically reach: both fingers advance symmetrically until
-either one touches the object or the fingers touch each other.
+either one touches the object or the fingers touch each other.  One search
+per finger gives the stop and the contacts; form and force closure share a core.
 
 The contact search is exact.  Every object flank and finger face is an
 `Arc`, a line or a circular arc centred on y = 0, so the clearance between
@@ -182,26 +183,31 @@ def _contact_normal(flank: Arc, face: Arc, y: float, side: int) -> tuple[float, 
     return (-side * 1.0, 0.0)
 
 
-def _side_contacts(spec: ObjectSpec, profile: SurfaceProfile, side: int,
-                   x_ref: float | None, finger: str) -> list[Contact]:
-    flank, ref, ys, c = _lateral_search(spec, profile, side)
-    if x_ref is None:
-        x_ref = ref
-    residual = [side * (x_ref - ci) for ci in c]
-    worst = min(residual)
-    if worst < -_CONTACT_TOL:
-        raise ValueError(
-            f"finger penetrates the object by {-worst:.3g} mm at the "
-            "requested finger position")
-    contact_ys = [y for y, res in zip(ys, residual) if res <= _CONTACT_TOL]
-    if len(contact_ys) == 3:   # else one contact per band: the centre or each end
-        if ys[2] - ys[0] > _MERGE_RADIUS:   # an extended contact: its two ends
-            contact_ys = [ys[0], ys[2]]
-        else:   # a narrow one collapses to its best point
-            contact_ys = [ys[residual.index(worst)]]
-    return [Contact(point=(flank.x_of(y), y),
-                    normal=_contact_normal(flank, profile.arc, y, side), finger=finger)
-            for y in contact_ys]
+def _contact_set(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
+                 searches: tuple, positions: tuple[float, float] | None) -> ContactSet:
+    """Both fingers' contacts from their `_lateral_search`es (see compute_contacts)."""
+    contacts = []
+    for (flank, ref, ys, c), face, side, x_ref, finger in zip(
+            searches, (left.arc, right.arc), (-1, 1),
+            (None, None) if positions is None else positions, ("3S", "4S")):
+        if x_ref is None:
+            x_ref = ref
+        residual = [side * (x_ref - ci) for ci in c]
+        worst = min(residual)
+        if worst < -_CONTACT_TOL:
+            raise ValueError(
+                f"finger penetrates the object by {-worst:.3g} mm at the "
+                "requested finger position")
+        contact_ys = [y for y, res in zip(ys, residual) if res <= _CONTACT_TOL]
+        if len(contact_ys) == 3:   # else one contact per band: the centre or each end
+            if ys[2] - ys[0] > _MERGE_RADIUS:   # an extended contact: its two ends
+                contact_ys = [ys[0], ys[2]]
+            else:   # a narrow one collapses to its best point
+                contact_ys = [ys[residual.index(worst)]]
+        contacts += [Contact(point=(flank.x_of(y), y),
+                             normal=_contact_normal(flank, face, y, side), finger=finger)
+                     for y in contact_ys]
+    return ContactSet(contacts=tuple(contacts), rotation_free=obj.rotation_symmetric)
 
 
 def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
@@ -217,10 +223,7 @@ def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfil
     reported at its two ends, or at its best point if the overlap is no
     wider than the merge radius.
     """
-    x_left, x_right = (None, None) if positions is None else positions
-    contacts = (_side_contacts(obj, left, -1, x_left, "3S")
-                + _side_contacts(obj, right, +1, x_right, "4S"))
-    return ContactSet(contacts=tuple(contacts), rotation_free=obj.rotation_symmetric)
+    return _contact_set(obj, left, right, _closing(obj, left, right)[0], positions)
 
 
 @lru_cache(maxsize=64)
@@ -234,6 +237,16 @@ def _finger_separation(left: SurfaceProfile, right: SurfaceProfile) -> float:
     return max(left.height(y) + right.height(y) for y in (-half, 0.0, half))
 
 
+def _closing(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile) -> tuple:
+    """Both fingers' `_lateral_search`es, then closure_separation's result."""
+    searches = (_lateral_search(obj, left, -1), _lateral_search(obj, right, +1))
+    sep_obj = max(-2.0 * searches[0][1], 2.0 * searches[1][1])
+    sep_fingers = _finger_separation(left, right)
+    separation = max(0.0, sep_obj, sep_fingers)   # ties keep +0.0
+    touched = sep_obj >= sep_fingers - _CONTACT_TOL
+    return searches, (-separation / 2.0, separation / 2.0), touched
+
+
 def closure_separation(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile
                        ) -> tuple[tuple[float, float], bool]:
     """Finger positions (x_left, x_right) where symmetric closing stops, and
@@ -245,13 +258,7 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProf
     deep pockets can leave the fingers touching each other with the object
     untouched.
     """
-    _, ref_l, _, _ = _lateral_search(obj, left, -1)
-    _, ref_r, _, _ = _lateral_search(obj, right, +1)
-    sep_obj = max(-2.0 * ref_l, 2.0 * ref_r)
-    sep_fingers = _finger_separation(left, right)
-    separation = max(0.0, sep_obj, sep_fingers)   # ties keep +0.0
-    touched = sep_obj >= sep_fingers - _CONTACT_TOL
-    return (-separation / 2.0, separation / 2.0), touched
+    return _closing(obj, left, right)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +320,27 @@ def _origin_strictly_inside(points: np.ndarray) -> bool:
         (below & (offsets < reach)) | (above & (offsets > -reach))).any()
 
 
-def _wrench_rows(contacts: list[Contact], directions_per_contact) -> np.ndarray:
-    """Wrenches of the contact directions, moments about the origin."""
+def _closes(contacts: list[Contact], rotation_free: bool, mu: float) -> bool:
+    """Force closure of effective contacts at a checked mu, form closure at
+    mu = 0: the wrenches of the friction-cone edges, moments about the
+    origin, must positively span the wrench space.  Where rotation is a
+    symmetry, normals spanning the plane close the grasp at any mu, even
+    one whose friction torques fit in the hull margin."""
+    if rotation_free:
+        spans = _origin_strictly_inside(np.array([c.normal for c in contacts]))
+        if spans or mu == 0.0:
+            return spans
+    phi = math.atan(mu)
+    cos_p, sin_p = math.cos(phi), math.sin(phi)
     rho = max(max((math.hypot(*c.point) for c in contacts), default=0.0), 1e-9)
     rows = []
     for c in contacts:
-        px, py = c.point
-        for dx, dy in directions_per_contact(c):
-            rows.append((dx, dy, (px * dy - py * dx) / rho))
-    return np.array(rows)
+        (px, py), (nx, ny) = c.point, c.normal
+        edges = (((nx, ny),) if phi == 0.0 else
+                 ((nx * cos_p - ny * sin_p, nx * sin_p + ny * cos_p),
+                  (nx * cos_p + ny * sin_p, -nx * sin_p + ny * cos_p)))
+        rows += [(dx, dy, (px * dy - py * dx) / rho) for dx, dy in edges]
+    return _origin_strictly_inside(np.array(rows))
 
 
 def form_closure_test(cset: ContactSet) -> bool:
@@ -336,7 +355,7 @@ def form_closure_test(cset: ContactSet) -> bool:
     """
     if len(cset) == 0:
         raise ValueError("form closure test needs at least one contact")
-    return force_closure_test(cset, 0.0)
+    return _closes(_effective_contacts(cset), cset.rotation_free, 0.0)
 
 
 def force_closure_test(cset: ContactSet, mu: float) -> bool:
@@ -349,25 +368,7 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
     check_friction(mu)
     if len(cset) == 0:
         raise ValueError("force closure test needs at least one contact")
-    contacts = _effective_contacts(cset)
-    if cset.rotation_free:
-        # rotation is a symmetry: normals spanning the plane close the grasp
-        # at any mu, even one whose friction torques fit in the hull margin
-        spans = _origin_strictly_inside(np.array([c.normal for c in contacts]))
-        if spans or mu == 0.0:
-            return spans
-    phi = math.atan(mu)
-
-    def edges(c: Contact):
-        nx, ny = c.normal
-        if phi == 0.0:
-            return ((nx, ny),)
-        cos_p, sin_p = math.cos(phi), math.sin(phi)
-        return ((nx * cos_p - ny * sin_p, nx * sin_p + ny * cos_p),
-                (nx * cos_p + ny * sin_p, -nx * sin_p + ny * cos_p))
-
-    wrenches = _wrench_rows(contacts, edges)
-    return _origin_strictly_inside(wrenches)
+    return _closes(_effective_contacts(cset), cset.rotation_free, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +628,8 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
             reason="object is thinner than the deformable-surface limit; the "
                    "face deforms around it and the object slips")
 
-    positions, touched = closure_separation(obj, left, right)
-    contacts = compute_contacts(obj, left, right, positions)
+    searches, positions, touched = _closing(obj, left, right)
+    contacts = _contact_set(obj, left, right, searches, positions)
     separation = positions[1] - positions[0]
 
     concave_involved = any(s.kind is SurfaceKind.CONCAVE for s in pair)
@@ -640,9 +641,11 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
                    "tip or tilted, so the final posture is uncertain")
 
     if touched and len(contacts) > 0:
-        if form_closure_test(contacts):
+        effective = _effective_contacts(contacts)
+        if _closes(effective, contacts.rotation_free, 0.0):
             return GraspResult(GraspOutcome.FORM_CLOSURE, contacts, separation)
-        if mu > 0 and force_closure_test(contacts, mu):
+        # the normals' span has just failed: only the friction cones can close it
+        if mu > 0 and _closes(effective, False, mu):
             return GraspResult(GraspOutcome.FORCE_CLOSURE, contacts, separation)
 
     if caging_test(obj, left, right, positions):

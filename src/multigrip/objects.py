@@ -85,6 +85,8 @@ class FaceArc:
             raise ValueError("face radius must be finite")
         if self.kind != "flat" and not (self.radius and self.radius > 0):
             raise ValueError(f"{self.kind} face needs a positive radius")
+        if self.kind == "flat" and self.radius is not None:
+            raise ValueError("flat face takes no radius")
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class CompositeFaces:
         if not all(v > 0 and math.isfinite(v) for v in (self.width, self.height)):
             raise ValueError("composite dimensions must be positive and finite")
         for face in (self.left, self.right):
-            if face.kind != "flat" and face.radius is not None and self.height > 2 * face.radius:
+            if face.radius is not None and self.height > 2 * face.radius:
                 raise ValueError("face arc cannot span the object height")
 
 
@@ -256,11 +258,11 @@ class ObjectDescription:
         return 2 * _half_extents(s)[1]
 
 
+_COMPOSITE_KEYS = ("left_face_shape", "left_face_radius_mm",
+                   "right_face_shape", "right_face_radius_mm")
 _KNOWN_KEYS = {
     "shape", "radius_mm", "width_mm", "height_mm", "length_mm", "thickness_mm",
-    "mu", "left_face", "right_face",
-    "left_face_shape", "left_face_radius_mm",
-    "right_face_shape", "right_face_radius_mm",
+    "mu", "left_face", "right_face", *_COMPOSITE_KEYS,
 }
 _FACE_NAMES = {"flat", "convex", "concave", "complex"}
 
@@ -285,7 +287,9 @@ def parse_object_file(text: str) -> ObjectDescription:
                 # Geometry unknown; treat the flank as flat and let the
                 # planner react to the declared complex face.
                 kind = "flat"
-            return fields.build(FaceArc, f"{prefix}_face_shape", kind=kind,
+            # a flat face fails only on a radius, so report the radius line
+            key = f"{prefix}_face_radius_mm" if kind == "flat" else f"{prefix}_face_shape"
+            return fields.build(FaceArc, key, kind=kind,
                                 radius=length(f"{prefix}_face_radius_mm"))
         shape = fields.build(CompositeFaces, "height_mm", left=face("left"),
                              right=face("right"),
@@ -293,6 +297,10 @@ def parse_object_file(text: str) -> ObjectDescription:
                              height=length("height_mm", required=True))
     else:
         raise ObjectFileError(f"unknown shape {shape_name!r}", fields.line("shape"))
+    stray = [] if shape_name == "composite" else sorted(
+        (fields.line(key), key) for key in _COMPOSITE_KEYS if key in fields.entries)
+    if stray:
+        raise ObjectFileError(f"{shape_name} shape takes no {stray[0][1]}", stray[0][0])
 
     spec = fields.build(ObjectSpec, "mu", shape=shape,
                         mu=fields.number("mu", default=ObjectSpec.mu))

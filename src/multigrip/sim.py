@@ -360,13 +360,13 @@ def _rotation_offset_motor(state: GripperState, kin: _Kinematics) -> float:
     return max(fb_bind - k * kin.pitch_bind, 0.0) / kin.ratio_bind
 
 
-def _rotation_torque(motor_offset: float, sc: Scenario) -> float:
-    """Drive torque required at a rotation offset past the engaged detent."""
+def _rotation_torques(motor_offsets: Sequence[float], sc: Scenario) -> list[float]:
+    """Drive torques required at rotation offsets past the engaged detent."""
     kin = sc._kin
-    a, b, c = kin.detent
-    angle = kin.ratio_bind * motor_offset
-    detent = c * math.sin(angle) / (a - b * math.cos(angle)) ** 1.5  # detent_torque
-    return kin.radius * detent / kin.arm + sc.friction_torque
+    (a, b, c), ratio, sin, cos = kin.detent, kin.ratio_bind, math.sin, math.cos
+    radius, arm, friction = kin.radius, kin.arm, sc.friction_torque
+    return [radius * (c * sin(angle) / (a - b * cos(angle)) ** 1.5) / arm + friction
+            for angle in [ratio * x for x in motor_offsets]]   # detent_torque
 
 
 def _translate_open(state: GripperState, budget: float,
@@ -439,7 +439,7 @@ def _rotate(state: GripperState, budget: float, sc: Scenario,
         events = ((EVENT_DETENT_REENGAGE, ""),
                   (EVENT_MODE_CHANGED, f"mode={mode}"))
         return new, events
-    tau = held_torque if held_torque is not None else _rotation_torque(offset + use, sc)
+    tau = held_torque if held_torque is not None else _rotation_torques((offset + use,), sc)[0]
     new = GripperState(theta, tau, state.d_f_3s,
                        state.theta_fb_3s + kin.ratio_3s * use,
                        state.theta_fb_4s + kin.ratio_4s * use,
@@ -661,7 +661,7 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario, motion: tup
     if target is None:
         tau = [state.tau_m] * m  # a torque ramp holds its torque
     else:
-        tau = list(map(_rotation_torque, [x + d_inc for x in offset[:m]], repeat(sc)))
+        tau = _rotation_torques([x + d_inc for x in offset[:m]], sc)
     new = GripperState(theta[m], tau[-1], state.d_f_3s, fb3[m], fb4[m],
                        state.mode_index, state.phase)
     return m, (theta[1:m + 1], tau, repeat(state.d_f_3s, m),

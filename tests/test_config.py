@@ -291,6 +291,10 @@ class TestObjectFiles:
         with pytest.raises(ObjectFileError, match="non-numeric"):
             parse_object_file("shape = circle\nradius_mm = big\n")
 
+    def test_flat_face_takes_no_radius(self):
+        with pytest.raises(ValueError, match="flat face takes no radius"):
+            FaceArc("flat", radius=5.0)
+
     def test_complex_composite_face_is_read_as_flat(self):
         desc = parse_object_file("shape = composite\nwidth_mm = 10\nheight_mm = 20\n"
                                  "left_face_shape = complex\n")
@@ -353,6 +357,16 @@ class TestObjectFiles:
         ("shape = composite\nwidth_mm = 10\nheight_mm = 30\n"
          "left_face_shape = convex\nleft_face_radius_mm = 5\n", 3,
          "face arc cannot span the object height"),
+        ("shape = composite\nwidth_mm = 10\nheight_mm = 10\n"
+         "left_face_shape = flat\nleft_face_radius_mm = 5\n", 5, "flat face takes no radius"),
+        ("shape = composite\nright_face_radius_mm = 5\nwidth_mm = 10\nheight_mm = 10\n"
+         "right_face_shape = complex\n", 2, "flat face takes no radius"),
+        ("shape = box\nwidth_mm = 20\nheight_mm = 25\nleft_face_radius_mm = 5\n", 4,
+         "box shape takes no left_face_radius_mm"),
+        ("shape = circle\nright_face_shape = convex\nradius_mm = 5\n"
+         "left_face_radius_mm = 5\n", 2, "circle shape takes no right_face_shape"),
+        ("shape = plate\nlength_mm = 30\nthickness_mm = 1\nleft_face_shape = flat\n", 4,
+         "plate shape takes no left_face_shape"),
     ])
     def test_out_of_domain_value_line_number(self, text, lineno, message):
         with pytest.raises(ObjectFileError, match=f"line {lineno}: {message}"):

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from multigrip.grasp import (_CONTACT_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RA
                              classify_grasp, closure_separation, compute_contacts,
                              force_closure_test, form_closure_test,
                              surface_profile)
-from multigrip.modes import (build_mode_table, concave, convex, deformable_flat,
-                             flat)
+from multigrip.modes import (SurfaceKind, build_mode_table, concave, convex,
+                             deformable_flat, flat)
 from multigrip.objects import (Box, Circle, CompositeFaces, FaceArc, ObjectSpec, ThinPlate,
                                load_object_file, object_polygon, side_boundary)
 from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
@@ -392,8 +394,12 @@ class TestFormClosure:
     def test_coincident_contacts_reported(self):
         c = Contact(point=(1.0, 0.0), normal=(-1.0, 0.0), finger="3S")
         cs = ContactSet(contacts=(c, c, c, c))
-        with pytest.warns(DegenerateContactWarning):
+        with pytest.warns(DegenerateContactWarning) as form:
             assert form_closure_test(cs) is False
+        with pytest.warns(DegenerateContactWarning) as force:
+            assert force_closure_test(cs, 0.5) is False
+        # each warning names the line that called the test, not one in grasp
+        assert [w.filename for w in (*form, *force)] == [__file__, __file__]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -1010,6 +1016,82 @@ class TestClassify:
         for (obj_name, mode_name), outcome in expected.items():
             result = classify_grasp(objects[obj_name], modes[mode_name])
             assert result.outcome is outcome, (obj_name, mode_name, result)
+
+
+def _scaled(spec: ObjectSpec, scale: float) -> ObjectSpec:
+    """The object with every length of its box, plate or circle scaled."""
+    shape = spec.shape
+    return ObjectSpec(type(shape)(*(v * scale for v in dataclasses.astuple(shape))), spec.mu)
+
+
+def _classify_by_stages(obj: ObjectSpec, pair, face_width: float, thin_threshold: float):
+    """classify_grasp's rules composed from the public stage functions:
+    (outcome, contacts, separation repr, posture_uncertain)."""
+    left, right = (surface_profile(s, face_width) for s in pair)
+    if (left.deformable or right.deformable) and obj.closing_extent < thin_threshold:
+        return GraspOutcome.FAIL, ContactSet((), obj.rotation_symmetric), "nan", False
+    positions, touched = closure_separation(obj, left, right)
+    contacts = compute_contacts(obj, left, right, positions)
+    separation = repr(positions[1] - positions[0])
+    if isinstance(obj.shape, ThinPlate) and any(s.kind is SurfaceKind.CONCAVE for s in pair):
+        return GraspOutcome.CAGING, contacts, separation, True
+    if touched and len(contacts) > 0:
+        if form_closure_test(contacts):
+            return GraspOutcome.FORM_CLOSURE, contacts, separation, False
+        if obj.mu > 0 and force_closure_test(contacts, obj.mu):
+            return GraspOutcome.FORCE_CLOSURE, contacts, separation, False
+    caged = caging_test(obj, left, right, positions)
+    return (GraspOutcome.CAGING if caged else GraspOutcome.FAIL), contacts, separation, False
+
+
+class TestOnePass:
+    """classify_grasp searches each finger once and de-duplicates once, and
+    agrees with the stage functions run one after another."""
+
+    @pytest.fixture
+    def fixture_calls(self, fixtures_dir):
+        cfg = default_config()
+        table = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+        specs = [load_object_file(path).spec
+                 for path in sorted((fixtures_dir / "objects").glob("*.object"))]
+        return cfg, [(spec, table.entry(mode)) for spec in specs
+                     for mode in range(1, len(table) + 1)]
+
+    @pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
+    def test_matches_the_stage_functions(self, fixture_calls, scale):
+        cfg, calls = fixture_calls
+        assert len(calls) == 5 * 12
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CagingResolutionWarning)
+            for spec, pair in calls:
+                obj = _scaled(spec, scale)
+                result = classify_grasp(obj, pair, face_width=cfg.face_width,
+                                        thin_threshold=cfg.thin_object)
+                got = (result.outcome, result.contacts, repr(result.separation),
+                       result.posture_uncertain)
+                assert got == _classify_by_stages(obj, pair, cfg.face_width,
+                                                  cfg.thin_object), (obj, pair)
+
+    def test_one_search_per_finger_and_one_deduplication(self, fixture_calls, monkeypatch):
+        cfg, calls = fixture_calls
+        counts = Counter()
+        for name in ("_lateral_search", "_effective_contacts", "_origin_strictly_inside"):
+            original = getattr(grasp, name)
+            monkeypatch.setattr(grasp, name, lambda *a, _name=name, _f=original:
+                                counts.update([_name]) or _f(*a))
+        disk_force_closures = 0
+        for spec, pair in calls:
+            counts.clear()
+            result = classify_grasp(spec, pair, face_width=cfg.face_width,
+                                    thin_threshold=cfg.thin_object)
+            thin_rule = math.isnan(result.separation)
+            assert counts["_lateral_search"] == (0 if thin_rule else 2)
+            assert counts["_effective_contacts"] <= 1
+            # form, then force closure: a disk's normal span is tested once
+            assert counts["_origin_strictly_inside"] <= 2
+            disk_force_closures += (spec.rotation_symmetric
+                                    and result.outcome is GraspOutcome.FORCE_CLOSURE)
+        assert disk_force_closures > 0
 
 
 def _clear_caches():
