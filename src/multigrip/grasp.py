@@ -15,7 +15,10 @@ The contact search is exact.  Every object flank and finger face is an
 `Arc`, a line or a circular arc centred on y = 0, so the clearance between
 a flank and a face takes its extremes at the centre or the ends of their
 lateral overlap, and three evaluations in plain floats find each first
-contact.  numpy serves the closure tests, caging and the object outline.
+contact.  Closed forms decide closure where the physics gives one: too few
+wrenches or frictionless parallel normals never close, and two contacts each
+inside the other's friction cone (or negated cone) do.  numpy's hull
+enumeration decides the rest; numpy also serves caging and the object outline.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ __all__ = [
 _CONTACT_TOL = 1e-6     # mm; how closely a point must sit on both boundaries
 _MERGE_RADIUS = 0.1     # mm; closer contact points collapse to one
 _HULL_MARGIN = 1e-9     # strict-interior margin for positive-span tests
+_CACHED_POINTS = 12     # largest point set whose facet maps are cached, 50 kB at most
+_PAIR_CLEARANCE = 4e-4  # x rho / cos(phi): least cone-edge clearance of a Nguyen pair
+_WRENCH_GAP = 1e-2      # least gap between unequal wrenches behind a Nguyen pair
 _PROFILE_POINTS = 129   # vertices of a finger face's outline in caging
 _CORNER_TOL = 1e-9      # mm; how close to a corner a contact counts as at it
 _BODY_DEPTH = 15.0      # mm; finger body behind the face, for caging
@@ -282,7 +288,7 @@ _CROSS = np.zeros((9, 3))   # np.outer(a, b).ravel() @ _CROSS == np.cross(a, b)
 _CROSS[[5, 7, 6, 2, 1, 3], [0, 0, 1, 1, 2, 2]] = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _facet_maps(n: int, dim: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Over every dim-subset of n points: edge map and (first point, subset) index."""
     subsets = np.array(list(combinations(range(n), dim))).reshape(-1, dim)
@@ -302,7 +308,7 @@ def _origin_strictly_inside(points: np.ndarray) -> bool:
     n, dim = points.shape
     if n < dim + 1:
         return False
-    to_edges, first = _facet_maps(n, dim)
+    to_edges, first = (_facet_maps if n <= _CACHED_POINTS else _facet_maps.__wrapped__)(n, dim)
     edges = (to_edges @ points).reshape(dim - 1, -1, dim)
     normals = (edges[0][:, ::-1] * (1.0, -1.0) if dim == 2 else
                (edges[0][:, :, None] * edges[1][:, None, :]).reshape(-1, 9) @ _CROSS)
@@ -320,16 +326,9 @@ def _origin_strictly_inside(points: np.ndarray) -> bool:
         (below & (offsets < reach)) | (above & (offsets > -reach))).any()
 
 
-def _closes(contacts: list[Contact], rotation_free: bool, mu: float) -> bool:
-    """Force closure of effective contacts at a checked mu, form closure at
-    mu = 0: the wrenches of the friction-cone edges, moments about the
-    origin, must positively span the wrench space.  Where rotation is a
-    symmetry, normals spanning the plane close the grasp at any mu, even
-    one whose friction torques fit in the hull margin."""
-    if rotation_free:
-        spans = _origin_strictly_inside(np.array([c.normal for c in contacts]))
-        if spans or mu == 0.0:
-            return spans
+def _cone_wrenches(contacts: list[Contact], mu: float) -> list[tuple[float, float, float]]:
+    """The friction-cone edge wrenches, a contact's normal at mu = 0, with
+    moments about the origin over rho, the farthest contact's distance."""
     phi = math.atan(mu)
     cos_p, sin_p = math.cos(phi), math.sin(phi)
     rho = max(max((math.hypot(*c.point) for c in contacts), default=0.0), 1e-9)
@@ -340,7 +339,64 @@ def _closes(contacts: list[Contact], rotation_free: bool, mu: float) -> bool:
                  ((nx * cos_p - ny * sin_p, nx * sin_p + ny * cos_p),
                   (nx * cos_p + ny * sin_p, -nx * sin_p + ny * cos_p)))
         rows += [(dx, dy, (px * dy - py * dx) / rho) for dx, dy in edges]
-    return _origin_strictly_inside(np.array(rows))
+    return rows
+
+
+def _nguyen_pair(contacts: list[Contact], mu: float) -> bool:
+    """Whether two contacts close with a margin (Nguyen, IJRR 1988): each lies
+    inside the other's friction cone, or each inside the other's negated cone,
+    at least _PAIR_CLEARANCE rho / cos(phi) from its edges."""
+    rho = max(max(math.hypot(*c.point) for c in contacts), 1e-9)
+    margin = _PAIR_CLEARANCE * rho * (1.0 + mu * mu)   # / cos(phi) ** 2
+    for a, b in combinations(contacts, 2):
+        dx, dy = b.point[0] - a.point[0], b.point[1] - a.point[1]
+        (ax, ay), (bx, by) = a.normal, b.normal
+        # each normal's component toward the other contact (u) and across (v):
+        # the other contact lies cos(phi) (mu |u| - v) inside the nearer cone edge
+        ua, ub = dx * ax + dy * ay, -dx * bx - dy * by
+        va, vb = abs(dx * ay - dy * ax), abs(dx * by - dy * bx)
+        if ua * ub > 0.0 and min(mu * abs(ua) - va, mu * abs(ub) - vb) >= margin:
+            return True
+    return False
+
+
+def _resolved(rows: list[tuple[float, float, float]]) -> bool:
+    """Whether every two wrenches have equal forces or forces _WRENCH_GAP
+    apart, and equal forces equal moments or moments _WRENCH_GAP apart."""
+    for (ax, ay, at), (bx, by, bt) in combinations(rows, 2):
+        gap = abs(at - bt) if ax == bx and ay == by else math.hypot(ax - bx, ay - by)
+        if 0.0 < gap < _WRENCH_GAP:
+            return False
+    return True
+
+
+def _closes(contacts: list[Contact], rotation_free: bool, mu: float) -> bool:
+    """Force closure of effective contacts at a checked mu, form closure at
+    mu = 0: the `_cone_wrenches` must positively span the wrench space.
+    Where rotation is a symmetry, normals spanning the plane close the grasp
+    at any mu, even one whose friction torques fit in the hull margin.
+
+    Closed forms decide first.  Fewer wrenches than dim + 1 never span, nor
+    do frictionless contacts with parallel normals, whose wrenches lie in a
+    plane through the origin (Mishra, Schwartz & Sharir, Algorithmica 1987).
+    A `_nguyen_pair` closes, and more contacts only grow the hull.  Its margin
+    keeps the pair at least 4e-4 rho apart and 2e-4 rad inside the cones, and
+    the origin 1e-4 deep in the hull.  The enumeration's slack on a plane
+    whose normal has length l is up to 1e-12 / l, and `_resolved` wrenches
+    give l = 0 or l >= _WRENCH_GAP ** 3 / 2, so it agrees.  It decides the
+    rest: three or more contacts, pairs inside the margin, close wrenches."""
+    if rotation_free:
+        spans = len(contacts) > 2 and _origin_strictly_inside([c.normal for c in contacts])
+        if spans or mu == 0.0:
+            return spans
+    if len(contacts) < (4 if mu == 0.0 else 2):   # fewer wrenches than dim + 1
+        return False
+    ax, ay = contacts[0].normal
+    if mu == 0.0 and all(ax * ny == ay * nx for nx, ny in (c.normal for c in contacts)):
+        return False
+    rows = _cone_wrenches(contacts, mu)
+    return (mu > 0.0 and _nguyen_pair(contacts, mu) and _resolved(rows)
+            or _origin_strictly_inside(rows))
 
 
 def form_closure_test(cset: ContactSet) -> bool:

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -468,6 +470,21 @@ class TestHullTest:
         assert _origin_strictly_inside(tetra + toward * (gap - 2 * _HULL_MARGIN))
         assert not _origin_strictly_inside(tetra + toward * (gap - 0.5 * _HULL_MARGIN))
 
+    def test_large_sets_leave_the_facet_cache_bounded(self):
+        # ten contacts pushing one way: no pair closes, so 20 wrenches are enumerated
+        contacts = ContactSet(tuple(_contact(float(x), 0.0, math.pi / 2) for x in range(10)))
+        grasp._facet_maps.cache_clear()
+        tracemalloc.start()
+        try:
+            assert force_closure_test(contacts, 0.3) is False
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        info = grasp._facet_maps.cache_info()
+        assert info.misses == 0 and info.currsize == 0
+        # a cached 20-point map alone would hold 365 kB
+        assert held < 100_000
+
 
 class TestForceClosure:
     def test_box_between_flats_with_friction(self):
@@ -582,6 +599,44 @@ class TestFrictionProperties:
         expanding = math.pi - a1 < phi and math.pi - a2 < phi
         closed = force_closure_test(ContactSet((c1, c2)), mu)
         assert closed == (squeezing or expanding), (c1, c2, mu)
+        # the closed form decides most pairs: keep the enumeration checked too
+        rows = grasp._cone_wrenches([c1, c2], mu)
+        assert _origin_strictly_inside(rows) == (squeezing or expanding), (c1, c2, mu)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(cset=_contact_sets(), mu=st.one_of(st.just(0.0), _MU))
+    # a pair 1e-8 rad inside and outside a cone edge, 0.5 mm apart at 10 mm
+    # from the origin: for both the origin lies within the hull margin
+    @example(cset=ContactSet((_contact(10.0, 0.0, 0.0),
+                              _contact(10.5, 0.0, math.pi - math.atan(0.5) + 1e-8))), mu=0.5)
+    @example(cset=ContactSet((_contact(10.0, 0.0, 0.0),
+                              _contact(10.5, 0.0, math.pi - math.atan(0.5) - 1e-8))), mu=0.5)
+    # contacts closer than 1e-6 mm: as a pair, and beside a pair that closes
+    @example(cset=ContactSet((_contact(0.0, 0.0, 0.0), _contact(5e-7, 0.0, math.pi))), mu=0.5)
+    @example(cset=ContactSet((_contact(-5.0, 0.0, 0.0), _contact(-5.0, 5e-7, 0.0),
+                              Contact((5.0, 0.0), (-1.0, 0.0), "4S"))), mu=0.5)
+    # the same line of action 1e-8 mm apart: the enumeration alone reads no
+    # closure here, where the pair test without its wrench gap would
+    @example(cset=ContactSet((_contact(-5.0, 0.0, 0.0), _contact(-5.0 + 1e-8, 0.0, 0.0),
+                              Contact((5.0, 0.0), (-1.0, 0.0), "4S"))), mu=0.01)
+    # exactly antiparallel normals, frictionless
+    @example(cset=ContactSet(tuple(Contact(p, n, "3S") for p, n in [
+        ((-5.0, -8.0), (0.6, 0.8)), ((-5.0, 8.0), (0.6, 0.8)),
+        ((5.0, 8.0), (-0.6, -0.8)), ((5.0, -8.0), (-0.6, -0.8))])), mu=0.0)
+    def test_closed_forms_agree_with_the_enumeration(self, cset, mu):
+        """Whenever a closed form decides, the hull enumeration on the full
+        wrench set gives the same verdict."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateContactWarning)
+            contacts = grasp._effective_contacts(cset)
+        enumerated = []
+        original = grasp._origin_strictly_inside
+        with mock.patch.object(grasp, "_origin_strictly_inside",
+                               lambda points: enumerated.append(1) or original(points)):
+            closed = grasp._closes(contacts, False, mu)
+        if not enumerated:
+            full = _origin_strictly_inside(grasp._cone_wrenches(contacts, mu))
+            assert closed == full, (contacts, mu)
 
 
 class TestCaging:
@@ -1075,11 +1130,18 @@ class TestOnePass:
     def test_one_search_per_finger_and_one_deduplication(self, fixture_calls, monkeypatch):
         cfg, calls = fixture_calls
         counts = Counter()
-        for name in ("_lateral_search", "_effective_contacts", "_origin_strictly_inside"):
+        for name in ("_lateral_search", "_effective_contacts"):
             original = getattr(grasp, name)
             monkeypatch.setattr(grasp, name, lambda *a, _name=name, _f=original:
                                 counts.update([_name]) or _f(*a))
-        disk_force_closures = 0
+
+        def enumerate_hull(points, _f=grasp._origin_strictly_inside):
+            n, dim = np.shape(points)
+            counts.update(["enumerations"] if n >= dim + 1 else [])
+            return _f(points)
+
+        monkeypatch.setattr(grasp, "_origin_strictly_inside", enumerate_hull)
+        disk_force_closures = enumerations = 0
         for spec, pair in calls:
             counts.clear()
             result = classify_grasp(spec, pair, face_width=cfg.face_width,
@@ -1087,11 +1149,13 @@ class TestOnePass:
             thin_rule = math.isnan(result.separation)
             assert counts["_lateral_search"] == (0 if thin_rule else 2)
             assert counts["_effective_contacts"] <= 1
-            # form, then force closure: a disk's normal span is tested once
-            assert counts["_origin_strictly_inside"] <= 2
+            enumerations += counts["enumerations"]
             disk_force_closures += (spec.rotation_symmetric
                                     and result.outcome is GraspOutcome.FORCE_CLOSURE)
         assert disk_force_closures > 0
+        # closed forms decide all but the disk held in form closure by its
+        # four normals spanning the plane
+        assert enumerations == 1
 
 
 def _clear_caches():
