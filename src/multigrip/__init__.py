@@ -8,9 +8,7 @@ grasp classification (form closure, force closure, caging) and rule-based
 mode selection, plus a CLI over all of it.
 
 `import multigrip` loads no submodule: each name below, and each
-submodule, is imported on first use (PEP 562).  Only `grasp` and the
-object outlines in `objects` use numpy, so the other layers, the
-simulator included, never load it.  Loads go through the import
+submodule, is imported on first use (PEP 562), through the import
 statement's own machinery, so `-X importtime` lists each submodule.
 """
 

@@ -10,8 +10,7 @@ Each subcommand imports only the layers it runs.  All of them load
 `config`, which brings `mechanics`, `modes` and `_keyvalue`; that is all
 `validate-gears`, `modes` and `sweep` need.  `simulate` adds `control`
 and `sim`, `plan` adds `planner`, `control` and `objects`, and `classify`
-adds `objects` and `grasp`, the array layer.  So only classifying an
-object, by `classify` or `simulate grasp --object`, loads numpy.
+adds `objects` and `grasp`.
 """
 
 from __future__ import annotations

@@ -17,24 +17,23 @@ a flank and a face takes its extremes at the centre or the ends of their
 lateral overlap, and three evaluations in plain floats find each first
 contact.  Closed forms decide closure where the physics gives one: too few
 wrenches or frictionless parallel normals never close, and two contacts each
-inside the other's friction cone (or negated cone) do.  numpy's hull
-enumeration decides the rest; numpy also serves caging and the object outline.
+inside the other's friction cone (or negated cone) do.  A hull enumeration
+decides the rest.  Caging works on bit masks held in Python ints.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
 from .modes import (DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD, SurfaceKind,
                     SurfaceShape)
-from .objects import (Arc, ObjectSpec, ThinPlate, check_friction, face_arc,
+from .objects import (Arc, ObjectSpec, ThinPlate, check_friction, face_arc, linspace,
                       object_polygon, side_boundary)
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
 _CONTACT_TOL = 1e-6     # mm; how closely a point must sit on both boundaries
 _MERGE_RADIUS = 0.1     # mm; closer contact points collapse to one
 _HULL_MARGIN = 1e-9     # strict-interior margin for positive-span tests
-_CACHED_POINTS = 12     # largest point set whose facet maps are cached, 50 kB at most
 _PAIR_CLEARANCE = 4e-4  # x rho / cos(phi): least cone-edge clearance of a Nguyen pair
 _WRENCH_GAP = 1e-2      # least gap between unequal wrenches behind a Nguyen pair
 _PROFILE_POINTS = 129   # vertices of a finger face's outline in caging
@@ -284,46 +282,38 @@ def _effective_contacts(cset: ContactSet) -> list[Contact]:
     return list(seen.values())
 
 
-_CROSS = np.zeros((9, 3))   # np.outer(a, b).ravel() @ _CROSS == np.cross(a, b)
-_CROSS[[5, 7, 6, 2, 1, 3], [0, 0, 1, 1, 2, 2]] = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-
-
-@lru_cache(maxsize=16)
-def _facet_maps(n: int, dim: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Over every dim-subset of n points: edge map and (first point, subset) index."""
-    subsets = np.array(list(combinations(range(n), dim))).reshape(-1, dim)
-    to_edges = np.eye(n)[subsets[:, 1:]] - np.eye(n)[subsets[:, :1]]
-    return (to_edges.transpose(1, 0, 2).reshape(-1, n),
-            (subsets[:, 0], np.arange(len(subsets))))
-
-
-def _origin_strictly_inside(points: np.ndarray) -> bool:
+def _origin_strictly_inside(points: list[tuple[float, ...]]) -> bool:
     """Whether the origin lies at least _HULL_MARGIN inside the hull of 2-D or 3-D points.
 
     Exact facet enumeration: every plane through dim of the points with all
     points on one side (up to round-off) supports the hull, and the facet
     planes are among them.  A set of less than full dimension has none, or
     one with points on both sides: no interior."""
-    points = np.asarray(points, dtype=float)
-    n, dim = points.shape
-    if n < dim + 1:
+    dim = len(points[0]) if points else 0
+    if len(points) < dim + 1:
         return False
-    to_edges, first = (_facet_maps if n <= _CACHED_POINTS else _facet_maps.__wrapped__)(n, dim)
-    edges = (to_edges @ points).reshape(dim - 1, -1, dim)
-    normals = (edges[0][:, ::-1] * (1.0, -1.0) if dim == 2 else
-               (edges[0][:, :, None] * edges[1][:, None, :]).reshape(-1, 9) @ _CROSS)
-    length = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-    dots = points @ normals.T
-    offsets = dots[first]
-    scale = float(np.abs(points).max())
-    spans = length > 1e-12 * scale ** (dim - 1)   # not (nearly) collinear
-    # rounding in a normal grows with scale ** (dim - 1), not with its length
-    slack = 1e-12 * scale * np.maximum(length, scale ** (dim - 1))
-    below = spans & (dots.max(axis=0) - offsets <= slack)
-    above = spans & (dots.min(axis=0) - offsets >= -slack)
-    reach = _HULL_MARGIN * length
-    return bool((below | above).any()) and not (
-        (below & (offsets < reach)) | (above & (offsets > -reach))).any()
+    scale = max(abs(v) for p in points for v in p)
+    unit = scale ** (dim - 1)   # rounding in a normal grows with it, not with its length
+    supported = False
+    # in 3-D, with z = 0 in the plane: a line's normal is its edge crossed with +z
+    points = [(*p, 0.0) for p in points] if dim == 2 else points
+    for first, *others in combinations(points, dim):
+        x0, y0, z0 = first
+        (ax, ay, az), (bx, by, bz) = [(x - x0, y - y0, z - z0) for x, y, z in others] + [
+            (0.0, 0.0, 1.0)] * (3 - dim)
+        nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        length = math.sqrt(nx * nx + ny * ny + nz * nz)
+        if not length > 1e-12 * unit:   # (nearly) collinear
+            continue
+        offset = x0 * nx + y0 * ny + z0 * nz
+        dots = [x * nx + y * ny + z * nz for x, y, z in points]
+        slack, reach = 1e-12 * scale * max(length, unit), _HULL_MARGIN * length
+        for side, extreme in ((1.0, max(dots)), (-1.0, min(dots))):
+            if side * (extreme - offset) <= slack:   # every point on this side of the plane
+                if side * offset < reach:
+                    return False
+                supported = True
+    return supported
 
 
 def _cone_wrenches(contacts: list[Contact], mu: float) -> list[tuple[float, float, float]]:
@@ -431,160 +421,184 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
 # Caging
 
 @lru_cache(maxsize=16)
-def _face_outline(profile: SurfaceProfile) -> np.ndarray:
-    """The face as _PROFILE_POINTS vertices (x, y) across it; cached, so read-only."""
+def _face_outline(profile: SurfaceProfile) -> tuple[tuple[float, float], ...]:
+    """The face as _PROFILE_POINTS vertices (x, y) across it; cached."""
     half = profile.arc.half
-    ys = np.linspace(-half, half, _PROFILE_POINTS).tolist()
-    outline = np.array([(profile.arc.x_of(y), y) for y in ys])
-    outline.flags.writeable = False
-    return outline
+    return tuple((profile.arc.x_of(y), y) for y in linspace(-half, half, _PROFILE_POINTS))
 
 
-def _finger_polygon(profile: SurfaceProfile, x_ref: float, side: int) -> np.ndarray:
+def _finger_polygon(profile: SurfaceProfile, x_ref: float, side: int
+                    ) -> list[tuple[float, float]]:
     """The finger body at reference x_ref: its face, and _BODY_DEPTH behind it."""
-    front = _face_outline(profile)
-    back_x = x_ref + side * _BODY_DEPTH
-    w = profile.width / 2.0
-    return np.vstack([np.column_stack([x_ref - side * front[:, 0], front[:, 1]]),
-                      [[back_x, w], [back_x, -w]]])
+    back_x, w = x_ref + side * _BODY_DEPTH, profile.width / 2.0
+    return ([(x_ref - side * x, y) for x, y in _face_outline(profile)]
+            + [(back_x, w), (back_x, -w)])
 
 
-def _polygon_runs(polygon: np.ndarray, xs: np.ndarray,
-                  ys: np.ndarray) -> np.ndarray:
-    """Cells (xs[i], ys[j]) whose centres lie inside the polygon, as rows
-    (j, i0, i1) with i0 <= i < i1, none empty; xs increasing.
-
-    Crossing-number test, with the work proportional to the edge crossings.
-    An edge from ya to yb crosses grid row j iff min(ya, yb) <= ys[j] <
-    max(ya, yb) (half-open, so a vertex on a row counts once); ys is
-    increasing, so those rows form one range per edge, found by binary
-    search.  A centre is inside iff an odd number of its row's crossings
-    lie strictly to its right, i.e. have insertion points above i, so the
-    row's sorted insertion points k1 <= k2 <= ... pair into [k1, k2),
-    [k3, k4), ...  A pair with no centre between its crossings is empty
-    and is dropped, since a dilation would paint cells for it."""
-    a = np.asarray(polygon, dtype=float)
-    b = np.concatenate([a[1:], a[:1]])
-    first = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]))
-    n = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1])) - first
-    e = np.repeat(np.arange(len(a)), n)
-    row = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - first, n)
-    x_cross = a[e, 0] + (ys[row] - a[e, 1]) * (b[e, 0] - a[e, 0]) / (b[e, 1] - a[e, 1])
-    span = len(xs) + 1
-    row, cut = np.divmod(np.sort(row * span + np.searchsorted(xs, x_cross)), span)
-    runs = np.column_stack([row[::2], cut[::2], cut[1::2]])
-    return runs[runs[:, 1] < runs[:, 2]]
+def _arange(start: float, stop: float, step: float) -> list[float]:
+    """Values from start up to stop, exclusive, as an array range makes them:
+    start + i * ((start + step) - start)."""
+    delta = (start + step) - start
+    return [start + i * delta for i in range(max(math.ceil((stop - start) / step), 0))]
 
 
-def _reachable_region(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
-    """Free runs along y connected to the seed cell, which counts as free.
+def _polygon_runs(polygon: list[tuple[float, float]], xs: list[float],
+                  ys: list[float]) -> list[tuple[int, int, int]]:
+    """Cells (xs[i], ys[j]) whose centres lie inside the polygon, as sorted
+    runs (j, i0, i1) with i0 <= i < i1, none empty; xs and ys increasing.
 
-    Rows (line, y0, y1) with line = angle * nx + x and y1 exclusive.  Runs
-    are joined when their y-intervals overlap and they lie in neighbouring
-    x lines or rotation slices; axis 0 (rotation) wraps around.  Components
-    come from a vectorized union-find: hook the two roots of every edge to
-    the lesser one, then jump pointers until each run points at its root."""
-    na, nx, ny = free.shape
-    w = ny + 1
-    padded = np.zeros((na, nx, ny + 2), dtype=bool)
-    padded[..., 1:-1] = free
-    padded[seed[0], seed[1], seed[2] + 1] = True
-    # transitions at line * w + y alternate: run start, run end (exclusive)
-    start, end = np.flatnonzero(padded[..., 1:] != padded[..., :-1]).reshape(-1, 2).T
-    line = start // w
-    neighbours = [(line + 1, line % nx < nx - 1)]   # next x, same slice
-    if na > 1:
-        neighbours.append(((line + nx) % (na * nx), True))   # next slice
-    edges = []
-    for target, ok in neighbours:
-        offset = (target - line) * w   # its runs lo .. lo + n - 1 overlap this one
-        lo = np.searchsorted(end, start + offset, side="right")
-        n = np.where(ok, np.searchsorted(start, end + offset) - lo, 0)
-        edges.append([np.repeat(np.arange(len(start)), n),
-                      np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)])
-    edges = np.concatenate(edges, axis=1)
-    parent = np.arange(len(start))
-    while edges.size:
-        roots = parent[edges]
-        # flat values: numpy 2.4's ufunc.at misreads broadcast ones
-        np.minimum.at(parent, roots.ravel(), np.tile(roots.min(axis=0), 2))
-        while ((jump := parent[parent]) != parent).any():
-            parent = jump
-        edges = edges[:, parent[edges[0]] != parent[edges[1]]]
-    past_seed = np.searchsorted(start, np.ravel_multi_index(seed, (na, nx, w)), "right")
-    return np.column_stack([line, start % w, end % w])[parent == parent[past_seed - 1]]
+    Crossing-number test: an edge from ya to yb crosses row j iff min(ya, yb)
+    <= ys[j] < max(ya, yb) (half-open: a vertex on a row counts once), the
+    rows between those bisected at its ends.  A centre is inside iff an odd
+    number of its row's crossings have insertion points above i, so the
+    sorted insertion points k1 <= k2 <= ... pair into [k1, k2), [k3, k4),
+    ...; an empty pair is dropped, as a dilation would paint cells for it."""
+    span, cuts = len(xs) + 1, []
+    (xa, ya), ja = polygon[-1], bisect_left(ys, polygon[-1][1])
+    for xb, yb in polygon:   # the edge from (xa, ya) to (xb, yb)
+        jb = bisect_left(ys, yb)
+        if ja != jb:
+            dx, dy = xb - xa, yb - ya
+            cuts += [j * span + bisect_left(xs, xa + (ys[j] - ya) * dx / dy)
+                     for j in range(min(ja, jb), max(ja, jb))]
+        xa, ya, ja = xb, yb, jb
+    cuts.sort()
+    return [(k0 // span, k0 % span, k1 % span)
+            for k0, k1 in zip(cuts[::2], cuts[1::2]) if k0 < k1]
 
 
-def _escapes_from(free: np.ndarray, seed: tuple[int, ...]) -> bool:
-    """Whether a pose reached from the seed lies on the border of the workspace box."""
-    _, nx, ny = free.shape
-    line, y0, y1 = _reachable_region(free, seed).T
-    x = line % nx
-    return bool((x == 0).any() or (x == nx - 1).any()
-                or (y0 == 0).any() or (y1 == ny).any())
+def _repunit(n: int, stride: int) -> int:
+    """n one bits, stride bits apart from bit 0."""
+    return ((1 << n * stride) - 1) // ((1 << stride) - 1)
 
 
-def _erode_xy(free: np.ndarray) -> np.ndarray:
-    """Free space eroded _ERODE_CELLS times by the x-y plane cross, the
-    border counting as free."""
+class _BitGrid:
+    """An (nx, ny) cell grid whose masks are Python ints: cell (x, y) is bit
+    (x + 1) * stride + 1 + y, stride = ny + 2, so zero guard bits fence each
+    column and the grid, and a one-cell shift never carries a cell into
+    another column.  `ring` is the guard cells touching the grid, `border`
+    the grid cells on its edge."""
+
+    def __init__(self, nx: int, ny: int):
+        self.nx, self.ny, self.stride = nx, ny, ny + 2
+        column, every = (1 << ny) - 1 << 1, _repunit(nx, ny + 2) << ny + 2
+        self.valid = column * every
+        self.border = (column | column << (nx - 1) * self.stride) << self.stride | (
+            (2 | 1 << ny) * every)
+        self.ring = column | column << (nx + 1) * self.stride | (1 | 2 << ny) * every
+
+    def rows(self, y0: int, y1: int, columns: int) -> int:
+        """Grid rows y0 <= y < y1 in columns -1 .. columns - 2."""
+        y0, y1 = max(y0, 0), min(y1, self.ny)
+        return ((1 << max(y1 - y0, 0)) - 1 << y0 + 1) * _repunit(columns, self.stride)
+
+
+class _Dilations(dict):
+    """The fingers' runs, a list per finger, or'd into one mask self[1]: a
+    finger's mask is the parity along x of a mark at both ends of each run.
+    self[length] is that mask dilated along +x by length cells, built from
+    the longest one so far or from halves; `rows` spans the fingers' rows."""
+
+    def __init__(self, grid: _BitGrid, *fingers: list[tuple[int, int, int]]):
+        super().__init__({1: 0})
+        s = self.stride = grid.stride
+        for runs in fingers:
+            marks = bytearray(((grid.nx + 2) * s + 7) // 8)
+            for bit in ((i + 1) * s + 1 + j for j, *ends in runs for i in ends):
+                marks[bit >> 3] ^= 1 << (bit & 7)
+            parity, shift = int.from_bytes(marks, "little"), s
+            while shift <= grid.nx * s:
+                parity, shift = parity ^ parity << shift, 2 * shift
+            self[1] |= parity & grid.valid
+        rows = [j for runs in fingers for j, _, _ in runs] or [0]
+        self.rows = (min(rows), max(rows))
+
+    def __missing__(self, length: int) -> int:
+        base = max(max(k for k in self if k < length), length // 2)
+        self[length] = self[base] | self[length - base] << base * self.stride
+        return self[length]
+
+
+def _cspace_obstacle(fingers: _Dilations, footprint: list[tuple[int, int, int]],
+                     centre: int, grid: _BitGrid) -> int:
+    """Configuration-space obstacle on the grid: the finger mask dilated by
+    the footprint runs, whose grid has the reference cell (centre, centre).
+
+    A footprint run [u0, u1) in row centre + dv meets a finger cell (a, j)
+    when the object sits in row j - dv with its reference cell in
+    [a - (u1 - 1 - centre), a - (u0 - centre)]: the fingers dilated along +x
+    by u1 - u0 cells, shifted down u1 - 1 - centre columns and dv rows, less
+    the rows that would leave the grid, and so enter another column."""
+    s, ny, (lo, hi) = grid.stride, grid.ny, fingers.rows
+    blocked = 0
+    for v, u0, u1 in footprint:
+        dilated, dv = fingers[u1 - u0], v - centre
+        if lo - dv < 0 or hi - dv >= ny:
+            dilated &= grid.rows(dv, ny + dv, dilated.bit_length() // s + 1)
+        shift = (u1 - 1 - centre) * s + dv
+        blocked |= dilated >> shift if shift >= 0 else dilated << -shift
+    return blocked & grid.valid
+
+
+def _erode_xy(free: int, grid: _BitGrid) -> int:
+    """Free space eroded _ERODE_CELLS times by the x-y plane cross, with the
+    guard ring counted free, so that a cell has no neighbour past the border."""
+    s = grid.stride
     for _ in range(_ERODE_CELLS):
-        eroded = free.copy()   # a border cell has no neighbour to clear it
-        eroded[:, 1:] &= free[:, :-1]
-        eroded[:, :-1] &= free[:, 1:]
-        eroded[:, :, 1:] &= free[:, :, :-1]
-        eroded[:, :, :-1] &= free[:, :, 1:]
-        free = eroded
+        ringed = free | grid.ring
+        free &= ringed << 1 & ringed >> 1 & ringed << s & ringed >> s
     return free
 
 
-def _erode_xy_from(free: np.ndarray, seed: tuple[int, ...]) -> np.ndarray:
-    """`_erode_xy(free)` plus the cells the seed, counted free, reaches in
-    `free` without leaving its rotation slice or the x-y window of the
-    erosion depth around it, clipped at the grid border.
+def _fill(cells: int, grown: int, stride: int, border: int = 0) -> int:
+    """The cells connected in x-y to grown, a subset of them, or those found
+    when they first meet the border.  A pass grows the region R by a cell along
+    x and down y, and up y to the top of each y-run: cells & ~(cells + R) holds
+    each run from R's lowest cell in it up, as the carry passes the run's top."""
+    while True:
+        carry = cells + grown
+        region = ((cells | carry) ^ carry | grown
+                  | grown >> 1 | grown << stride | grown >> stride) & cells
+        if region == grown or region & border:
+            return region
+        grown = region
 
-    A seed touching a finger at rest would otherwise be left an island of
-    one cell, which reads as an escape through a narrow gap.  Each cell put
-    back lies in the seed's component of `free`, so an escape from the
-    result is an escape from `free`."""
-    narrowed = _erode_xy(free)
-    a, x, y = seed
-    x0, y0 = max(x - _ERODE_CELLS, 0), max(y - _ERODE_CELLS, 0)
-    window = free[a, x0:x + _ERODE_CELLS + 1, y0:y + _ERODE_CELLS + 1]
-    allowed = set(map(tuple, np.argwhere(window).tolist()))
-    reached = grown = {(x - x0, y - y0)}
-    while grown:   # grow by free 4-neighbours in the window until nothing changes
-        grown = {(i + di, j + dj) for i, j in grown
-                 for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))} & (allowed - reached)
-        reached |= grown
-    for i, j in reached:
-        narrowed[a, x0 + i, y0 + j] = True
+
+def _erode_xy_from(free: list[int], grid: _BitGrid, seed: tuple[int, int, int]) -> list[int]:
+    """`_erode_xy` of each slice plus the cells the seed, counted free,
+    reaches in `free` without leaving its rotation slice or the x-y window of
+    the erosion depth around it, clipped at the grid border.  A seed touching
+    a finger at rest would otherwise be an island of one cell, read as an
+    escape through a narrow gap.  Each cell put back lies in the seed's
+    component of `free`, so an escape from the result is one from `free`."""
+    narrowed, (a, x, y), d = [_erode_xy(f, grid) for f in free], seed, _ERODE_CELLS
+    x0 = max(x - d, 0)
+    base = (x0 + 1) * grid.stride   # moves the window's first column x0 to -1
+    window = grid.rows(y - d, y + d + 1, min(x + d, grid.nx - 1) - x0 + 1)
+    seed_bit = 1 << (x - x0) * grid.stride + 1 + y
+    narrowed[a] |= _fill(free[a] >> base & window | seed_bit, seed_bit, grid.stride) << base
     return narrowed
 
 
-def _cspace_obstacle(fingers: np.ndarray, footprint: np.ndarray, centre: int,
-                     shape: tuple[int, int]) -> np.ndarray:
-    """Configuration-space obstacle on the (nx, ny) grid: the finger runs
-    dilated by the footprint runs, whose grid has the reference cell
-    (centre, centre).
-
-    A footprint run [u0, u1) in footprint row centre + dv meets a finger run
-    [a0, a1) in grid row j when the object sits in row j - dv with its
-    reference cell in [a0 - (u1 - centre) + 1, a1 - (u0 - centre)): each
-    pair paints one interval, as +1/-1 steps of a difference array along x.
-    This is fftconvolve(fingers, footprint[::-1, ::-1], mode="same") > 0 in
-    whole cells."""
-    nx, ny = shape
-    j, a0, a1 = fingers.T[:, :, None]
-    v, u0, u1 = footprint.T[:, None, :]
-    row = j - (v - centre)
-    lo = np.maximum(a0 - (u1 - centre) + 1, 0)
-    hi = np.minimum(a1 - (u0 - centre), nx)
-    keep = (row >= 0) & (row < ny) & (lo < hi)
-    row = row[keep]
-    # in place and summed in int32: fewer and smaller temporaries per slice
-    steps = np.bincount(lo[keep] * ny + row, minlength=(nx + 1) * ny)
-    steps -= np.bincount(hi[keep] * ny + row, minlength=(nx + 1) * ny)
-    return np.cumsum(steps.reshape(nx + 1, ny)[:nx], axis=0, dtype=np.int32) > 0
+def _escapes_from(free: list[int], grid: _BitGrid, seed: tuple[int, int, int]) -> bool:
+    """Whether a pose reached from the seed, which counts as free, lies on
+    the border of the workspace box; free holds one mask per rotation slice.
+    Each slice is filled in x-y; one that has grown hands its cells on to
+    the slices next to it, the last and the first being neighbours."""
+    n, a, x, y = len(free), *seed
+    free, reached, todo = list(free), [0] * n, {a}
+    reached[a] = 1 << (x + 1) * grid.stride + 1 + y
+    free[a] |= reached[a]
+    while todo:
+        a = todo.pop()
+        reached[a] = _fill(free[a], reached[a], grid.stride, grid.border)
+        if reached[a] & grid.border:
+            return True
+        for b in {(a - 1) % n, (a + 1) % n} - {a}:
+            if reached[a] & free[b] & ~reached[b]:
+                reached[b] |= reached[a] & free[b]
+                todo.add(b)
+    return False
 
 
 def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
@@ -594,54 +608,44 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
 
     The rotations are n = round(360 / angle_cell_deg) slices 360/n degrees
     apart, so the last slice is one step from the first; a rotation-symmetric
-    object such as a disk has one slice.  In each slice the obstacle is the
-    finger bodies at positions (x_left, x_right) dilated by the rotated
-    object footprint, a Minkowski sum (Lozano-Pérez, IEEE T-C 1983) computed
-    exactly on the grid from the x-runs of both rasterized shapes.  The
-    object is caged iff the free region connected to the rest pose at the
-    origin never reaches the border of the workspace box; the region is a
-    flood fill over the graph of free y-runs.  An escape that vanishes once
-    free space is eroded by two cells in x-y runs through a gap at most two
-    cells wide, so the verdict may depend on the grid: that raises
-    CagingResolutionWarning.  The erosion keeps the cells the rest pose
-    reaches within its depth, so a contact at rest is not taken for such a
-    gap.  A wide escape within the rest-angle slice alone, a subset of the
-    full search, decides the test before the other slices are built or
-    stored.  The cell (mm) and the rotation step must be positive and finite.
+    object such as a disk has one slice.  In each slice, one bit mask, the
+    obstacle is the finger bodies at positions (x_left, x_right) dilated by
+    the rotated object footprint, a Minkowski sum (Lozano-Pérez, IEEE T-C
+    1983) computed exactly on the grid from the x-runs of both rasterized
+    shapes.  The object is caged iff the free region connected to the rest
+    pose at the origin never reaches the border of the workspace box.  An
+    escape that vanishes once free space is eroded by two cells in x-y runs
+    through a gap at most two cells wide, which raises
+    CagingResolutionWarning; the erosion keeps the cells the rest pose
+    reaches within its depth, so a contact at rest is no such gap.  A wide
+    escape in the rest-angle slice alone decides before the other slices are
+    built.  The cell (mm) and the rotation step must be positive and finite.
     """
     for name, value in (("cell", cell), ("angle_cell_deg", angle_cell_deg)):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite")
-    poly_left = _finger_polygon(left, positions[0], -1)
-    poly_right = _finger_polygon(right, positions[1], +1)
-    vertices = np.vstack([poly_left, poly_right])
+    polygons = [_finger_polygon(*finger) for finger in zip((left, right), positions, (-1, 1))]
     base = object_polygon(obj)
-    reach = float(np.max(np.hypot(base[:, 0], base[:, 1])))
-    xs, ys = (np.arange(c.min() - reach - 3 * cell,
-                        c.max() + reach + 3 * cell + cell, cell) for c in vertices.T)
-    seed = (0, int(np.argmin(np.abs(xs))), int(np.argmin(np.abs(ys))))
-
-    finger_runs = np.vstack([_polygon_runs(poly_left, xs, ys),
-                             _polygon_runs(poly_right, xs, ys)])
-    m = int(math.ceil(reach / cell)) + 1
-    local = np.arange(-m, m + 1) * cell
-    n_angles = (1 if obj.rotation_symmetric
-                else max(int(round(360.0 / angle_cell_deg)), 1))
+    reach = max(abs(complex(x, y)) for x, y in base)   # the abs is libm's hypot
+    xs, ys = (_arange(min(c) - reach - 3 * cell, max(c) + reach + 3 * cell + cell, cell)
+              for c in zip(*polygons[0], *polygons[1]))
+    grid = _BitGrid(len(xs), len(ys))
+    seed = (0, *(c.index(min(c, key=abs)) for c in (xs, ys)))   # the cell nearest the origin
+    fingers = _Dilations(grid, *(_polygon_runs(polygon, xs, ys) for polygon in polygons))
+    m = math.ceil(reach / cell) + 1
+    local = [i * cell for i in range(-m, m + 1)]
+    n_angles = 1 if obj.rotation_symmetric else max(round(360.0 / angle_cell_deg), 1)
+    slices = []
     for ia in range(n_angles):
         a = math.radians(ia * 360.0 / n_angles)
-        rot = np.array([[math.cos(a), -math.sin(a)],
-                        [math.sin(a), math.cos(a)]])
-        footprint = _polygon_runs(base @ rot.T, local, local)
-        free = ~_cspace_obstacle(finger_runs, footprint, m, (len(xs), len(ys)))
-        if ia == 0:
-            if _escapes_from(_erode_xy_from(free[None], seed), seed):
-                return False
-            free3 = np.empty((n_angles, *free.shape), dtype=bool)
-        free3[ia] = free
-
-    if not _escapes_from(free3, seed):
+        c, s = math.cos(a), math.sin(a)
+        footprint = _polygon_runs([(x * c - y * s, x * s + y * c) for x, y in base], local, local)
+        slices.append(grid.valid ^ _cspace_obstacle(fingers, footprint, m, grid))
+        if ia == 0 and _escapes_from(_erode_xy_from(slices, grid, seed), grid, seed):
+            return False
+    if not _escapes_from(slices, grid, seed):
         return True
-    if not _escapes_from(_erode_xy_from(free3, seed), seed):
+    if not _escapes_from(_erode_xy_from(slices, grid, seed), grid, seed):
         warnings.warn(
             "the escape path passes a gap at most two grid cells "
             f"({_ERODE_CELLS * cell:g} mm) wide; result may be resolution-limited",

@@ -4,8 +4,6 @@ Objects live in the grasp plane with the closing axis along x and are
 centered on the origin.  Each primitive exposes its left/right flank as an
 `Arc`, a line or a circular arc x(y) centred on y = 0, which is what the
 contact computation consumes; the finger faces are arcs of the same kind.
-numpy is imported only where the outline is built, so parsing an object
-file and building its flanks do not load it.
 """
 
 from __future__ import annotations
@@ -13,12 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
 
 from ._keyvalue import KeyValues, LineError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Circle",
@@ -216,20 +210,25 @@ def side_boundary(spec: ObjectSpec, side: int) -> Arc:
     return face_arc(face.kind, face.radius, half, flank_x, side)
 
 
-def object_polygon(spec: ObjectSpec) -> np.ndarray:
-    """Closed outline of the object as a vertex array (a circle as a polygon)."""
-    import numpy as np
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num values i * step + start from start to stop, the last exactly stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+def object_polygon(spec: ObjectSpec) -> list[tuple[float, float]]:
+    """Closed outline of the object as (x, y) vertices (a circle as a polygon)."""
     s = spec.shape
     if isinstance(s, Circle):
-        angles = np.linspace(0.0, 2.0 * math.pi, 4 * _SAMPLES_PER_ARC, endpoint=False)
-        return np.column_stack([s.radius * np.cos(angles), s.radius * np.sin(angles)])
+        step = 2.0 * math.pi / (4 * _SAMPLES_PER_ARC)
+        return [(s.radius * math.cos(i * step), s.radius * math.sin(i * step))
+                for i in range(4 * _SAMPLES_PER_ARC)]
     w, h = _half_extents(s)
     if isinstance(s, CompositeFaces):
         left, right = (side_boundary(spec, side) for side in (-1, 1))
-        ys = np.linspace(-h, h, _SAMPLES_PER_ARC).tolist()
-        return np.array([(left.x_of(y), y) for y in ys]
-                        + [(right.x_of(y), y) for y in reversed(ys)])
-    return np.array([[-w, -h], [w, -h], [w, h], [-w, h]])
+        ys = linspace(-h, h, _SAMPLES_PER_ARC)
+        return [(left.x_of(y), y) for y in ys] + [(right.x_of(y), y) for y in reversed(ys)]
+    return [(-w, -h), (w, -h), (w, h), (-w, h)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: peaks come
 from plain dense sweeps, positive span from an LP plus randomized
 certificates, hull interiors from Qhull, caging escapes from
 `scipy.ndimage` labelling and erosion, configuration-space obstacles from an
-FFT convolution, cycle periods from literal sequence enumeration,
+FFT convolution, the caging kernel cell for cell from its earlier numpy
+form (`reference_*`), cycle periods from literal sequence enumeration,
 simulator traces from the public one-increment `step`, simulator run
 lengths from a vectorized scan of every plain-step condition, and contact
 searches from a dense lateral grid.
@@ -376,6 +377,78 @@ def runs_to_mask(runs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     for j, i0, i1 in runs:
         mask[i0:i1, j] = True
     return mask
+
+
+def pack_bits(mask: np.ndarray) -> int:
+    """An (nx, ny) boolean grid as the caging kernel's bit mask: cell (x, y)
+    is bit (x + 1) * (ny + 2) + 1 + y, with zero guard bits around the grid."""
+    nx, ny = mask.shape
+    padded = np.zeros((nx + 2, ny + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    return int.from_bytes(np.packbits(padded.ravel(), bitorder="little").tobytes(), "little")
+
+
+def unpack_bits(bits: int, shape: tuple[int, int]) -> np.ndarray:
+    """The (nx, ny) boolean grid of a bit mask; any bit outside it is an error."""
+    nx, ny = shape
+    size = (nx + 2) * (ny + 2)
+    assert 0 <= bits < 1 << size, "bits past the last guard column"
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    padded = np.unpackbits(raw, bitorder="little")[:size].reshape(nx + 2, ny + 2).astype(bool)
+    inside = np.zeros_like(padded)
+    inside[1:-1, 1:-1] = True
+    assert not (padded & ~inside).any(), "a guard bit is set"
+    return padded[1:-1, 1:-1]
+
+
+# The caging kernel as it was in numpy, kept as the cell-for-cell reference
+# of the bit-mask kernel: rasterization, obstacle dilation and erosion.
+
+def reference_polygon_runs(polygon: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Cells (xs[i], ys[j]) whose centres lie inside the polygon, as rows
+    (j, i0, i1) with i0 <= i < i1, none empty; per edge, one range of rows by
+    binary search, crossings paired along each row."""
+    a = np.asarray(polygon, dtype=float)
+    b = np.concatenate([a[1:], a[:1]])
+    first = np.searchsorted(ys, np.minimum(a[:, 1], b[:, 1]))
+    n = np.searchsorted(ys, np.maximum(a[:, 1], b[:, 1])) - first
+    e = np.repeat(np.arange(len(a)), n)
+    row = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - first, n)
+    x_cross = a[e, 0] + (ys[row] - a[e, 1]) * (b[e, 0] - a[e, 0]) / (b[e, 1] - a[e, 1])
+    span = len(xs) + 1
+    row, cut = np.divmod(np.sort(row * span + np.searchsorted(xs, x_cross)), span)
+    runs = np.column_stack([row[::2], cut[::2], cut[1::2]])
+    return runs[runs[:, 1] < runs[:, 2]]
+
+
+def reference_cspace_obstacle(fingers: np.ndarray, footprint: np.ndarray, centre: int,
+                              shape: tuple[int, int]) -> np.ndarray:
+    """The finger runs dilated by the footprint runs on the (nx, ny) grid:
+    each pair of runs paints one x-interval, as +1/-1 steps summed along x."""
+    nx, ny = shape
+    j, a0, a1 = np.asarray(fingers).reshape(-1, 3).T[:, :, None]
+    v, u0, u1 = np.asarray(footprint).reshape(-1, 3).T[:, None, :]
+    row = j - (v - centre)
+    lo = np.maximum(a0 - (u1 - centre) + 1, 0)
+    hi = np.minimum(a1 - (u0 - centre), nx)
+    keep = (row >= 0) & (row < ny) & (lo < hi)
+    row = row[keep]
+    steps = np.bincount(lo[keep] * ny + row, minlength=(nx + 1) * ny)
+    steps -= np.bincount(hi[keep] * ny + row, minlength=(nx + 1) * ny)
+    return np.cumsum(steps.reshape(nx + 1, ny)[:nx], axis=0, dtype=np.int32) > 0
+
+
+def reference_erode_xy(free: np.ndarray, depth: int) -> np.ndarray:
+    """Free space eroded depth times by the x-y plane cross, by in-place
+    shifts; a border cell has no neighbour to clear it."""
+    for _ in range(depth):
+        eroded = free.copy()
+        eroded[:, 1:] &= free[:, :-1]
+        eroded[:, :-1] &= free[:, 1:]
+        eroded[:, :, 1:] &= free[:, :, :-1]
+        eroded[:, :, :-1] &= free[:, :, 1:]
+        free = eroded
+    return free
 
 
 @lru_cache(maxsize=None)

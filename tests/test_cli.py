@@ -387,11 +387,11 @@ def _run_python(*args: str) -> subprocess.CompletedProcess:
 
 
 class TestColdStart:
-    """No CLI path imports a scipy module, and the caging search needs no
-    numpy.fft.  `import multigrip` and the subcommands built on plain
-    Python (modes, validate-gears, plan, sweep, simulate) import no numpy
-    at all; only classify, and simulate grasp with --object, load it.  Each
-    subcommand loads exactly the package modules of the layers it runs."""
+    """No CLI path imports numpy or scipy: `import multigrip`, the grasp
+    layer (classify, simulate grasp with --object, the caging search and the
+    hull enumeration included) and the other subcommands run on plain
+    Python.  Each subcommand loads exactly the package modules of the layers
+    it runs."""
 
     LIST_SCIPY = ("print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
@@ -412,6 +412,24 @@ class TestColdStart:
         proc = _run_python("-c", "import sys, multigrip; " + self.LIST_NUMPY)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip() == "[]"
+
+    def test_grasp_import_loads_no_numpy(self):
+        proc = _run_python("-c", "import sys, multigrip.grasp; " + self.LIST_NUMPY)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        # caging-decided: the closure tests, then the rest-angle slice
+        ["classify", "--object", "box.object", "--mode", "5"],
+        # form closure of a disk by the 2-D hull enumeration of its normals
+        ["classify", "--object", "large_cylinder.object", "--mode", "3"],
+        ["simulate", "grasp", "--force", "40", "--gap", "10", "--object", "box.object"],
+    ], ids=["classify-caging", "classify-enumeration", "simulate-grasp-object"])
+    def test_grasp_subcommands_load_no_numpy(self, argv, fixtures_dir):
+        argv = [str(fixtures_dir / "objects" / a) if a.endswith(".object") else a
+                for a in argv]
+        proc = self._run_cli(*argv, listing=self.LIST_NUMPY)
+        assert proc.stderr.strip().splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("code, modules", [
         ("import multigrip; multigrip.grasp", ["multigrip.grasp"]),
