@@ -306,10 +306,9 @@ def _origin_strictly_inside(points: list[tuple[float, ...]]) -> bool:
         if not length > 1e-12 * unit:   # (nearly) collinear
             continue
         offset = x0 * nx + y0 * ny + z0 * nz
-        dots = [x * nx + y * ny + z * nz for x, y, z in points]
         slack, reach = 1e-12 * scale * max(length, unit), _HULL_MARGIN * length
-        for side, extreme in ((1.0, max(dots)), (-1.0, min(dots))):
-            if side * (extreme - offset) <= slack:   # every point on this side of the plane
+        for side in (1.0, -1.0):   # every point on this side of the plane, up to the slack
+            if all(side * (x * nx + y * ny + z * nz - offset) <= slack for x, y, z in points):
                 if side * offset < reach:
                     return False
                 supported = True
