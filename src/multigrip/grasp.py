@@ -18,7 +18,8 @@ lateral overlap, and three evaluations in plain floats find each first
 contact.  Closed forms decide closure where the physics gives one: too few
 wrenches or frictionless parallel normals never close, and two contacts each
 inside the other's friction cone (or negated cone) do.  A hull enumeration
-decides the rest.  Caging works on bit masks held in Python ints.
+with exact signs decides the rest: floats where their rounding cannot flip
+a sign, integers elsewhere.  Caging works on bit masks held in Python ints.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import combinations
 from .modes import (DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD, SurfaceKind,
                     SurfaceShape)
 from .objects import (Arc, ObjectSpec, ThinPlate, check_friction, face_arc, linspace,
-                      object_polygon, side_boundary)
+                      object_polygon)
 
 __all__ = [
     "SurfaceProfile",
@@ -60,7 +61,6 @@ _CONTACT_TOL = 1e-6     # mm; how closely a point must sit on both boundaries
 _MERGE_RADIUS = 0.1     # mm; closer contact points collapse to one
 _HULL_MARGIN = 1e-9     # strict-interior margin for positive-span tests
 _PAIR_CLEARANCE = 4e-4  # x rho / cos(phi): least cone-edge clearance of a Nguyen pair
-_WRENCH_GAP = 1e-2      # least gap between unequal wrenches behind a Nguyen pair
 _PROFILE_POINTS = 129   # vertices of a finger face's outline in caging
 _CORNER_TOL = 1e-9      # mm; how close to a corner a contact counts as at it
 _BODY_DEPTH = 15.0      # mm; finger body behind the face, for caging
@@ -165,7 +165,7 @@ def _lateral_search(spec: ObjectSpec, profile: SurfaceProfile, side: int
     and the positions within a tolerance of an extreme are the whole
     overlap, one band around the centre or two bands at the ends.
     """
-    flank = side_boundary(spec, side)
+    flank = spec.flanks[side > 0]
     hi = min(flank.half, profile.arc.half)
     ys = (-hi, 0.0, hi)
     c = [flank.x_of(y) + side * profile.height(y) for y in ys]
@@ -227,10 +227,10 @@ def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfil
     reported at its two ends, or at its best point if the overlap is no
     wider than the merge radius.
     """
-    return _contact_set(obj, left, right, _closing(obj, left, right)[0], positions)
+    return _contact_set(obj, left, right,
+                        _closing(obj, left, right, _finger_separation(left, right))[0], positions)
 
 
-@lru_cache(maxsize=64)
 def _finger_separation(left: SurfaceProfile, right: SurfaceProfile) -> float:
     """Separation at which two finger faces touch each other.
 
@@ -241,11 +241,19 @@ def _finger_separation(left: SurfaceProfile, right: SurfaceProfile) -> float:
     return max(left.height(y) + right.height(y) for y in (-half, 0.0, half))
 
 
-def _closing(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile) -> tuple:
+@lru_cache(maxsize=64)
+def _finger_pair(left: SurfaceShape, right: SurfaceShape, width: float
+                 ) -> tuple[SurfaceProfile, SurfaceProfile, float]:
+    """A mode's two finger faces and the `_finger_separation` where they touch."""
+    profiles = surface_profile(left, width), surface_profile(right, width)
+    return *profiles, _finger_separation(*profiles)
+
+
+def _closing(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
+             sep_fingers: float) -> tuple:
     """Both fingers' `_lateral_search`es, then closure_separation's result."""
     searches = (_lateral_search(obj, left, -1), _lateral_search(obj, right, +1))
     sep_obj = max(-2.0 * searches[0][1], 2.0 * searches[1][1])
-    sep_fingers = _finger_separation(left, right)
     separation = max(0.0, sep_obj, sep_fingers)   # ties keep +0.0
     touched = sep_obj >= sep_fingers - _CONTACT_TOL
     return searches, (-separation / 2.0, separation / 2.0), touched
@@ -262,7 +270,7 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProf
     deep pockets can leave the fingers touching each other with the object
     untouched.
     """
-    return _closing(obj, left, right)[1:]
+    return _closing(obj, left, right, _finger_separation(left, right))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -282,36 +290,70 @@ def _effective_contacts(cset: ContactSet) -> list[Contact]:
     return list(seen.values())
 
 
+def _plane(first, second, third, points):
+    """The plane through three points: its normal n, offset first . n, and
+    p . n for each of points; exact on integers."""
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = first, second, third
+    ax, ay, az, bx, by, bz = x1 - x0, y1 - y0, z1 - z0, x2 - x0, y2 - y0, z2 - z0
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    offset = x0 * nx + y0 * ny + z0 * nz
+    return (nx, ny, nz), offset, [x * nx + y * ny + z * nz for x, y, z in points]
+
+
+def _exact_facet(plane: tuple, points: list[tuple]) -> bool | None:
+    """`_origin_strictly_inside` on one plane, in integers: None if it does
+    not support the points, else whether it holds the origin _HULL_MARGIN
+    deep on their side.  Every float is an integer over a power of two, so
+    scaled by the largest of those powers the arithmetic is exact."""
+    ratios = [[v.as_integer_ratio() for v in p] for p in (*plane, *points)]
+    den = max(q for r in ratios for _, q in r)
+    exact = [[n * (den // q) for n, q in r] for r in ratios]
+    n, offset, dots = _plane(*exact[:3], exact[3:])
+    above, below = max(dots) > offset, min(dots) < offset
+    if above and below or not any(n):
+        return None
+    num, div = _HULL_MARGIN.as_integer_ratio()   # side * offset >= margin * |n|, squared:
+    return (above != below and (-offset if above else offset) >= 0
+            and (offset * div) ** 2 >= (num * den) ** 2 * sum(v * v for v in n))
+
+
 def _origin_strictly_inside(points: list[tuple[float, ...]]) -> bool:
     """Whether the origin lies at least _HULL_MARGIN inside the hull of 2-D or 3-D points.
 
     Exact facet enumeration: every plane through dim of the points with all
-    points on one side (up to round-off) supports the hull, and the facet
-    planes are among them.  A set of less than full dimension has none, or
-    one with points on both sides: no interior."""
+    points on one side supports the hull, and the facet planes are among
+    them.  A set of less than full dimension has none, or one with points on
+    both sides: no interior.  Floats decide where their rounding cannot flip
+    a sign (Shewchuk, DCG 1997): a plane with points on both sides supports
+    nothing, and one with the origin deep on its points' side passes, facet
+    or not; `_exact_facet` decides the rest."""
     dim = len(points[0]) if points else 0
-    if len(points) < dim + 1:
+    if len(points) < dim + 1 or not all(math.isfinite(v) for p in points for v in p):
         return False
     scale = max(abs(v) for p in points for v in p)
-    unit = scale ** (dim - 1)   # rounding in a normal grows with it, not with its length
-    supported = False
-    # in 3-D, with z = 0 in the plane: a line's normal is its edge crossed with +z
+    # bounds the float error of a side or depth test where nothing over- or underflows
+    err = (1e-13 * scale ** (dim - 1) * (scale + _HULL_MARGIN)
+           if 1e-30 < scale < 1e30 else math.inf)
+    # in 3-D, with z = 0 in the plane: a line's plane along +z
     points = [(*p, 0.0) for p in points] if dim == 2 else points
-    for first, *others in combinations(points, dim):
-        x0, y0, z0 = first
-        (ax, ay, az), (bx, by, bz) = [(x - x0, y - y0, z - z0) for x, y, z in others] + [
-            (0.0, 0.0, 1.0)] * (3 - dim)
-        nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-        length = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if not length > 1e-12 * unit:   # (nearly) collinear
+    planes = combinations(points, 3) if dim == 3 else (
+        (p, q, (p[0], p[1], 1.0)) for p, q in combinations(points, 2))
+    supported = False
+    for plane in planes:
+        n, offset, dots = _plane(*plane, points)
+        above, below = max(dots) > offset + err, min(dots) < offset - err
+        if above and below:
             continue
-        offset = x0 * nx + y0 * ny + z0 * nz
-        slack, reach = 1e-12 * scale * max(length, unit), _HULL_MARGIN * length
-        for side in (1.0, -1.0):   # every point on this side of the plane, up to the slack
-            if all(side * (x * nx + y * ny + z * nz - offset) <= slack for x, y, z in points):
-                if side * offset < reach:
-                    return False
-                supported = True
+        margin = _HULL_MARGIN * math.sqrt(sum(v * v for v in n))
+        if above != below and (-offset if above else offset) - margin > err:
+            supported = True   # a point off the plane: the hull has full dimension
+            continue
+        if not (above or below) and margin > 4 * err:
+            return False   # every point in a slab thinner than the margin
+        verdict = _exact_facet(plane, points)
+        if verdict is False:
+            return False
+        supported = supported or verdict is True
     return supported
 
 
@@ -349,16 +391,6 @@ def _nguyen_pair(contacts: list[Contact], mu: float) -> bool:
     return False
 
 
-def _resolved(rows: list[tuple[float, float, float]]) -> bool:
-    """Whether every two wrenches have equal forces or forces _WRENCH_GAP
-    apart, and equal forces equal moments or moments _WRENCH_GAP apart."""
-    for (ax, ay, at), (bx, by, bt) in combinations(rows, 2):
-        gap = abs(at - bt) if ax == bx and ay == by else math.hypot(ax - bx, ay - by)
-        if 0.0 < gap < _WRENCH_GAP:
-            return False
-    return True
-
-
 def _closes(contacts: list[Contact], rotation_free: bool, mu: float) -> bool:
     """Force closure of effective contacts at a checked mu, form closure at
     mu = 0: the `_cone_wrenches` must positively span the wrench space.
@@ -370,10 +402,9 @@ def _closes(contacts: list[Contact], rotation_free: bool, mu: float) -> bool:
     plane through the origin (Mishra, Schwartz & Sharir, Algorithmica 1987).
     A `_nguyen_pair` closes, and more contacts only grow the hull.  Its margin
     keeps the pair at least 4e-4 rho apart and 2e-4 rad inside the cones, and
-    the origin 1e-4 deep in the hull.  The enumeration's slack on a plane
-    whose normal has length l is up to 1e-12 / l, and `_resolved` wrenches
-    give l = 0 or l >= _WRENCH_GAP ** 3 / 2, so it agrees.  It decides the
-    rest: three or more contacts, pairs inside the margin, close wrenches."""
+    so the origin 1e-4 deep in the hull, far past the exact enumeration's
+    1e-9 margin and the wrenches' rounding: the two agree.  The enumeration
+    decides the rest: three or more contacts and pairs inside the margin."""
     if rotation_free:
         spans = len(contacts) > 2 and _origin_strictly_inside([c.normal for c in contacts])
         if spans or mu == 0.0:
@@ -383,9 +414,8 @@ def _closes(contacts: list[Contact], rotation_free: bool, mu: float) -> bool:
     ax, ay = contacts[0].normal
     if mu == 0.0 and all(ax * ny == ay * nx for nx, ny in (c.normal for c in contacts)):
         return False
-    rows = _cone_wrenches(contacts, mu)
-    return (mu > 0.0 and _nguyen_pair(contacts, mu) and _resolved(rows)
-            or _origin_strictly_inside(rows))
+    return (mu > 0.0 and _nguyen_pair(contacts, mu)
+            or _origin_strictly_inside(_cone_wrenches(contacts, mu)))
 
 
 def form_closure_test(cset: ContactSet) -> bool:
@@ -676,18 +706,17 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
         raise ValueError(f"thin_threshold must be finite, got {thin_threshold!r}")
     if stroke is not None:
         obj.check_stroke(stroke)
-    left = surface_profile(pair[0], face_width)
-    right = surface_profile(pair[1], face_width)
-    empty = ContactSet(contacts=(), rotation_free=obj.rotation_symmetric)
+    left, right, sep_fingers = _finger_pair(pair[0], pair[1], face_width)
 
     deformable = left.deformable or right.deformable
     if deformable and obj.closing_extent < thin_threshold:
         return GraspResult(
-            outcome=GraspOutcome.FAIL, contacts=empty, separation=math.nan,
+            outcome=GraspOutcome.FAIL, separation=math.nan,
+            contacts=ContactSet(contacts=(), rotation_free=obj.rotation_symmetric),
             reason="object is thinner than the deformable-surface limit; the "
                    "face deforms around it and the object slips")
 
-    searches, positions, touched = _closing(obj, left, right)
+    searches, positions, touched = _closing(obj, left, right, sep_fingers)
     contacts = _contact_set(obj, left, right, searches, positions)
     separation = positions[1] - positions[0]
 

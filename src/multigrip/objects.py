@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from ._keyvalue import KeyValues, LineError
 
@@ -119,7 +119,21 @@ class ObjectSpec:
     def __post_init__(self) -> None:
         check_friction(self.mu)
 
-    @property
+    @cached_property
+    def flanks(self) -> tuple[Arc, Arc]:
+        """The left (side -1) and right (side +1) flank, built once and kept
+        outside the fields, as closing_extent is: eq, hash and repr ignore them."""
+        s = self.shape
+        if isinstance(s, Circle):
+            # a signed-zero centre keeps the sign of side at x_of(+-radius)
+            return tuple(Arc(x0=side * 0.0, half=s.radius, sign=side, r=s.radius)
+                         for side in (-1, 1))
+        flank_x, half = _half_extents(s)
+        faces = (s.left, s.right) if isinstance(s, CompositeFaces) else (FaceArc("flat"),) * 2
+        return tuple(face_arc(face.kind, face.radius, half, flank_x, side)
+                     for face, side in zip(faces, (-1, 1)))
+
+    @cached_property
     def closing_extent(self) -> float:
         """Extent (mm) along the closing axis; the dimension the fingers span."""
         s = self.shape
@@ -128,8 +142,7 @@ class ObjectSpec:
         flank, _ = _half_extents(s)
         if isinstance(s, CompositeFaces):
             # a convex face bulges past its flank edges at y = 0
-            return sum(max(side * side_boundary(self, side).x_of(0.0), flank)
-                       for side in (-1, 1))
+            return sum(max(side * arc.x_of(0.0), flank) for side, arc in zip((-1, 1), self.flanks))
         return 2 * flank
 
     @property
@@ -197,19 +210,6 @@ def face_arc(kind: str, radius: float | None, half: float, rim: float,
     return Arc(x0=side * (rim + c), half=half, sign=-side, r=radius, corners=corners)
 
 
-def side_boundary(spec: ObjectSpec, side: int) -> Arc:
-    """The object's left (side=-1) or right (side=+1) flank."""
-    s = spec.shape
-    if isinstance(s, Circle):
-        # a signed-zero centre keeps the sign of side at x_of(+-radius)
-        return Arc(x0=side * 0.0, half=s.radius, sign=side, r=s.radius)
-    flank_x, half = _half_extents(s)
-    if not isinstance(s, CompositeFaces):
-        return face_arc("flat", None, half, flank_x, side)
-    face = s.left if side < 0 else s.right
-    return face_arc(face.kind, face.radius, half, flank_x, side)
-
-
 def linspace(start: float, stop: float, num: int) -> list[float]:
     """num values i * step + start from start to stop, the last exactly stop."""
     step = (stop - start) / (num - 1)
@@ -225,7 +225,7 @@ def object_polygon(spec: ObjectSpec) -> list[tuple[float, float]]:
                 for i in range(4 * _SAMPLES_PER_ARC)]
     w, h = _half_extents(s)
     if isinstance(s, CompositeFaces):
-        left, right = (side_boundary(spec, side) for side in (-1, 1))
+        left, right = spec.flanks
         ys = linspace(-h, h, _SAMPLES_PER_ARC)
         return [(left.x_of(y), y) for y in ys] + [(right.x_of(y), y) for y in reversed(ys)]
     return [(-w, -h), (w, -h), (w, h), (-w, h)]

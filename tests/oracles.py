@@ -25,7 +25,7 @@ from scipy.spatial import ConvexHull, QhullError
 from multigrip.control import Direction, PositionMove
 from multigrip.grasp import _CONTACT_TOL, _MERGE_RADIUS, ContactSet
 from multigrip.mechanics import MagnetDetent, detent_torque
-from multigrip.objects import ObjectSpec, side_boundary
+from multigrip.objects import ObjectSpec
 from multigrip.sim import (_EPS_LANDING, _EPS_TRAVEL, EVENT_DETENT_REENGAGE,
                            GripperState, Phase, Scenario, ScenarioError,
                            SimError, SimEvent, SimTrace, TraceRow, _motion,
@@ -518,7 +518,7 @@ def grid_candidate_ys(flank, profile) -> np.ndarray | None:
 def grid_lateral_search(spec: ObjectSpec, profile,
                         side: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The finger reference at first contact, the grid, and its clearances."""
-    flank = side_boundary(spec, side)
+    flank = spec.flanks[side > 0]
     ys = grid_candidate_ys(flank, profile)
     c = arc_xs(flank, ys) + side * arc_xs(profile.arc, ys)
     return (float(c.min()) if side < 0 else float(c.max())), ys, c

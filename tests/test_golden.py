@@ -20,11 +20,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
+from multigrip import grasp
 from multigrip.cli import dispatch
 from multigrip.config import default_config, load_config
 from multigrip.control import (ControllerState, Direction, PositionMove,
@@ -33,7 +36,7 @@ from multigrip.grasp import classify_grasp, write_contacts_csv
 from multigrip.mechanics import (MagnetDetent, breakaway_motor_torque,
                                  switch_interval)
 from multigrip.modes import build_mode_table
-from multigrip.objects import load_object_file
+from multigrip.objects import load_object_file, parse_object_file
 from multigrip.sim import (ReversalDuringRotation, Scenario, ScenarioError,
                            grasp_scenario, run_scenario, switch_scenario,
                            write_events_csv, write_trace_csv)
@@ -205,6 +208,40 @@ def test_grasp_separation_has_no_negative_sign_bit(name):
                                     thin_threshold=cfg.thin_object,
                                     stroke=cfg.stroke_limit).separation
         assert math.copysign(1.0, separation) == 1.0, (mode, separation)
+
+
+def test_perfbench_verdicts_reproduce(monkeypatch):
+    """Every item perfbench's classify-mix can draw classifies as
+    perfbench/verdicts.json records it: outcome, contact count and path
+    (whether the caging search ran).  A mismatch fails the benchmark's ops.
+    The file is read, never written."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+    from classify import OBJECTS, classify, item_key, scaled_object_text
+
+    verdicts = json.loads((FIXTURES.parent / "perfbench" / "verdicts.json").read_text())
+    cfg = load_config(FIXTURES / "default.cfg")
+    table = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+    caged = []
+    monkeypatch.setattr(grasp, "caging_test",
+                        lambda *a, _f=grasp.caging_test, **k: caged.append(1) or _f(*a, **k))
+    got = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", grasp.CagingResolutionWarning)
+        for key in verdicts:
+            name, rest = key.split("@")
+            scale, mode = rest.split("#")
+            text = (FIXTURES / "objects" / f"{name}.object").read_text()
+            desc = parse_object_file(scaled_object_text(text, float(scale)))
+            caged.clear()
+            result = classify(desc, cfg, table, int(mode))
+            closed = result.outcome in (grasp.GraspOutcome.FORM_CLOSURE,
+                                        grasp.GraspOutcome.FORCE_CLOSURE)
+            got[key] = {
+                "outcome": result.outcome.value, "contacts": len(result.contacts),
+                "path": "caging" if caged else "closure" if closed else "rule"}
+    assert {item_key(name, 1.0, mode) for name in OBJECTS
+            for mode in range(1, len(table) + 1)} <= verdicts.keys()
+    assert {key: got[key] for key in verdicts if got[key] != verdicts[key]} == {}
 
 
 def _cli_digest(capsys, argv: list[str]) -> str:

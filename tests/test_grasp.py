@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
@@ -26,7 +28,7 @@ from multigrip.grasp import (_CONTACT_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RA
 from multigrip.modes import (SurfaceKind, build_mode_table, concave, convex,
                              deformable_flat, flat)
 from multigrip.objects import (Box, Circle, CompositeFaces, FaceArc, ObjectSpec, ThinPlate,
-                               linspace, load_object_file, object_polygon, side_boundary)
+                               linspace, load_object_file, object_polygon)
 from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
                      grid_contact_ys, grid_finger_separation, grid_lateral_search,
                      hull_origin_inside, oracle_positive_span, oracle_wrenches,
@@ -319,7 +321,7 @@ class TestArcInvariant:
     @given(spec=_objects(), face=_faces(),
            fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
     def test_even_monotone_with_unit_normals(self, spec, face, fractions):
-        for arc in (side_boundary(spec, -1), side_boundary(spec, +1), face.arc):
+        for arc in (*spec.flanks, face.arc):
             ys = sorted({0.0, arc.half, *(f * arc.half for f in fractions)})
             xs = [arc.x_of(y) for y in ys]
             assert [arc.x_of(-y) for y in ys] == xs, arc
@@ -330,6 +332,32 @@ class TestArcInvariant:
                     nx, ny = arc.normal(y, toward)
                     assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-12), (arc, y)
                     assert math.copysign(1.0, nx) == toward, (arc, y)
+
+
+class TestObjectSpecCache:
+    """The flanks and closing extent that ObjectSpec keeps once built sit
+    outside its fields: value semantics are those of the fields alone."""
+
+    @pytest.mark.parametrize("shape", [
+        Circle(5.0), Box(20.0, 25.0), ThinPlate(30.0, 1.0),
+        CompositeFaces(FaceArc("convex", 15.0), FaceArc("concave", 20.0), 20.0, 25.0)])
+    def test_value_semantics(self, shape):
+        cold, warm = ObjectSpec(shape, mu=0.4), ObjectSpec(shape, mu=0.4)
+        before = repr(warm), hash(warm)
+        assert warm.flanks and warm.closing_extent   # fill the caches
+        assert (repr(warm), hash(warm)) == before
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert [f.name for f in dataclasses.fields(warm)] == ["shape", "mu"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            warm.mu = 0.5
+        for spec in (cold, warm):
+            copy = pickle.loads(pickle.dumps(spec))
+            assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
+            assert (copy.flanks, copy.closing_extent) == (warm.flanks, warm.closing_extent)
+        # replace builds a new object: nothing cached carries over
+        assert dataclasses.replace(warm, mu=0.3).flanks == warm.flanks
+        narrow = dataclasses.replace(warm, shape=Box(8.0, 25.0))
+        assert narrow.closing_extent == 8.0 and narrow.flanks == ObjectSpec(Box(8.0, 25.0)).flanks
 
 
 class TestContactNormals:
@@ -448,10 +476,43 @@ def _hull_inputs():
     return build()
 
 
+@st.composite
+def _near_duplicate_hulls(draw):
+    """Point sets with one point repeated 1e-12 to 1e-4 away, scaled to
+    subnormal, unit, 1e3 or 1e31 size, or with one coordinate made subnormal."""
+    dim = draw(st.sampled_from([2, 3]), label="dim")
+    coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+    points = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                           min_size=dim + 1, max_size=10))
+    twin = np.array(points[draw(st.integers(0, len(points) - 1))])
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    assume(np.linalg.norm(direction) > 0.1)
+    gap = 10.0 ** draw(st.floats(-12.0, -4.0), label="log10 gap")
+    points = np.array(points + [twin + gap * direction / np.linalg.norm(direction)])
+    points *= draw(st.sampled_from([1e-310, 1.0, 1e3, 1e31]), label="scale")
+    if draw(st.booleans(), label="subnormal coordinate"):
+        points[draw(st.integers(0, len(points) - 1)), draw(st.integers(0, dim - 1))] = (
+            draw(st.sampled_from([5e-324, -2e-315, 1e-310])))
+    return points
+
+
 class TestHullTest:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(points=_hull_inputs())
     def test_matches_qhull(self, points):
+        assert (_origin_strictly_inside(points.tolist())
+                == hull_origin_inside(points, _HULL_MARGIN)), points.tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(points=_near_duplicate_hulls())
+    # a triangle around the origin with a vertex repeated 4e-12 away
+    @example(points=np.array([[-0.7322992497948535, -0.8689912080867419],
+                              [1.9058874755976305, 2.6023107714182316],
+                              [0.06329656140205042, -0.2279574617887068],
+                              [0.06329656140443936, -0.227957461785257]]))
+    def test_near_duplicates_match_qhull(self, points):
+        # a float slack on planes through the two near-duplicates, whose
+        # normals are about their gap long, misread such sets
         assert (_origin_strictly_inside(points.tolist())
                 == hull_origin_inside(points, _HULL_MARGIN)), points.tolist()
 
@@ -518,6 +579,16 @@ class TestForceClosure:
         assert len(cs) == 2
         assert force_closure_test(cs, 0.5) is True
         _wrench_cross_check(cs, 0.5, True)
+
+    def test_near_duplicate_contacts_agree_with_qhull(self):
+        # two contacts on one line of action 1e-8 mm apart, opposed by a third:
+        # the origin lies 7e-3 deep in the hull of their wrenches
+        contacts = (_contact(-5.0, 0.0, 0.0), _contact(-5.0 + 1e-8, 0.0, 0.0),
+                    Contact((5.0, 0.0), (-1.0, 0.0), "4S"))
+        wrenches = grasp._cone_wrenches(list(contacts), 0.01)
+        assert hull_origin_inside(np.array(wrenches), _HULL_MARGIN)
+        assert force_closure_test(ContactSet(contacts), 0.01) is True
+        assert _origin_strictly_inside(wrenches) is True
 
     def test_negative_mu_rejected(self):
         cs = ContactSet(contacts=(Contact((1.0, 0.0), (-1.0, 0.0), "3S"),))
@@ -616,8 +687,8 @@ class TestFrictionProperties:
     @example(cset=ContactSet((_contact(0.0, 0.0, 0.0), _contact(5e-7, 0.0, math.pi))), mu=0.5)
     @example(cset=ContactSet((_contact(-5.0, 0.0, 0.0), _contact(-5.0, 5e-7, 0.0),
                               Contact((5.0, 0.0), (-1.0, 0.0), "4S"))), mu=0.5)
-    # the same line of action 1e-8 mm apart: the enumeration alone reads no
-    # closure here, where the pair test without its wrench gap would
+    # the same line of action 1e-8 mm apart: the pair closes, and the exact
+    # enumeration agrees (a float slack on the short normal read no closure)
     @example(cset=ContactSet((_contact(-5.0, 0.0, 0.0), _contact(-5.0 + 1e-8, 0.0, 0.0),
                               Contact((5.0, 0.0), (-1.0, 0.0), "4S"))), mu=0.01)
     # exactly antiparallel normals, frictionless
@@ -1239,9 +1310,29 @@ class TestOnePass:
         # four normals spanning the plane
         assert enumerations == 1
 
+    def test_wrenches_and_flanks_built_only_when_needed(self, fixture_calls, monkeypatch):
+        cfg, calls = fixture_calls
+        counts, flank_builds = Counter(), Counter()
+        wrenches, enumerate_hull = grasp._cone_wrenches, grasp._origin_strictly_inside
+        monkeypatch.setattr(grasp, "_cone_wrenches", lambda *a: counts.update(["wrenches"])
+                            or wrenches(*a))
+        monkeypatch.setattr(grasp, "_origin_strictly_inside", lambda points: counts.update(
+            [f"{len(points[0])}-D enumerations"]) or enumerate_hull(points))
+        build = ObjectSpec.flanks.func
+        flanks = functools.cached_property(lambda spec: flank_builds.update([spec]) or build(spec))
+        flanks.__set_name__(ObjectSpec, "flanks")
+        monkeypatch.setattr(ObjectSpec, "flanks", flanks)
+        for spec, pair in calls:
+            classify_grasp(spec, pair, face_width=cfg.face_width, thin_threshold=cfg.thin_object)
+        # the one enumeration is a disk's four normals in 2-D: no wrench set
+        # is enumerated, so no cone wrenches are built
+        assert counts == {"2-D enumerations": 1}
+        # each object's flanks are built once across its 12 modes
+        assert {flank_builds[spec] for spec, _ in calls} == {1}
+
 
 def _clear_caches():
-    for cached in (grasp._finger_separation, grasp._face_outline, surface_profile):
+    for cached in (grasp._finger_pair, grasp._face_outline, surface_profile):
         cached.cache_clear()
 
 
