@@ -334,7 +334,7 @@ def _origin_strictly_inside(points: list[tuple[float, ...]]) -> bool:
     # bounds the float error of a side or depth test where nothing over- or underflows
     err = (1e-13 * scale ** (dim - 1) * (scale + _HULL_MARGIN)
            if 1e-30 < scale < 1e30 else math.inf)
-    # in 3-D, with z = 0 in the plane: a line's plane along +z
+    # a 2-D set in the plane z = 0: a line is the plane through it along +z
     points = [(*p, 0.0) for p in points] if dim == 2 else points
     planes = combinations(points, 3) if dim == 3 else (
         (p, q, (p[0], p[1], 1.0)) for p, q in combinations(points, 2))
