@@ -418,6 +418,15 @@ def _closes(contacts: list[Contact], rotation_free: bool, mu: float) -> bool:
             or _origin_strictly_inside(_cone_wrenches(contacts, mu)))
 
 
+def _check_contacts(cset: ContactSet, test: str) -> None:
+    """Refuse an empty set, or a contact whose point or normal is not finite."""
+    if len(cset) == 0:
+        raise ValueError(f"{test} test needs at least one contact")
+    for i, c in enumerate(cset.contacts):
+        if not all(map(math.isfinite, (*c.point, *c.normal))):
+            raise ValueError(f"{test} test: contact {i} is not finite: {c}")
+
+
 def form_closure_test(cset: ContactSet) -> bool:
     """First-order form closure from frictionless contact normals alone.
 
@@ -428,8 +437,7 @@ def form_closure_test(cset: ContactSet) -> bool:
     spanning the translation plane.  That is force closure at mu = 0,
     whose friction cones collapse to the normals.
     """
-    if len(cset) == 0:
-        raise ValueError("form closure test needs at least one contact")
+    _check_contacts(cset, "form closure")
     return _closes(_effective_contacts(cset), cset.rotation_free, 0.0)
 
 
@@ -441,8 +449,7 @@ def force_closure_test(cset: ContactSet, mu: float) -> bool:
     cones collapse to the contact normals.
     """
     check_friction(mu)
-    if len(cset) == 0:
-        raise ValueError("force closure test needs at least one contact")
+    _check_contacts(cset, "force closure")
     return _closes(_effective_contacts(cset), cset.rotation_free, mu)
 
 

@@ -24,13 +24,16 @@ does).  Every step condition is monotone in the step index, because float
 rounding is monotone, so a bisection finds where the run ends.  The step at
 each boundary goes through the body of `step`, so the trace is bit-identical
 to calling `step` one increment at a time.  A trace is stored as columns,
-and `SimTrace.rows` builds each `TraceRow` only when it is read.
+a run's floats in `array('d')` at 8 B a value (so an int given to a
+`Scenario` reads back as a float), and `SimTrace.rows` builds each
+`TraceRow` only when it is read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -276,9 +279,9 @@ def _make_rows(columns):
 class TraceRows(Sequence):
     """Read-only view of a trace's columns as a sequence of TraceRows.
 
-    `columns` holds one sequence per TraceRow field: a list, or a range
-    for consecutive steps.  A row is built only when it is read; a slice is
-    a tuple of rows, and a view equals the tuple of the same rows.
+    `columns` holds one sequence per TraceRow field: a list, an `array('d')`,
+    or a range for consecutive steps.  A row is built only when it is read;
+    a slice is a tuple of rows, and a view equals the tuple of the same rows.
     """
 
     __slots__ = ("columns",)
@@ -299,7 +302,7 @@ class TraceRows(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, TraceRows):
-            # a range equals no list, so a failed match compares as lists
+            # a range or an array equals no list, so a failed match compares as lists
             return all(a == b or list(a) == list(b)
                        for a, b in zip(self.columns, other.columns))
         if isinstance(other, tuple):
@@ -332,7 +335,7 @@ class SimTrace:
         return tuple(e for e in self.events if e.kind == kind)
 
 
-def _append_row(columns: tuple[list, ...], s: GripperState, sc: Scenario) -> None:
+def _append_row(columns: tuple, s: GripperState, sc: Scenario) -> None:
     """Append the state to the trace columns (all but step and d_f_4s)."""
     f_g = s.tau_m / sc.gears.input_sprocket_radius if s.phase is Phase.GRASPING else 0.0
     for col, value in zip(columns, (s.theta_m, s.tau_m, s.d_f_3s, s.theta_fb_3s,
@@ -584,7 +587,7 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario, motion: tup
     """The longest run of plain full-increment `motion` steps from this state.
 
     Returns (step count, the new rows' theta_m, tau_m, d_f_3s, theta_fb_3s
-    and theta_fb_4s columns, state after the run), or None when the run
+    and theta_fb_4s lists, state after the run), or None when the run
     would be shorter than _MIN_RUN steps, so the next step goes through
     `step`.  A plain step consumes exactly one motor increment, lands on
     nothing, raises no event and leaves the command incomplete; the run
@@ -656,15 +659,15 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario, motion: tup
         phase = Phase.TRANSLATING_OPEN if kind == "open" else Phase.TRANSLATING_CLOSE
         new = GripperState(theta[m], 0.0, d[m], state.theta_fb_3s, state.theta_fb_4s,
                            state.mode_index, phase)
-        return m, (theta[1:m + 1], repeat(0.0, m), d[1:m + 1],
-                   repeat(state.theta_fb_3s, m), repeat(state.theta_fb_4s, m)), new
+        return m, (theta[1:m + 1], [0.0] * m, d[1:m + 1],
+                   [state.theta_fb_3s] * m, [state.theta_fb_4s] * m), new
     if target is None:
         tau = [state.tau_m] * m  # a torque ramp holds its torque
     else:
         tau = _rotation_torques([x + d_inc for x in offset[:m]], sc)
     new = GripperState(theta[m], tau[-1], state.d_f_3s, fb3[m], fb4[m],
                        state.mode_index, state.phase)
-    return m, (theta[1:m + 1], tau, repeat(state.d_f_3s, m),
+    return m, (theta[1:m + 1], tau, [state.d_f_3s] * m,
                fb3[1:m + 1], fb4[1:m + 1]), new
 
 
@@ -677,9 +680,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     command indices.
     """
     state = initial_state(scenario)
-    # one list per TraceRow field but step, which counts rows, and d_f_4s,
-    # which equals d_f_3s
-    columns = theta, tau, d_f, fb3, fb4, f_g, phase = tuple([] for _ in range(7))
+    # an array('d') per float TraceRow field, at 8 B a value, and a list of
+    # phases; step counts rows, and d_f_4s equals d_f_3s
+    columns = theta, tau, d_f, fb3, fb4, f_g, phase = (*(array("d") for _ in range(6)), [])
     _append_row(columns, state, scenario)
     events: list[SimEvent] = []
     step_no = 0
@@ -690,9 +693,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
             run = _plain_run(state, cmd, scenario, motion, scenario.max_steps - step_no)
             if run is not None:
                 m, run_columns, state = run
-                for col, values in zip(columns, (*run_columns, repeat(0.0, m),
-                                                 repeat(state.phase, m))):
-                    col.extend(values)
+                for col, values in zip(columns, (*run_columns, [0.0] * m)):  # all but phase
+                    col.fromlist(values)  # extend would convert a value at a time
+                phase += [state.phase] * m
                 step_no += m
                 continue
             try:
@@ -762,31 +765,26 @@ EVENTS_HEADER = ["step", "event", "detail"]
 
 
 # Rows formatted per write: bounds the text held at once for long traces.
-_CSV_CHUNK = 1000
+_CSV_CHUNK = 256
 _phase_text = attrgetter("_value_")  # Phase.value without the property call
-
-
-def _reprs(values) -> list[str]:
-    """repr() of each value, formatted in one call."""
-    return repr(list(values))[1:-1].split(", ")
 
 
 def write_trace_csv(trace: SimTrace, stream) -> None:
     """Write the trace rows as CSV (angles in degrees, torques in N*mm).
 
-    Columns are formatted a chunk of rows at a time; every field is
-    unquoted, as csv.writer leaves numbers and phase names.
+    Rows are formatted by repr() a chunk at a time as they are joined; every
+    field is unquoted, as csv.writer leaves numbers and phase names.
     """
     stream.write(",".join(TRACE_HEADER) + "\n")
     step, theta, tau, d3, d4, fb3, fb4, f_g, phase = trace.rows.columns
     for i in range(0, len(step), _CSV_CHUNK):
         part = slice(i, i + _CSV_CHUNK)
-        d3_text = _reprs(d3[part])
-        d4_text = d3_text if d4 is d3 else _reprs(d4[part])  # run_scenario shares them
-        fields = (map(str, step[part]), _reprs(map(math.degrees, theta[part])),
-                  _reprs(tau[part]), d3_text, d4_text,
-                  _reprs(map(math.degrees, fb3[part])),
-                  _reprs(map(math.degrees, fb4[part])), _reprs(f_g[part]),
+        d3_text = list(map(repr, d3[part]))
+        d4_text = d3_text if d4 is d3 else map(repr, d4[part])  # run_scenario shares them
+        fields = (map(str, step[part]), map(repr, map(math.degrees, theta[part])),
+                  map(repr, tau[part]), d3_text, d4_text,
+                  map(repr, map(math.degrees, fb3[part])),
+                  map(repr, map(math.degrees, fb4[part])), map(repr, f_g[part]),
                   map(_phase_text, phase[part]))
         stream.write("\n".join(map(",".join, zip(*fields))) + "\n")
 

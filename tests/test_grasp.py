@@ -605,6 +605,20 @@ class TestForceClosure:
         with pytest.raises(ValueError, match=message):
             classify_grasp(BOX, FF, mu=mu)
 
+    @pytest.mark.parametrize("bad", [
+        Contact((math.nan, 0.0), (1.0, 0.0), "3S"),
+        Contact((0.0, 5.0), (0.0, -math.inf), "4S")])
+    def test_non_finite_contact_rejected_at_both_entries(self, bad):
+        # a closing pair and a side contact, with the non-finite one third
+        contacts = (Contact((-5.0, 0.0), (1.0, 0.0), "3S"),
+                    Contact((5.0, 0.0), (-1.0, 0.0), "4S"), bad,
+                    Contact((0.0, -5.0), (0.0, 1.0), "4S"))
+        cs = ContactSet(contacts)
+        with pytest.raises(ValueError, match="^force closure test: contact 2 is not finite"):
+            force_closure_test(cs, 0.5)
+        with pytest.raises(ValueError, match="^form closure test: contact 2 is not finite"):
+            form_closure_test(cs)
+
 
 _ANGLE = st.floats(-math.pi, math.pi, allow_subnormal=False)
 _COORD = st.floats(-20.0, 20.0, allow_subnormal=False)

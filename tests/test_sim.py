@@ -3,6 +3,8 @@ import dataclasses
 import io
 import math
 import random
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -287,6 +289,12 @@ class TestSwitchScenario:
         assert tr.final_state.mode_index == 1
 
 
+def _csv(trace) -> str:
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    return buf.getvalue()
+
+
 def _csv_reference(trace) -> str:
     """The trace CSV written one row at a time through the csv module."""
     buf = io.StringIO()
@@ -314,9 +322,22 @@ class TestCsv:
             tr.rows[4]._replace(d_f_3s=3, d_f_4s=3.0, f_g=float("nan")),
             tr.rows[5]._replace(d_f_4s=tr.rows[5].d_f_3s + 1e-9))
         for trace in (tr, dataclasses.replace(tr, rows=odd)):
-            buf = io.StringIO()
-            write_trace_csv(trace, buf)
-            assert buf.getvalue() == _csv_reference(trace)
+            assert _csv(trace) == _csv_reference(trace)
+        # a hand-built twin of a run holds lists, and writes the same text
+        assert _csv(dataclasses.replace(tr, rows=tuple(tr.rows))) == _csv(tr)
+
+    def test_int_inputs_write_as_floats(self, gears, magnet, counts):
+        # a run records floats, whatever number type built the scenario
+        ints, _ = switch_scenario(gears, magnet, counts, from_mode=1, to_mode=2, gap=3)
+        floats, _ = switch_scenario(gears, magnet, counts, from_mode=1, to_mode=2,
+                                    gap=3.0)
+        assert _csv(run_scenario(ints)) == _csv(run_scenario(floats))
+        grasps = [Scenario(gears=gears, magnet=magnet, counts=counts,
+                           commands=(TorqueRamp(force, Direction.CLOSE),),
+                           object_contact=gap)
+                  for force, gap in ((400, 5), (400.0, 5.0))]
+        assert grasps[0] == grasps[1]
+        assert _csv(run_scenario(grasps[0])) == _csv(run_scenario(grasps[1]))
 
     def test_trace_round_trip_schema(self, gears, magnet, counts):
         sc, _ = switch_scenario(gears, magnet, counts, from_mode=1, to_mode=2,
@@ -357,8 +378,15 @@ class TestTraceRows:
         assert tr.rows[3:40:3] == rows[3:40:3] and type(tr.rows[3:5]) is tuple
         assert tr.rows == rows and rows == tr.rows and tr.rows != rows[:-1]
         assert list(reversed(tr.rows)) == list(reversed(rows))
-        # a hand-built trace holds list columns, a run a range of steps
+        # a run holds a range of steps, float arrays (d_f_4s shares d_f_3s)
+        # and a list of phases; a hand-built trace holds list columns
+        step_col, *float_cols, phase_col = tr.rows.columns
+        assert type(step_col) is range and type(phase_col) is list
+        assert all(type(col) is array and col.typecode == "d" for col in float_cols)
+        assert float_cols[2] is float_cols[3]
+        assert all(type(v) is float for r in rows for v in r[1:-1])
         again = dataclasses.replace(tr, rows=rows)
+        assert all(type(col) is list for col in again.rows.columns)
         assert again == tr and again.rows == tr.rows
         assert hash(again) == hash(tr) == hash(dataclasses.replace(tr, rows=list(rows)))
         changed = rows[:-1] + (rows[-1]._replace(tau_m=1.0),)
@@ -367,6 +395,21 @@ class TestTraceRows:
             tr.rows[len(rows)]
         empty = dataclasses.replace(tr, rows=())
         assert len(empty.rows) == 0 and empty.rows == ()
+
+    def test_long_trace_holds_under_64_bytes_a_row(self, gears, magnet, counts):
+        # the 1 -> 12 lap at 0.01 deg; lists of float objects would hold 153 B
+        sc, _ = switch_scenario(gears, magnet, counts, from_mode=1, to_mode=12,
+                                step_deg=0.01)
+        run_scenario(sc)  # fills the detent-peak cache outside the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tr = run_scenario(sc)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(tr.rows) == 119_672
+        assert held / len(tr.rows) <= 64
 
 
 def random_valid_design(rng: random.Random):
