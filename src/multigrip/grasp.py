@@ -14,12 +14,13 @@ per finger gives the stop and the contacts; form and force closure share a core.
 The contact search is exact.  Every object flank and finger face is an
 `Arc`, a line or a circular arc centred on y = 0, so the clearance between
 a flank and a face takes its extremes at the centre or the ends of their
-lateral overlap, and three evaluations in plain floats find each first
-contact.  Closed forms decide closure where the physics gives one: too few
-wrenches or frictionless parallel normals never close, and two contacts each
-inside the other's friction cone (or negated cone) do.  A hull enumeration
-with exact signs decides the rest: floats where their rounding cannot flip
-a sign, integers elsewhere.  Caging works on bit masks held in Python ints.
+lateral overlap.  It is even in y, so two evaluations in plain floats per
+finger, at the centre and at one end, find each first contact.  Closed
+forms decide closure where the physics gives one: too few wrenches or
+frictionless parallel normals never close, and two contacts each inside the
+other's friction cone (or negated cone) do.  A hull enumeration with exact
+signs decides the rest: floats where their rounding cannot flip a sign,
+integers elsewhere.  Caging works on bit masks held in Python ints.
 """
 
 from __future__ import annotations
@@ -165,52 +166,53 @@ def _lateral_search(spec: ObjectSpec, profile: SurfaceProfile, side: int
     and the positions within a tolerance of an extreme are the whole
     overlap, one band around the centre or two bands at the ends.
     """
-    flank = spec.flanks[side > 0]
-    hi = min(flank.half, profile.arc.half)
-    ys = (-hi, 0.0, hi)
-    c = [flank.x_of(y) + side * profile.height(y) for y in ys]
-    return flank, (min(c) if side < 0 else max(c)), ys, c
+    flank, face = spec.flanks[side > 0], profile.arc
+    hi = min(flank.half, face.half)
+    end = flank.x_of(hi) + side * face.x_of(hi)   # bit for bit the value at -hi
+    c = [end, flank.x_of(0.0) + side * face.x_of(0.0), end]
+    return flank, (min(c) if side < 0 else max(c)), (-hi, 0.0, hi), c
 
 
 def _at_corner(arc: Arc, y: float) -> bool:
     return any(abs(y - corner) <= _CORNER_TOL for corner in arc.corners)
 
 
-def _contact_normal(flank: Arc, face: Arc, y: float, side: int) -> tuple[float, float]:
-    """Unit normal into the object: the flank's, the face's at an object
-    corner, or along the closing axis where a corner meets a face rim."""
-    if not _at_corner(flank, y):
-        return flank.normal(y, -side)
-    if not _at_corner(face, y):
-        nx, ny = face.normal(y, 1.0)   # finger frame: mirror x for the right finger
-        return (-side * nx, ny)
-    return (-side * 1.0, 0.0)
+def _contact_normals(flank: Arc, face: Arc, ys: tuple[float, ...], side: int
+                     ) -> list[tuple[float, float]]:
+    """Unit normals into the object at lateral positions ys of one |y|: the
+    flank's, the face's at an object corner, or along the closing axis where a
+    corner meets a face rim.  Corners sit at +-half, so one y decides for all."""
+    if not _at_corner(flank, ys[0]):
+        return [flank.normal(y, -side) for y in ys]
+    if not _at_corner(face, ys[0]):   # finger frame: mirror x for the right finger
+        return [(-side * nx, ny) for nx, ny in (face.normal(y, 1.0) for y in ys)]
+    return [(-side * 1.0, 0.0)] * len(ys)
 
 
 def _contact_set(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
                  searches: tuple, positions: tuple[float, float] | None) -> ContactSet:
     """Both fingers' contacts from their `_lateral_search`es (see compute_contacts)."""
     contacts = []
-    for (flank, ref, ys, c), face, side, x_ref, finger in zip(
+    for (flank, ref, (lo, _, hi), (end, mid, _)), face, side, x_ref, finger in zip(
             searches, (left.arc, right.arc), (-1, 1),
             (None, None) if positions is None else positions, ("3S", "4S")):
         if x_ref is None:
             x_ref = ref
-        residual = [side * (x_ref - ci) for ci in c]
-        worst = min(residual)
+        at_end, at_mid = side * (x_ref - end), side * (x_ref - mid)
+        worst = min(at_end, at_mid)
         if worst < -_CONTACT_TOL:
             raise ValueError(
                 f"finger penetrates the object by {-worst:.3g} mm at the "
                 "requested finger position")
-        contact_ys = [y for y, res in zip(ys, residual) if res <= _CONTACT_TOL]
-        if len(contact_ys) == 3:   # else one contact per band: the centre or each end
-            if ys[2] - ys[0] > _MERGE_RADIUS:   # an extended contact: its two ends
-                contact_ys = [ys[0], ys[2]]
-            else:   # a narrow one collapses to its best point
-                contact_ys = [ys[residual.index(worst)]]
-        contacts += [Contact(point=(flank.x_of(y), y),
-                             normal=_contact_normal(flank, face, y, side), finger=finger)
-                     for y in contact_ys]
+        if at_end <= _CONTACT_TOL and at_mid <= _CONTACT_TOL:
+            # an extended contact at its two ends; a narrow one at its best point
+            ys = (lo, hi) if hi - lo > _MERGE_RADIUS else (0.0,) if at_mid < at_end else (lo,)
+        else:   # one contact per band: the centre or each end
+            ys = (lo, hi) if at_end <= _CONTACT_TOL else (0.0,) if at_mid <= _CONTACT_TOL else ()
+        if ys:
+            x = flank.x_of(ys[0])   # even in y: one value for both ends
+            contacts += [Contact(point=(x, y), normal=normal, finger=finger)
+                         for y, normal in zip(ys, _contact_normals(flank, face, ys, side))]
     return ContactSet(contacts=tuple(contacts), rotation_free=obj.rotation_symmetric)
 
 
@@ -225,10 +227,17 @@ def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfil
     object there).  Contacts sit at the centre or the ends of the lateral
     overlap of flank and face.  A contact along the whole overlap is
     reported at its two ends, or at its best point if the overlap is no
-    wider than the merge radius.
+    wider than the merge radius.  Positions must be finite.
     """
+    if positions is not None:
+        _check_positions(positions)
     return _contact_set(obj, left, right,
                         _closing(obj, left, right, _finger_separation(left, right))[0], positions)
+
+
+def _check_positions(positions: tuple[float, float]) -> None:
+    if not all(map(math.isfinite, positions)):
+        raise ValueError(f"positions must be finite, got {positions!r}")
 
 
 def _finger_separation(left: SurfaceProfile, right: SurfaceProfile) -> float:
@@ -236,9 +245,9 @@ def _finger_separation(left: SurfaceProfile, right: SurfaceProfile) -> float:
 
     Both faces are lines or circular arcs centred on y = 0, so the sum of
     their heights is even in y and monotone in |y|: it peaks at the centre
-    or at the rims of the narrower face."""
+    or at the rims of the narrower face, both rims alike."""
     half = min(left.width, right.width) / 2.0
-    return max(left.height(y) + right.height(y) for y in (-half, 0.0, half))
+    return max(left.height(y) + right.height(y) for y in (half, 0.0))
 
 
 @lru_cache(maxsize=64)
@@ -277,6 +286,15 @@ def closure_separation(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProf
 # Closure tests
 
 def _effective_contacts(cset: ContactSet) -> list[Contact]:
+    """The contacts less repeats, those whose point and normal round to one
+    key at 1e-9 mm, with a DegenerateContactWarning if any collapsed.
+
+    round(v, 9) moves a value at most 1e-9, so points whose x or y differ by
+    more than 1e-8 never share a key: a set of such points is returned as it
+    is, unrounded.  NaN and a -0.0 against 0.0 fail the test and round."""
+    if all(abs(p[0] - q[0]) > 1e-8 or abs(p[1] - q[1]) > 1e-8
+           for p, q in combinations([c.point for c in cset.contacts], 2)):
+        return list(cset.contacts)
     seen = {}
     for c in cset.contacts:
         key = (round(c.point[0], 9), round(c.point[1], 9),
@@ -655,8 +673,10 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     CagingResolutionWarning; the erosion keeps the cells the rest pose
     reaches within its depth, so a contact at rest is no such gap.  A wide
     escape in the rest-angle slice alone decides before the other slices are
-    built.  The cell (mm) and the rotation step must be positive and finite.
+    built.  The cell (mm) and the rotation step must be positive and finite,
+    and the positions finite.
     """
+    _check_positions(positions)
     for name, value in (("cell", cell), ("angle_cell_deg", angle_cell_deg)):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite")
@@ -727,8 +747,8 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
     contacts = _contact_set(obj, left, right, searches, positions)
     separation = positions[1] - positions[0]
 
-    concave_involved = any(s.kind is SurfaceKind.CONCAVE for s in pair)
-    if isinstance(obj.shape, ThinPlate) and concave_involved:
+    if isinstance(obj.shape, ThinPlate) and (pair[0].kind is SurfaceKind.CONCAVE
+                                             or pair[1].kind is SurfaceKind.CONCAVE):
         return GraspResult(
             outcome=GraspOutcome.CAGING, contacts=contacts,
             separation=separation, posture_uncertain=True,

@@ -8,7 +8,8 @@ FFT convolution, the caging kernel cell for cell from its earlier numpy
 form (`reference_*`), cycle periods from literal sequence enumeration,
 simulator traces from the public one-increment `step`, simulator run
 lengths from a vectorized scan of every plain-step condition, and contact
-searches from a dense lateral grid.
+searches from a dense lateral grid, and contact de-duplication from
+rounding every contact.
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ def oracle_wrenches(cset: ContactSet, mu: float) -> np.ndarray:
     if cset.rotation_free and mu == 0.0:
         return np.array(rows).reshape(-1, 2)
     return np.array(rows).reshape(-1, 3)
+
+
+def rounding_dedupe(cset: ContactSet) -> tuple[list, int]:
+    """The contacts less those whose point and normal, each rounded to 1e-9,
+    repeat an earlier one's, and how many collapsed: every contact rounded."""
+    seen = {}
+    for c in cset.contacts:
+        seen.setdefault(tuple(round(v, 9) for v in (*c.point, *c.normal)), c)
+    return list(seen.values()), len(cset.contacts) - len(seen)
 
 
 def hull_origin_inside(points: np.ndarray, margin: float) -> bool:

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import tracemalloc
+import types
 import warnings
 from collections import Counter
 from unittest import mock
@@ -18,7 +19,7 @@ from multigrip import grasp
 from multigrip.config import default_config
 from multigrip.grasp import (_CONTACT_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RADIUS,
                              CagingResolutionWarning, Contact,
-                             ContactSet, DegenerateContactWarning, GraspOutcome,
+                             ContactSet, DegenerateContactWarning, GraspOutcome, SurfaceProfile,
                              _arange, _BitGrid, _cspace_obstacle, _Dilations, _erode_xy,
                              _erode_xy_from, _escapes_from, _face_outline, _finger_polygon,
                              _origin_strictly_inside, _polygon_runs, caging_test,
@@ -27,15 +28,16 @@ from multigrip.grasp import (_CONTACT_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RA
                              surface_profile)
 from multigrip.modes import (SurfaceKind, build_mode_table, concave, convex,
                              deformable_flat, flat)
-from multigrip.objects import (Box, Circle, CompositeFaces, FaceArc, ObjectSpec, ThinPlate,
-                               linspace, load_object_file, object_polygon)
+from multigrip.objects import (Arc, Box, Circle, CompositeFaces, FaceArc, ObjectSpec,
+                               ThinPlate, face_arc, linspace, load_object_file,
+                               object_polygon)
 from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
                      grid_contact_ys, grid_finger_separation, grid_lateral_search,
                      hull_origin_inside, oracle_positive_span, oracle_wrenches,
                      pack_bits, points_in_polygon, points_to_polygon_distance,
                      polygons_intersect, reference_cspace_obstacle,
-                     reference_erode_xy, reference_polygon_runs, runs_to_mask,
-                     seed_region_by_label, unpack_bits, window_region_by_label)
+                     reference_erode_xy, reference_polygon_runs, rounding_dedupe,
+                     runs_to_mask, seed_region_by_label, unpack_bits, window_region_by_label)
 
 CC = (concave(10.0), concave(10.0))
 FF = (flat(), flat())
@@ -165,6 +167,14 @@ class TestComputeContacts:
         lp = rp = surface_profile(flat(), 20.0)
         cs = compute_contacts(BOX, lp, rp, (-12.5, 12.5))
         assert len(cs) == 0
+
+    @pytest.mark.parametrize("positions", [
+        (math.nan, math.nan), (-12.0, math.inf), (-math.inf, 12.0)])
+    @pytest.mark.parametrize("entry", [compute_contacts, caging_test])
+    def test_non_finite_positions_refused(self, entry, positions):
+        lp = rp = surface_profile(flat(), 20.0)
+        with pytest.raises(ValueError, match="^positions must be finite"):
+            entry(BOX, lp, rp, positions)
 
 
 class TestClosureSeparation:
@@ -334,6 +344,48 @@ class TestArcInvariant:
                     assert math.copysign(1.0, nx) == toward, (arc, y)
 
 
+def _assert_search_evaluates_the_candidates(spec, profile: SurfaceProfile, side: int):
+    """The search's clearances are, bit for bit, those at (-hi, 0, hi)."""
+    flank, _, ys, clearances = grasp._lateral_search(spec, profile, side)
+    hi = min(flank.half, profile.arc.half)
+    assert repr(ys) == repr((-hi, 0.0, hi))
+    assert repr(clearances) == repr([flank.x_of(y) + side * profile.arc.x_of(y) for y in ys])
+
+
+@st.composite
+def _arcs(draw, side: int):
+    """A flat, convex or concave `face_arc`: radius 1-50 mm, half up to the
+    radius and sometimes below 1e-9 mm."""
+    kind = draw(st.sampled_from(["flat", "convex", "concave"]))
+    radius = draw(st.floats(1.0, 50.0))
+    half = draw(st.one_of(st.floats(1e-12, 1e-9), st.floats(1e-9, 1.0).map(lambda f: f * radius)))
+    return face_arc(kind, None if kind == "flat" else radius, half,
+                    draw(st.floats(0.0, 40.0)), side)
+
+
+class TestSearchShortcut:
+    """The search evaluates one end of the overlap and uses it for both."""
+
+    def test_fixture_flanks_against_mode_faces(self, fixtures_dir):
+        cfg = default_config()
+        table = build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+        faces = {surface_profile(shape, cfg.face_width)
+                 for mode in range(1, len(table) + 1) for shape in table.entry(mode)}
+        for path in sorted((fixtures_dir / "objects").glob("*.object")):
+            spec = load_object_file(path).spec
+            for face in faces:
+                for side in (-1, 1):
+                    _assert_search_evaluates_the_candidates(spec, face, side)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), side=st.sampled_from([-1, 1]))
+    def test_random_flanks_and_faces(self, data, side):
+        flank, face = data.draw(_arcs(side)), data.draw(_arcs(1))
+        profile = SurfaceProfile(shape=flat(), width=2.0 * face.half, arc=face)
+        _assert_search_evaluates_the_candidates(types.SimpleNamespace(flanks=(flank, flank)),
+                                                profile, side)
+
+
 class TestObjectSpecCache:
     """The flanks and closing extent that ObjectSpec keeps once built sit
     outside its fields: value semantics are those of the fields alone."""
@@ -370,6 +422,41 @@ class TestContactNormals:
                          compute_contacts(spec, left, right, positions)):
             for c in contacts:
                 assert all(type(v) is float for v in c.normal), c
+
+
+@st.composite
+def _contacts_with_repeats(draw):
+    """2-6 contacts at a scale of 1, 1e3 or 1e6 mm, some repeating an earlier
+    point 1e-12 to 1e-7 mm away, exactly, or with a zero's sign flipped."""
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    value = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-50.0, 50.0).map(lambda v: v * scale))
+    nudge = st.one_of(st.just(0.0), st.builds(lambda sign, d: sign * d,
+                                             st.sampled_from([-1.0, 1.0]),
+                                             st.floats(1e-12, 1e-7)))
+    normals = st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (-0.0, -1.0), (0.6, 0.8)])
+    contacts = []
+    for _ in range(draw(st.integers(2, 6))):
+        if contacts and draw(st.booleans()):
+            point = tuple(-v if d == 0.0 and v == 0.0 else v + d
+                          for v, d in zip(draw(st.sampled_from(contacts)).point,
+                                          (draw(nudge), draw(nudge))))
+        else:
+            point = (draw(value), draw(value))
+        contacts.append(Contact(point, draw(normals), draw(st.sampled_from(["3S", "4S"]))))
+    return ContactSet(tuple(contacts))
+
+
+class TestDeduplication:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(cset=_contacts_with_repeats())
+    def test_agrees_with_rounding_alone(self, cset):
+        expected, collapsed = rounding_dedupe(cset)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = grasp._effective_contacts(cset)
+        assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+        assert [w.category for w in caught] == [DegenerateContactWarning] * (collapsed > 0)
 
 
 def _wrench_cross_check(cset: ContactSet, mu: float, expected: bool):
@@ -1323,6 +1410,23 @@ class TestOnePass:
         # closed forms decide all but the disk held in form closure by its
         # four normals spanning the plane
         assert enumerations == 1
+
+    def test_rounding_and_arc_evaluation_counts(self, fixture_calls, monkeypatch):
+        # the search evaluates one end of the even clearance for both, and the
+        # dedupe rounds only near-duplicate points; with cold caches the count
+        # includes the finger separations and the faces' caging outlines
+        cfg, calls = fixture_calls
+        counts, x_of = Counter(), Arc.x_of
+        monkeypatch.setattr(grasp, "round", lambda *a: counts.update(["round"]) or round(*a),
+                            raising=False)
+        monkeypatch.setattr(Arc, "x_of", lambda arc, y: counts.update(["x_of"]) or x_of(arc, y))
+        _clear_caches()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CagingResolutionWarning)
+            for spec, pair in calls:
+                classify_grasp(spec, pair, face_width=cfg.face_width,
+                               thin_threshold=cfg.thin_object)
+        assert counts == {"round": 12, "x_of": 1102}
 
     def test_wrenches_and_flanks_built_only_when_needed(self, fixture_calls, monkeypatch):
         cfg, calls = fixture_calls
