@@ -110,6 +110,7 @@ def _grasp_target(cfg: RunConfig, object_path: str, mode: int) -> tuple:
     """An object file's spec and the surface pair of one mode of the configured
     table, for an object the stroke can span."""
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+    _check_mode("--mode", mode, len(table))
     spec, pair = load_object_file(object_path).spec, table.entry(mode)
     spec.check_stroke(cfg.stroke_limit)
     return spec, pair
@@ -129,6 +130,12 @@ def _check_flag(flag: str, value: float, positive: bool) -> None:
         raise CliError(f"{flag} must be {domain} and finite, got {value:g}")
 
 
+def _check_mode(flag: str, mode: int, count: int) -> None:
+    """Refuse a mode index outside the configured table, naming the flag."""
+    if not 1 <= mode <= count:
+        raise CliError(f"{flag} must be a mode in 1..{count}, got {mode}")
+
+
 def _check_gap(gap: float, cfg: RunConfig, positive: bool) -> None:
     _check_flag("--gap", gap, positive)
     if gap > cfg.stroke_limit:
@@ -140,6 +147,10 @@ def _cmd_simulate_grasp(args) -> int:
     from . import sim
     cfg = _load(args)
     _check_flag("--force", args.force, positive=True)
+    radius = cfg.gears.input_sprocket_radius
+    if not math.isfinite(args.force * radius):
+        raise CliError(f"--force {args.force:g} N overflows the motor torque target "
+                       f"at the {radius:g} mm input sprocket radius")
     _check_gap(args.gap, cfg, positive=True)   # the object must be touched
     target = _grasp_target(cfg, args.object, args.mode) if args.object else None
     scenario = sim.grasp_scenario(
@@ -161,6 +172,9 @@ def _cmd_simulate_switch(args) -> int:
     from . import sim
     cfg = _load(args)
     _check_gap(args.gap, cfg, positive=False)   # 0 starts at the stopper
+    count = mechanics.gc_mode_count(cfg.counts)
+    _check_mode("--from", args.from_mode, count)
+    _check_mode("--to", args.to_mode, count)
     scenario, _ = sim.switch_scenario(
         cfg.gears, cfg.magnet, cfg.counts,
         from_mode=args.from_mode, to_mode=args.to_mode, gap=args.gap,
@@ -180,6 +194,7 @@ def _cmd_plan(args) -> int:
     cfg = _load(args)
     desc = load_object_file(args.object)
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
+    _check_mode("--current-mode", args.current_mode, len(table))
     faces = planner.faces_from_description(desc)
     interval = mechanics.switch_interval(cfg.gears, cfg.counts)
     result = planner.select_mode(

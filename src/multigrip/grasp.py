@@ -18,9 +18,8 @@ lateral overlap.  It is even in y, so two evaluations in plain floats per
 finger, at the centre and at one end, find each first contact.  Closed
 forms decide closure where the physics gives one: too few wrenches or
 frictionless parallel normals never close, and two contacts each inside the
-other's friction cone (or negated cone) do.  A hull enumeration with exact
-signs decides the rest: floats where their rounding cannot flip a sign,
-integers elsewhere.  Caging works on bit masks held in Python ints.
+other's friction cone (or negated cone) do.  A hull enumeration decides the
+rest, every sign in integers.  Caging works on bit masks held in Python ints.
 """
 
 from __future__ import annotations
@@ -318,60 +317,37 @@ def _plane(first, second, third, points):
     return (nx, ny, nz), offset, [x * nx + y * ny + z * nz for x, y, z in points]
 
 
-def _exact_facet(plane: tuple, points: list[tuple]) -> bool | None:
-    """`_origin_strictly_inside` on one plane, in integers: None if it does
-    not support the points, else whether it holds the origin _HULL_MARGIN
-    deep on their side.  Every float is an integer over a power of two, so
-    scaled by the largest of those powers the arithmetic is exact."""
-    ratios = [[v.as_integer_ratio() for v in p] for p in (*plane, *points)]
-    den = max(q for r in ratios for _, q in r)
-    exact = [[n * (den // q) for n, q in r] for r in ratios]
-    n, offset, dots = _plane(*exact[:3], exact[3:])
-    above, below = max(dots) > offset, min(dots) < offset
-    if above and below or not any(n):
-        return None
-    num, div = _HULL_MARGIN.as_integer_ratio()   # side * offset >= margin * |n|, squared:
-    return (above != below and (-offset if above else offset) >= 0
-            and (offset * div) ** 2 >= (num * den) ** 2 * sum(v * v for v in n))
-
-
 def _origin_strictly_inside(points: list[tuple[float, ...]]) -> bool:
     """Whether the origin lies at least _HULL_MARGIN inside the hull of 2-D or 3-D points.
 
     Exact facet enumeration: every plane through dim of the points with all
     points on one side supports the hull, and the facet planes are among
     them.  A set of less than full dimension has none, or one with points on
-    both sides: no interior.  Floats decide where their rounding cannot flip
-    a sign (Shewchuk, DCG 1997): a plane with points on both sides supports
-    nothing, and one with the origin deep on its points' side passes, facet
-    or not; `_exact_facet` decides the rest."""
+    both sides: no interior.  Every float is an integer over a power of two,
+    so scaled by the largest of those powers each sign is decided in integers."""
     dim = len(points[0]) if points else 0
     if len(points) < dim + 1 or not all(math.isfinite(v) for p in points for v in p):
         return False
-    scale = max(abs(v) for p in points for v in p)
-    # bounds the float error of a side or depth test where nothing over- or underflows
-    err = (1e-13 * scale ** (dim - 1) * (scale + _HULL_MARGIN)
-           if 1e-30 < scale < 1e30 else math.inf)
+    ratios = [[v.as_integer_ratio() for v in p] for p in points]
+    den = max(q for r in ratios for _, q in r)
     # a 2-D set in the plane z = 0: a line is the plane through it along +z
-    points = [(*p, 0.0) for p in points] if dim == 2 else points
+    points = [[n * (den // q) for n, q in r] + [0] * (3 - dim) for r in ratios]
     planes = combinations(points, 3) if dim == 3 else (
-        (p, q, (p[0], p[1], 1.0)) for p, q in combinations(points, 2))
+        (p, q, (p[0], p[1], den)) for p, q in combinations(points, 2))
+    num, div = _HULL_MARGIN.as_integer_ratio()
+    margin_sq = (num * den) ** 2   # side >= _HULL_MARGIN * den * |n|, times div, squared
     supported = False
     for plane in planes:
         n, offset, dots = _plane(*plane, points)
-        above, below = max(dots) > offset + err, min(dots) < offset - err
-        if above and below:
+        above, below = max(dots) > offset, min(dots) < offset
+        if above and below or not any(n):
             continue
-        margin = _HULL_MARGIN * math.sqrt(sum(v * v for v in n))
-        if above != below and (-offset if above else offset) - margin > err:
-            supported = True   # a point off the plane: the hull has full dimension
-            continue
-        if not (above or below) and margin > 4 * err:
-            return False   # every point in a slab thinner than the margin
-        verdict = _exact_facet(plane, points)
-        if verdict is False:
+        if above == below:
+            return False   # every point on the plane: no interior
+        side = -offset if above else offset   # the origin's depth on the points' side
+        if side < 0 or (side * div) ** 2 < margin_sq * sum(v * v for v in n):
             return False
-        supported = supported or verdict is True
+        supported = True   # a point off the plane: the hull has full dimension
     return supported
 
 

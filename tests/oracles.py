@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: peaks come
 from plain dense sweeps, positive span from an LP plus randomized
-certificates, hull interiors from Qhull, caging escapes from
+certificates, hull interiors from Qhull and from a facet enumeration in
+`fractions.Fraction`, caging escapes from
 `scipy.ndimage` labelling and erosion, configuration-space obstacles from an
 FFT convolution, the caging kernel cell for cell from its earlier numpy
 form (`reference_*`), cycle periods from literal sequence enumeration,
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from scipy import ndimage
@@ -107,6 +110,43 @@ def hull_origin_inside(points: np.ndarray, margin: float) -> bool:
     except QhullError:
         return False
     return bool(np.all(hull.equations[:, -1] <= -margin))
+
+
+def hull_origin_inside_exact(points, margin: float) -> bool:
+    """Is the origin at least `margin` inside the convex hull of 2-D or 3-D points?
+
+    Rational facet enumeration, with no scaling and no float arithmetic:
+    each plane through dim of the points (a 2-D line taken as the plane
+    through it along +z) with a nonzero normal and no points on both sides
+    supports the hull.  All points on one such plane leave no interior, and
+    none at all means less than full dimension.  Otherwise the origin must
+    lie on the points' side of every supporting plane, at least `margin`
+    from it.
+    """
+    if not points or len(points) < len(points[0]) + 1:
+        return False
+    if not all(math.isfinite(v) for p in points for v in p):
+        return False
+    pts = [[Fraction(v) for v in p] + [Fraction(0)] * (3 - len(p)) for p in points]
+    planes = (combinations(pts, 3) if len(points[0]) == 3 else
+              ((p, q, [p[0], p[1], Fraction(1)]) for p, q in combinations(pts, 2)))
+    margin, supported = Fraction(margin), False
+    for a, b, c in planes:
+        u, v = [b[i] - a[i] for i in range(3)], [c[i] - a[i] for i in range(3)]
+        n = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+        if not any(n):
+            continue
+        heights = [sum((p[i] - a[i]) * n[i] for i in range(3)) for p in pts]
+        if max(heights) > 0 > min(heights):
+            continue
+        if max(heights) == 0 == min(heights):
+            return False
+        # the origin's signed height over the plane, positive on the points' side
+        origin = -sum(a[i] * n[i] for i in range(3)) * (1 if max(heights) > 0 else -1)
+        if origin < 0 or origin * origin < margin * margin * sum(x * x for x in n):
+            return False
+        supported = True
+    return supported
 
 
 def oracle_positive_span(vectors: np.ndarray, n_random: int = 50,

@@ -14,6 +14,9 @@ from multigrip.sim import (EVENTS_HEADER, TRACE_HEADER, run_scenario,
                            switch_scenario, write_trace_csv)
 
 
+BOX = str(Path(__file__).parent.parent / "fixtures" / "objects" / "box.object")
+
+
 def run(capsys, *argv):
     rc = dispatch(list(argv))
     captured = capsys.readouterr()
@@ -134,24 +137,37 @@ class TestSimulate:
         assert "stroke" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["grasp", "--force", "40", "--gap", "0"], "--gap must be positive and finite, got 0"),
-        (["grasp", "--force", "40", "--gap", "nan"],
+        (["simulate", "grasp", "--force", "40", "--gap", "0"],
+         "--gap must be positive and finite, got 0"),
+        (["simulate", "grasp", "--force", "40", "--gap", "nan"],
          "--gap must be positive and finite, got nan"),
-        (["grasp", "--force", "inf", "--gap", "10"],
+        (["simulate", "grasp", "--force", "inf", "--gap", "10"],
          "--force must be positive and finite, got inf"),
-        (["grasp", "--force", "-5", "--gap", "10"],
+        (["simulate", "grasp", "--force", "-5", "--gap", "10"],
          "--force must be positive and finite, got -5"),
-        (["switch", "--from", "1", "--to", "2", "--gap", "nan"],
+        (["simulate", "grasp", "--force", "2e307", "--gap", "3"],
+         "--force 2e+307 N overflows the motor torque target "
+         "at the 20 mm input sprocket radius"),
+        (["simulate", "switch", "--from", "1", "--to", "2", "--gap", "nan"],
          "--gap must be non-negative and finite, got nan"),
-        (["switch", "--from", "1", "--to", "2", "--gap", "-1"],
+        (["simulate", "switch", "--from", "1", "--to", "2", "--gap", "-1"],
          "--gap must be non-negative and finite, got -1"),
-        (["switch", "--from", "1", "--to", "2", "--gap", "41"],
+        (["simulate", "switch", "--from", "1", "--to", "2", "--gap", "41"],
          "gap 41 mm exceeds the stroke limit 40 mm"),
+        (["simulate", "switch", "--from", "1", "--to", "13"],
+         "--to must be a mode in 1..12, got 13"),
+        (["simulate", "switch", "--from", "13", "--to", "1"],
+         "--from must be a mode in 1..12, got 13"),
+        (["plan", "--object", BOX, "--current-mode", "13"],
+         "--current-mode must be a mode in 1..12, got 13"),
+        (["classify", "--object", BOX, "--mode", "0"], "--mode must be a mode in 1..12, got 0"),
     ], ids=["grasp-gap-0", "grasp-gap-nan", "grasp-force-inf", "grasp-force-negative",
-            "switch-gap-nan", "switch-gap-negative", "switch-gap-beyond-stroke"])
+            "grasp-force-torque-overflow", "switch-gap-nan", "switch-gap-negative",
+            "switch-gap-beyond-stroke", "switch-to-13", "switch-from-13",
+            "plan-current-mode-13", "classify-mode-0"])
     def test_bad_gap_or_force_names_the_flag(self, capsys, tmp_path, argv, message):
         out_file = tmp_path / "t.csv"
-        rc, out, err = run(capsys, "simulate", *argv, "--out", str(out_file))
+        rc, out, err = run(capsys, *argv, "--out", str(out_file))
         assert (rc, out, err) == (1, "", f"error: {message}\n")
         assert not out_file.exists()
 

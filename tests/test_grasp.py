@@ -33,8 +33,8 @@ from multigrip.objects import (Arc, Box, Circle, CompositeFaces, FaceArc, Object
                                object_polygon)
 from oracles import (cspace_obstacle_by_fft, erode_xy, escapes_by_label,
                      grid_contact_ys, grid_finger_separation, grid_lateral_search,
-                     hull_origin_inside, oracle_positive_span, oracle_wrenches,
-                     pack_bits, points_in_polygon, points_to_polygon_distance,
+                     hull_origin_inside, hull_origin_inside_exact, oracle_positive_span,
+                     oracle_wrenches, pack_bits, points_in_polygon, points_to_polygon_distance,
                      polygons_intersect, reference_cspace_obstacle,
                      reference_erode_xy, reference_polygon_runs, rounding_dedupe,
                      runs_to_mask, seed_region_by_label, unpack_bits, window_region_by_label)
@@ -583,6 +583,36 @@ def _near_duplicate_hulls(draw):
     return points
 
 
+@st.composite
+def _extreme_hulls(draw):
+    """Point sets scaled by 2^-1100 to 2^1000, with subnormal coordinates,
+    with magnitudes mixed point by point, or with a point repeated a few ulps
+    away; each transform applied or not."""
+    dim = draw(st.sampled_from([2, 3]), label="dim")
+    coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+    points = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                           min_size=dim + 1, max_size=7))
+    pick = st.integers(0, len(points) - 1)
+    if draw(st.booleans(), label="near-duplicate"):
+        twin = list(points[draw(pick)])
+        for _ in range(draw(st.integers(1, 4), label="ulps")):
+            k = draw(st.integers(0, dim - 1))
+            twin[k] = math.nextafter(twin[k], draw(st.sampled_from([-math.inf, math.inf])))
+        points.append(twin)
+    power = st.one_of(st.sampled_from([-1100, -1074, -1000, 0, 1000]),
+                      st.integers(-1000, 1000))
+    if draw(st.booleans(), label="mixed magnitudes"):
+        points = [[math.ldexp(v, e) for v in p] for p, e in zip(
+            points, draw(st.lists(power, min_size=len(points), max_size=len(points))))]
+    else:
+        e = draw(power, label="scale")
+        points = [[math.ldexp(v, e) for v in p] for p in points]
+    for _ in range(draw(st.integers(0, 3), label="subnormal coordinates")):
+        points[draw(pick)][draw(st.integers(0, dim - 1))] = draw(
+            st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True))
+    return points
+
+
 class TestHullTest:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(points=_hull_inputs())
@@ -602,6 +632,12 @@ class TestHullTest:
         # normals are about their gap long, misread such sets
         assert (_origin_strictly_inside(points.tolist())
                 == hull_origin_inside(points, _HULL_MARGIN)), points.tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(points=_extreme_hulls())
+    def test_extreme_magnitudes_match_exact_rationals(self, points):
+        assert (_origin_strictly_inside(points)
+                == hull_origin_inside_exact(points, _HULL_MARGIN)), points
 
     def test_known_interiors(self):
         def inside(points):
