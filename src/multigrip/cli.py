@@ -106,11 +106,14 @@ def _run_and_write(args, scenario: sim.Scenario) -> sim.SimTrace:
     return trace
 
 
-def _grasp_target(cfg: RunConfig, object_path: str, mode: int) -> tuple:
+def _grasp_target(cfg: RunConfig, object_path: str | None, mode: int) -> tuple | None:
     """An object file's spec and the surface pair of one mode of the configured
-    table, for an object the stroke can span."""
+    table, for an object the stroke can span; None, once the mode is checked,
+    without an object file."""
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
     _check_mode("--mode", mode, len(table))
+    if object_path is None:
+        return None
     spec, pair = load_object_file(object_path).spec, table.entry(mode)
     spec.check_stroke(cfg.stroke_limit)
     return spec, pair
@@ -152,7 +155,7 @@ def _cmd_simulate_grasp(args) -> int:
         raise CliError(f"--force {args.force:g} N overflows the motor torque target "
                        f"at the {radius:g} mm input sprocket radius")
     _check_gap(args.gap, cfg, positive=True)   # the object must be touched
-    target = _grasp_target(cfg, args.object, args.mode) if args.object else None
+    target = _grasp_target(cfg, args.object, args.mode)
     scenario = sim.grasp_scenario(
         cfg.gears, cfg.magnet, cfg.counts,
         target_force=args.force, gap=args.gap,

@@ -15,8 +15,9 @@ The contact search is exact.  Every object flank and finger face is an
 `Arc`, a line or a circular arc centred on y = 0, so the clearance between
 a flank and a face takes its extremes at the centre or the ends of their
 lateral overlap.  It is even in y, so two evaluations in plain floats per
-finger, at the centre and at one end, find each first contact.  Closed
-forms decide closure where the physics gives one: too few wrenches or
+finger, at the centre and at one end, find each first contact, and the
+search hands the flank's values there to the contact set.  Closed forms
+decide closure where the physics gives one: too few wrenches or
 frictionless parallel normals never close, and two contacts each inside the
 other's friction cone (or negated cone) do.  A hull enumeration decides the
 rest, every sign in integers.  Caging works on bit masks held in Python ints.
@@ -153,9 +154,10 @@ class GraspResult:
 # Contact computation
 
 def _lateral_search(spec: ObjectSpec, profile: SurfaceProfile, side: int
-                    ) -> tuple[Arc, float, tuple[float, float, float], list[float]]:
+                    ) -> tuple[Arc, float, float, float, float, float, float]:
     """One finger's contact search: the object's flank, the finger reference
-    at first contact, and the candidates (lo, 0, hi) with their clearances.
+    at first contact, the overlap's end hi, the clearances at the end and at
+    the centre, and the flank's x there, (flank, ref, hi, end, mid, x_end, x_mid).
 
     The clearance c(y) between flank and finger front does not depend on
     the finger position: the left finger at reference x_ref has clearance
@@ -167,13 +169,16 @@ def _lateral_search(spec: ObjectSpec, profile: SurfaceProfile, side: int
     """
     flank, face = spec.flanks[side > 0], profile.arc
     hi = min(flank.half, face.half)
-    end = flank.x_of(hi) + side * face.x_of(hi)   # bit for bit the value at -hi
-    c = [end, flank.x_of(0.0) + side * face.x_of(0.0), end]
-    return flank, (min(c) if side < 0 else max(c)), (-hi, 0.0, hi), c
+    x_end, x_mid = flank.x_of(hi), flank.x_of(0.0)   # x_end is bit for bit the value at -hi
+    end, mid = x_end + side * face.x_of(hi), x_mid + side * face.x_of(0.0)
+    return flank, (min(end, mid) if side < 0 else max(end, mid)), hi, end, mid, x_end, x_mid
 
 
 def _at_corner(arc: Arc, y: float) -> bool:
-    return any(abs(y - corner) <= _CORNER_TOL for corner in arc.corners)
+    for corner in arc.corners:
+        if abs(y - corner) <= _CORNER_TOL:
+            return True
+    return False
 
 
 def _contact_normals(flank: Arc, face: Arc, ys: tuple[float, ...], side: int
@@ -192,27 +197,26 @@ def _contact_set(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
                  searches: tuple, positions: tuple[float, float] | None) -> ContactSet:
     """Both fingers' contacts from their `_lateral_search`es (see compute_contacts)."""
     contacts = []
-    for (flank, ref, (lo, _, hi), (end, mid, _)), face, side, x_ref, finger in zip(
+    for (flank, _, hi, end, mid, x_end, x_mid), face, side, x_ref, finger in zip(
             searches, (left.arc, right.arc), (-1, 1),
-            (None, None) if positions is None else positions, ("3S", "4S")):
-        if x_ref is None:
-            x_ref = ref
+            [s[1] for s in searches] if positions is None else positions, ("3S", "4S")):
         at_end, at_mid = side * (x_ref - end), side * (x_ref - mid)
         worst = min(at_end, at_mid)
         if worst < -_CONTACT_TOL:
-            raise ValueError(
-                f"finger penetrates the object by {-worst:.3g} mm at the "
-                "requested finger position")
-        if at_end <= _CONTACT_TOL and at_mid <= _CONTACT_TOL:
-            # an extended contact at its two ends; a narrow one at its best point
-            ys = (lo, hi) if hi - lo > _MERGE_RADIUS else (0.0,) if at_mid < at_end else (lo,)
-        else:   # one contact per band: the centre or each end
-            ys = (lo, hi) if at_end <= _CONTACT_TOL else (0.0,) if at_mid <= _CONTACT_TOL else ()
-        if ys:
-            x = flank.x_of(ys[0])   # even in y: one value for both ends
-            contacts += [Contact(point=(x, y), normal=normal, finger=finger)
-                         for y, normal in zip(ys, _contact_normals(flank, face, ys, side))]
-    return ContactSet(contacts=tuple(contacts), rotation_free=obj.rotation_symmetric)
+            raise ValueError(f"finger penetrates the object by {-worst:.3g} mm at the "
+                             "requested finger position")
+        if at_end > _CONTACT_TOL and at_mid > _CONTACT_TOL:
+            continue
+        # a band at each end or at the centre; a whole-overlap contact at its ends or best point
+        if at_end <= _CONTACT_TOL and (at_mid > _CONTACT_TOL or hi + hi > _MERGE_RADIUS):
+            ys, x = (-hi, hi), x_end
+        elif at_end > _CONTACT_TOL or at_mid < at_end:
+            ys, x = (0.0,), x_mid
+        else:
+            ys, x = (-hi,), x_end
+        contacts += [Contact((x, y), normal, finger)
+                     for y, normal in zip(ys, _contact_normals(flank, face, ys, side))]
+    return ContactSet(tuple(contacts), obj.rotation_symmetric)
 
 
 def compute_contacts(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
@@ -251,10 +255,12 @@ def _finger_separation(left: SurfaceProfile, right: SurfaceProfile) -> float:
 
 @lru_cache(maxsize=64)
 def _finger_pair(left: SurfaceShape, right: SurfaceShape, width: float
-                 ) -> tuple[SurfaceProfile, SurfaceProfile, float]:
-    """A mode's two finger faces and the `_finger_separation` where they touch."""
+                 ) -> tuple[SurfaceProfile, SurfaceProfile, float, bool, bool]:
+    """A mode's two finger faces, the `_finger_separation` where they touch,
+    whether either face is deformable, and whether either is concave."""
     profiles = surface_profile(left, width), surface_profile(right, width)
-    return *profiles, _finger_separation(*profiles)
+    return (*profiles, _finger_separation(*profiles), any(p.deformable for p in profiles),
+            SurfaceKind.CONCAVE in (left.kind, right.kind))
 
 
 def _closing(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
@@ -709,27 +715,20 @@ def classify_grasp(obj: ObjectSpec, pair: tuple[SurfaceShape, SurfaceShape],
         raise ValueError(f"thin_threshold must be finite, got {thin_threshold!r}")
     if stroke is not None:
         obj.check_stroke(stroke)
-    left, right, sep_fingers = _finger_pair(pair[0], pair[1], face_width)
-
-    deformable = left.deformable or right.deformable
+    left, right, sep_fingers, deformable, concave = _finger_pair(pair[0], pair[1], face_width)
     if deformable and obj.closing_extent < thin_threshold:
-        return GraspResult(
-            outcome=GraspOutcome.FAIL, separation=math.nan,
-            contacts=ContactSet(contacts=(), rotation_free=obj.rotation_symmetric),
-            reason="object is thinner than the deformable-surface limit; the "
-                   "face deforms around it and the object slips")
+        return GraspResult(GraspOutcome.FAIL, ContactSet((), obj.rotation_symmetric), math.nan,
+                           reason="object is thinner than the deformable-surface limit; "
+                                  "the face deforms around it and the object slips")
 
     searches, positions, touched = _closing(obj, left, right, sep_fingers)
     contacts = _contact_set(obj, left, right, searches, positions)
     separation = positions[1] - positions[0]
 
-    if isinstance(obj.shape, ThinPlate) and (pair[0].kind is SurfaceKind.CONCAVE
-                                             or pair[1].kind is SurfaceKind.CONCAVE):
-        return GraspResult(
-            outcome=GraspOutcome.CAGING, contacts=contacts,
-            separation=separation, posture_uncertain=True,
-            reason="thin plate at a pocket rim: it may end up pinched at the "
-                   "tip or tilted, so the final posture is uncertain")
+    if concave and isinstance(obj.shape, ThinPlate):
+        return GraspResult(GraspOutcome.CAGING, contacts, separation, True,
+                           "thin plate at a pocket rim: it may end up pinched at the "
+                           "tip or tilted, so the final posture is uncertain")
 
     if touched and len(contacts) > 0:
         effective = _effective_contacts(contacts)

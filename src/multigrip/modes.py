@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,8 +49,8 @@ class SurfaceShape:
     def __post_init__(self) -> None:
         curved = self.kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE)
         if curved:
-            if self.radius is None or not self.radius > 0:
-                raise ValueError(f"{self.kind.value} surface needs a positive radius")
+            if self.radius is None or not (self.radius > 0 and math.isfinite(self.radius)):
+                raise ValueError(f"{self.kind.value} surface needs a positive finite radius")
         elif self.radius is not None:
             raise ValueError(f"{self.kind.value} surface takes no radius")
 

@@ -161,10 +161,12 @@ class TestSimulate:
         (["plan", "--object", BOX, "--current-mode", "13"],
          "--current-mode must be a mode in 1..12, got 13"),
         (["classify", "--object", BOX, "--mode", "0"], "--mode must be a mode in 1..12, got 0"),
+        (["simulate", "grasp", "--force", "10", "--gap", "3", "--mode", "13"],
+         "--mode must be a mode in 1..12, got 13"),
     ], ids=["grasp-gap-0", "grasp-gap-nan", "grasp-force-inf", "grasp-force-negative",
             "grasp-force-torque-overflow", "switch-gap-nan", "switch-gap-negative",
             "switch-gap-beyond-stroke", "switch-to-13", "switch-from-13",
-            "plan-current-mode-13", "classify-mode-0"])
+            "plan-current-mode-13", "classify-mode-0", "grasp-mode-13-without-object"])
     def test_bad_gap_or_force_names_the_flag(self, capsys, tmp_path, argv, message):
         out_file = tmp_path / "t.csv"
         rc, out, err = run(capsys, *argv, "--out", str(out_file))

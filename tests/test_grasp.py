@@ -7,6 +7,7 @@ import tracemalloc
 import types
 import warnings
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from multigrip import grasp
 from multigrip.config import default_config
-from multigrip.grasp import (_CONTACT_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RADIUS,
+from multigrip.grasp import (_CONTACT_TOL, _CORNER_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RADIUS,
                              CagingResolutionWarning, Contact,
                              ContactSet, DegenerateContactWarning, GraspOutcome, SurfaceProfile,
                              _arange, _BitGrid, _cspace_obstacle, _Dilations, _erode_xy,
@@ -291,7 +292,8 @@ class TestContactSearchMatchesGrid:
         sides = ((left, -1, "3S"), (right, +1, "4S"))
         refs, exact = [], True
         for profile, side, _ in sides:
-            _, ref, _, clearance = grasp._lateral_search(spec, profile, side)
+            _, ref, _, end, mid, _, _ = grasp._lateral_search(spec, profile, side)
+            clearance = [end, mid, end]   # at (-hi, 0, hi)
             refs.append(grid_lateral_search(spec, profile, side)[0])
             assert _same_extremum(ref, refs[-1], clearance), (profile, side)
             exact &= ref == refs[-1]
@@ -345,11 +347,14 @@ class TestArcInvariant:
 
 
 def _assert_search_evaluates_the_candidates(spec, profile: SurfaceProfile, side: int):
-    """The search's clearances are, bit for bit, those at (-hi, 0, hi)."""
-    flank, _, ys, clearances = grasp._lateral_search(spec, profile, side)
-    hi = min(flank.half, profile.arc.half)
-    assert repr(ys) == repr((-hi, 0.0, hi))
-    assert repr(clearances) == repr([flank.x_of(y) + side * profile.arc.x_of(y) for y in ys])
+    """The search's clearances and flank values are, bit for bit, those at
+    (-hi, 0, hi), the end values standing for both ends."""
+    flank, _, hi, end, mid, x_end, x_mid = grasp._lateral_search(spec, profile, side)
+    assert repr(hi) == repr(min(flank.half, profile.arc.half))
+    ys = (-hi, 0.0, hi)
+    assert repr([end, mid, end]) == repr([flank.x_of(y) + side * profile.arc.x_of(y)
+                                          for y in ys])
+    assert repr([x_end, x_mid, x_end]) == repr([flank.x_of(y) for y in ys])
 
 
 @st.composite
@@ -384,6 +389,54 @@ class TestSearchShortcut:
         profile = SurfaceProfile(shape=flat(), width=2.0 * face.half, arc=face)
         _assert_search_evaluates_the_candidates(types.SimpleNamespace(flanks=(flank, flank)),
                                                 profile, side)
+
+
+def _corner_offsets(half: float) -> list[float]:
+    """Lateral positions whose distance from the corner at half is 0, +-tol
+    and +-2 tol, rounded to floats, with both float neighbours of each +-tol
+    one, so the inclusive edge is pinned from both sides."""
+    ys = [half + k * _CORNER_TOL for k in (0, 1, -1, 2, -2)]
+    return ys + [math.nextafter(y, d) for y in ys[1:3] for d in (-math.inf, math.inf)]
+
+
+def _within_corner_tol(y: float, half: float) -> bool:
+    """|y| - half within _CORNER_TOL, in exact rational arithmetic."""
+    return abs(abs(Fraction(y)) - Fraction(half)) <= Fraction(_CORNER_TOL)
+
+
+class TestCornerTolerance:
+    """A contact within _CORNER_TOL of a corner takes the corner's normal:
+    the face's at an object corner, the closing axis where a face rim meets
+    it.  The edge is inclusive and decided exactly; 10 mm sits away from
+    any power of two, so y - half is exact but +-tol itself rounds."""
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_flank_corner(self, side, sign):
+        flank = face_arc("convex", 12.0, 10.0, 5.0, side)
+        face = face_arc("concave", 20.0, 15.0, 0.0, 1)   # its rims far from every y
+        decided = Counter()
+        for y in (sign * v for v in _corner_offsets(10.0)):
+            normal, = grasp._contact_normals(flank, face, (y,), side)
+            at_corner = _within_corner_tol(y, 10.0)
+            nx, ny = face.normal(y, 1.0)
+            assert normal == ((-side * nx, ny) if at_corner else flank.normal(y, -side)), y
+            decided[at_corner] += 1
+        assert decided == {True: 3, False: 6}
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_face_corner(self, side, sign):
+        face = face_arc("convex", 15.0, 10.0, 0.0, 1)
+        decided = Counter()
+        for y in (sign * v for v in _corner_offsets(10.0)):
+            flank = face_arc("flat", None, abs(y), 5.0, side)   # y on its corner
+            normal, = grasp._contact_normals(flank, face, (y,), side)
+            at_corner = _within_corner_tol(y, 10.0)
+            nx, ny = face.normal(y, 1.0)
+            assert normal == ((-side * 1.0, 0.0) if at_corner else (-side * nx, ny)), y
+            decided[at_corner] += 1
+        assert decided == {True: 3, False: 6}
 
 
 class TestObjectSpecCache:
@@ -1448,9 +1501,10 @@ class TestOnePass:
         assert enumerations == 1
 
     def test_rounding_and_arc_evaluation_counts(self, fixture_calls, monkeypatch):
-        # the search evaluates one end of the even clearance for both, and the
-        # dedupe rounds only near-duplicate points; with cold caches the count
-        # includes the finger separations and the faces' caging outlines
+        # the search evaluates one end of the even clearance for both and hands
+        # its flank values to the contact set, and the dedupe rounds only
+        # near-duplicate points; with cold caches the count includes the finger
+        # separations and the faces' caging outlines
         cfg, calls = fixture_calls
         counts, x_of = Counter(), Arc.x_of
         monkeypatch.setattr(grasp, "round", lambda *a: counts.update(["round"]) or round(*a),
@@ -1462,7 +1516,7 @@ class TestOnePass:
             for spec, pair in calls:
                 classify_grasp(spec, pair, face_width=cfg.face_width,
                                thin_threshold=cfg.thin_object)
-        assert counts == {"round": 12, "x_of": 1102}
+        assert counts == {"round": 12, "x_of": 1020}
 
     def test_wrenches_and_flanks_built_only_when_needed(self, fixture_calls, monkeypatch):
         cfg, calls = fixture_calls

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from multigrip.mechanics import SurfaceCounts, gc_mode_count
@@ -13,6 +15,9 @@ def test_surface_shape_validation():
         SurfaceShape(SurfaceKind.CONCAVE, -1.0)
     with pytest.raises(ValueError):
         SurfaceShape(SurfaceKind.FLAT, 5.0)       # flat takes no radius
+    for kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE):   # a finite one
+        with pytest.raises(ValueError, match=f"^{kind.value} surface needs a positive finite"):
+            SurfaceShape(kind, math.inf)
 
 
 def test_reference_table_entries(table):
