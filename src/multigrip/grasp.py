@@ -35,8 +35,7 @@ from itertools import combinations
 
 from .modes import (DEFAULT_FACE_WIDTH, DEFAULT_THIN_THRESHOLD, SurfaceKind,
                     SurfaceShape)
-from .objects import (Arc, ObjectSpec, ThinPlate, check_friction, face_arc, linspace,
-                      object_polygon)
+from .objects import Arc, ObjectSpec, ThinPlate, check_friction, face_arc, linspace
 
 __all__ = [
     "SurfaceProfile",
@@ -66,6 +65,7 @@ _PROFILE_POINTS = 129   # vertices of a finger face's outline in caging
 _CORNER_TOL = 1e-9      # mm; how close to a corner a contact counts as at it
 _BODY_DEPTH = 15.0      # mm; finger body behind the face, for caging
 _ERODE_CELLS = 2        # x-y erosion depth of the caging resolution check
+_MAX_CAGING_CELLS = 2 * 10**9   # cells summed over the bit masks one caging search holds
 
 
 class DegenerateContactWarning(UserWarning):
@@ -656,17 +656,29 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     reaches within its depth, so a contact at rest is no such gap.  A wide
     escape in the rest-angle slice alone decides before the other slices are
     built.  The cell (mm) and the rotation step must be positive and finite,
-    and the positions finite.
+    and fine enough that the masks held, one per rotation slice and one per
+    footprint run length, span at most _MAX_CAGING_CELLS cells in all; the
+    positions must be finite.
     """
     _check_positions(positions)
     for name, value in (("cell", cell), ("angle_cell_deg", angle_cell_deg)):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite")
     polygons = [_finger_polygon(*finger) for finger in zip((left, right), positions, (-1, 1))]
-    base = object_polygon(obj)
-    reach = max(abs(complex(x, y)) for x, y in base)   # the abs is libm's hypot
-    xs, ys = (_arange(min(c) - reach - 3 * cell, max(c) + reach + 3 * cell + cell, cell)
-              for c in zip(*polygons[0], *polygons[1]))
+    base, reach = obj.outline, obj.reach
+    spans = [(min(c) - reach - 3 * cell, max(c) + reach + 3 * cell + cell)
+             for c in zip(*polygons[0], *polygons[1])]
+    # the search holds a grid mask per rotation slice and per footprint run
+    # length, a run being at most 2m + 1 cells long (m as below)
+    cells = math.prod((stop - start) / cell for start, stop in spans)
+    lengths = 2 * (reach / cell + 2) + 1
+    rotations = 1.0 if obj.rotation_symmetric else 360.0 / angle_cell_deg
+    for masks, name in ((lengths + 1, f"cell {cell!r} mm"), (lengths + rotations,
+                        f"angle_cell_deg {angle_cell_deg!r} at cell {cell!r} mm")):
+        if masks * cells > _MAX_CAGING_CELLS:
+            raise ValueError(f"{name} asks for {masks:.3g} caging masks of {cells:.3g} "
+                             f"cells, more than {_MAX_CAGING_CELLS:,} cells in all")
+    xs, ys = (_arange(start, stop, cell) for start, stop in spans)
     grid = _BitGrid(len(xs), len(ys))
     seed = (0, *(c.index(min(c, key=abs)) for c in (xs, ys)))   # the cell nearest the origin
     fingers = _Dilations(grid, *(_polygon_runs(polygon, xs, ys) for polygon in polygons))
@@ -683,7 +695,8 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
             return False
     if not _escapes_from(slices, grid, seed):
         return True
-    if not _escapes_from(_erode_xy_from(slices, grid, seed), grid, seed):
+    # one slice: the rest-slice search above already found no narrow escape
+    if n_angles == 1 or not _escapes_from(_erode_xy_from(slices, grid, seed), grid, seed):
         warnings.warn(
             "the escape path passes a gap at most two grid cells "
             f"({_ERODE_CELLS * cell:g} mm) wide; result may be resolution-limited",

@@ -122,7 +122,8 @@ class ObjectSpec:
     @cached_property
     def flanks(self) -> tuple[Arc, Arc]:
         """The left (side -1) and right (side +1) flank, built once and kept
-        outside the fields, as closing_extent is: eq, hash and repr ignore them."""
+        outside the fields, as closing_extent, outline and reach are: eq, hash
+        and repr ignore them."""
         s = self.shape
         if isinstance(s, Circle):
             # a signed-zero centre keeps the sign of side at x_of(+-radius)
@@ -144,6 +145,16 @@ class ObjectSpec:
             # a convex face bulges past its flank edges at y = 0
             return sum(max(side * arc.x_of(0.0), flank) for side, arc in zip((-1, 1), self.flanks))
         return 2 * flank
+
+    @cached_property
+    def outline(self) -> tuple[tuple[float, float], ...]:
+        """object_polygon's vertices, built once for the caging search."""
+        return tuple(object_polygon(self))
+
+    @cached_property
+    def reach(self) -> float:
+        """Largest distance (mm) of an outline vertex from the origin."""
+        return max(abs(complex(x, y)) for x, y in self.outline)   # the abs is libm's hypot
 
     @property
     def rotation_symmetric(self) -> bool:

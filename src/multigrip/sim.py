@@ -225,6 +225,12 @@ class Scenario:
             raise ValueError("object_contact outside (0, stroke_limit]")
         if not 0 <= self.friction_torque < math.inf:
             raise ValueError("friction_torque must be finite and >= 0")
+        for name in ("initial_mode", "max_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         # Touching _kin derives the step constants here, once; its
         # switch_interval call refuses inconsistent gearing.
         n = self._kin.n_gc

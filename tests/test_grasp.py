@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import math
+import operator
 import pickle
 import random
+import re
 import tracemalloc
 import types
 import warnings
@@ -16,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from multigrip import grasp
+from multigrip import grasp, objects
 from multigrip.config import default_config
 from multigrip.grasp import (_CONTACT_TOL, _CORNER_TOL, _ERODE_CELLS, _HULL_MARGIN, _MERGE_RADIUS,
                              CagingResolutionWarning, Contact,
@@ -448,8 +450,9 @@ class TestObjectSpecCache:
         CompositeFaces(FaceArc("convex", 15.0), FaceArc("concave", 20.0), 20.0, 25.0)])
     def test_value_semantics(self, shape):
         cold, warm = ObjectSpec(shape, mu=0.4), ObjectSpec(shape, mu=0.4)
+        cached = operator.attrgetter("flanks", "closing_extent", "outline", "reach")
         before = repr(warm), hash(warm)
-        assert warm.flanks and warm.closing_extent   # fill the caches
+        assert all(cached(warm))   # fill the caches
         assert (repr(warm), hash(warm)) == before
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
         assert [f.name for f in dataclasses.fields(warm)] == ["shape", "mu"]
@@ -458,11 +461,18 @@ class TestObjectSpecCache:
         for spec in (cold, warm):
             copy = pickle.loads(pickle.dumps(spec))
             assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
-            assert (copy.flanks, copy.closing_extent) == (warm.flanks, warm.closing_extent)
+            assert cached(copy) == cached(warm)
+        # the outline is object_polygon's, vertex for vertex, and the reach
+        # the largest hypot over it
+        polygon = object_polygon(cold)
+        assert type(warm.outline) is tuple and list(warm.outline) == polygon
+        assert warm.reach == max(abs(complex(x, y)) for x, y in polygon)
         # replace builds a new object: nothing cached carries over
-        assert dataclasses.replace(warm, mu=0.3).flanks == warm.flanks
+        assert cached(dataclasses.replace(warm, mu=0.3)) == cached(warm)
         narrow = dataclasses.replace(warm, shape=Box(8.0, 25.0))
-        assert narrow.closing_extent == 8.0 and narrow.flanks == ObjectSpec(Box(8.0, 25.0)).flanks
+        assert narrow.closing_extent == 8.0
+        assert cached(narrow) == cached(ObjectSpec(Box(8.0, 25.0)))
+        assert narrow.outline != warm.outline
 
 
 class TestContactNormals:
@@ -954,6 +964,37 @@ class TestCaging:
         angles = [math.degrees(math.atan2(p[0][1], p[0][0]) - rest) % 360.0 for p in footprints]
         assert len(builds) == n
         assert angles == pytest.approx([k * 360.0 / n for k in range(n)], abs=1e-9)
+
+    @pytest.mark.parametrize("value", [1e-6, 5e-324])
+    @pytest.mark.parametrize("obj, name", [(SMALL, "cell"), (BOX, "cell"),
+                                           (BOX, "angle_cell_deg")])
+    def test_grid_too_fine_to_build_rejected(self, obj, name, value):
+        # refused from the axis lengths, before any axis or slice is built
+        lp = rp = surface_profile(flat(), 20.0)
+        with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(value))} .* "
+                                             "more than 2,000,000,000 cells in all$"):
+            caging_test(obj, lp, rp, (-12.0, 12.0), **{name: value})
+
+    @pytest.mark.parametrize("angle_cell_deg", [1e-6, 5e-324])
+    def test_disk_has_one_slice_at_any_rotation_step(self, angle_cell_deg):
+        lp = rp = surface_profile(concave(10.0), 20.0)
+        positions, _ = closure_separation(SMALL, lp, rp)
+        assert caging_test(SMALL, lp, rp, positions, angle_cell_deg=angle_cell_deg) is True
+
+    @pytest.mark.parametrize("obj, positions, angle_cell_deg, searches", [
+        (SMALL, (-5.4, 5.4), 5.0, 1),
+        (ObjectSpec(Box(6.0, 6.0), mu=0.5), (-3.4, 3.4), 360.0, 1),
+        (ObjectSpec(Box(6.0, 6.0), mu=0.5), (-3.4, 3.4), 5.0, 2)])
+    def test_one_slice_runs_the_eroded_search_once(self, monkeypatch, obj, positions,
+                                                  angle_cell_deg, searches):
+        # with one slice the eroded search at the rest slice is the last one
+        eroded, original = [], grasp._erode_xy_from
+        monkeypatch.setattr(grasp, "_erode_xy_from",
+                            lambda *a: eroded.append(1) or original(*a))
+        lp = rp = surface_profile(flat(), 20.0)
+        with pytest.warns(CagingResolutionWarning):
+            assert caging_test(obj, lp, rp, positions, angle_cell_deg=angle_cell_deg) is False
+        assert len(eroded) == searches
 
     def test_coarse_grid_reported(self):
         lp = rp = surface_profile(flat(), 20.0)
@@ -1537,6 +1578,25 @@ class TestOnePass:
         assert counts == {"2-D enumerations": 1}
         # each object's flanks are built once across its 12 modes
         assert {flank_builds[spec] for spec, _ in calls} == {1}
+
+    def test_outline_built_once_per_object(self, fixture_calls, monkeypatch):
+        # 29 of the 60 classifications reach the caging search, and each of
+        # the five objects builds its outline for the first of them only
+        cfg, calls = fixture_calls
+        builds, cagings, build = Counter(), Counter(), objects.object_polygon
+        monkeypatch.setattr(objects, "object_polygon",
+                            lambda spec: builds.update([spec]) or build(spec))
+        search = grasp.caging_test
+        monkeypatch.setattr(grasp, "caging_test",
+                            lambda obj, *a: cagings.update([obj]) or search(obj, *a))
+        _clear_caches()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CagingResolutionWarning)
+            for spec, pair in calls:
+                classify_grasp(spec, pair, face_width=cfg.face_width,
+                               thin_threshold=cfg.thin_object)
+        assert cagings.total() == 29 and len(cagings) == 5
+        assert builds == dict.fromkeys(cagings, 1)
 
 
 def _clear_caches():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 import tracemalloc
 from array import array
 
@@ -150,6 +151,20 @@ class TestScenarioConstants:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_input_refused(self, gears, magnet, counts, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
+            Scenario(gears=gears, magnet=magnet, counts=counts, **{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("initial_mode", 1.5, "must be an int, got 1.5"),
+        ("initial_mode", 2.0, "must be an int, got 2.0"),
+        ("initial_mode", True, "must be an int, got True"),
+        ("initial_mode", "1", "must be an int, got '1'"),
+        ("max_steps", math.nan, "must be an int, got nan"),
+        ("max_steps", 10.0, "must be an int, got 10.0"),
+        ("max_steps", "10", "must be an int, got '10'"),
+        ("max_steps", False, "must be an int, got False"),
+        ("max_steps", -1, "must be >= 0, got -1")])
+    def test_non_integer_count_refused(self, gears, magnet, counts, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} {re.escape(message)}$"):
             Scenario(gears=gears, magnet=magnet, counts=counts, **{field: value})
 
 
