@@ -75,12 +75,26 @@ class ControllerState:
     switch_interval: float
 
     def __post_init__(self) -> None:
+        _check_int("n_gc", self.n_gc)
+        _check_int("k_now", self.k_now)
+        if not math.isfinite(self.open_reference_angle):
+            raise ValueError(f"open_reference_angle must be finite, "
+                             f"got {self.open_reference_angle!r}")
         if self.n_gc < 1:
             raise ValueError("n_gc must be >= 1")
         if not 1 <= self.k_now <= self.n_gc:
             raise ValueError(f"k_now {self.k_now} outside 1..{self.n_gc}")
-        if not self.switch_interval > 0:
-            raise ValueError("switch interval must be positive")
+        _check_interval("switch_interval", self.switch_interval)
+
+
+def _check_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_interval(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def grasp_command(target_force: float, gears: GearGeometry) -> TorqueRamp:
@@ -106,6 +120,9 @@ def switch_rotation(k_now: int, k_goal: int, n_gc: int, interval: float) -> floa
     The cycle is one-way, so reaching an earlier index wraps through the
     remaining modes.  Always in [0, (n_gc - 1) * interval].
     """
+    for name, value in (("k_now", k_now), ("k_goal", k_goal), ("n_gc", n_gc)):
+        _check_int(name, value)
+    _check_interval("interval", interval)
     if not 1 <= k_goal <= n_gc:
         raise ValueError(f"k_goal {k_goal} outside 1..{n_gc}")
     if not 1 <= k_now <= n_gc:

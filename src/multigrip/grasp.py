@@ -668,6 +668,9 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     base, reach = obj.outline, obj.reach
     spans = [(min(c) - reach - 3 * cell, max(c) + reach + 3 * cell + cell)
              for c in zip(*polygons[0], *polygons[1])]
+    if not all(math.isfinite(stop - start) for start, stop in spans):
+        raise ValueError(f"the caging grid's span overflows a float: fingers at "
+                         f"{positions!r}, cell {cell!r} mm")
     # the search holds a grid mask per rotation slice and per footprint run
     # length, a run being at most 2m + 1 cells long (m as below)
     cells = math.prod((stop - start) / cell for start, stop in spans)
@@ -676,7 +679,14 @@ def caging_test(obj: ObjectSpec, left: SurfaceProfile, right: SurfaceProfile,
     for masks, name in ((lengths + 1, f"cell {cell!r} mm"), (lengths + rotations,
                         f"angle_cell_deg {angle_cell_deg!r} at cell {cell!r} mm")):
         if masks * cells > _MAX_CAGING_CELLS:
-            raise ValueError(f"{name} asks for {masks:.3g} caging masks of {cells:.3g} "
+            # the spacing is to blame if the grid fits without the span between the fingers
+            (start, stop), _ = spans
+            beside = (stop - positions[1]) + (positions[0] - start)
+            if masks * cells * beside / (stop - start) <= _MAX_CAGING_CELLS:
+                name = (f"a finger spacing of {positions[1] - positions[0]:.3g} mm "
+                        f"at cell {cell!r} mm")
+            masks = math.ceil(masks) if masks < math.inf else masks
+            raise ValueError(f"{name} asks for up to {masks:,} caging masks of {cells:.3g} "
                              f"cells, more than {_MAX_CAGING_CELLS:,} cells in all")
     xs, ys = (_arange(start, stop, cell) for start, stop in spans)
     grid = _BitGrid(len(xs), len(ys))

@@ -20,13 +20,15 @@ pass.  A run is a stretch with no landing, no event and no completed
 command: a translation toward the stopper, the object contact or the stroke
 limit, or a body rotation between detents.  Its positions are running sums
 (`itertools.accumulate` adds in order, so it rounds exactly as the step loop
-does).  Every step condition is monotone in the step index, because float
-rounding is monotone, so a bisection finds where the run ends.  The step at
-each boundary goes through the body of `step`, so the trace is bit-identical
-to calling `step` one increment at a time.  A trace is stored as columns,
-a run's floats in `array('d')` at 8 B a value (so an int given to a
-`Scenario` reads back as a float), and `SimTrace.rows` builds each
-`TraceRow` only when it is read.
+does).  The step rules alone decide which steps are plain: a probe builds
+the run's state at a step index and asks `_command_complete`, `_motion` and
+`_advance` about that step.  Their answers are monotone in the step index,
+because float rounding is monotone, so a bisection only locates where the
+run ends.  The step at each boundary goes through the body of `step`, so
+the trace is bit-identical to calling `step` one increment at a time.  A
+trace is stored as columns, a run's floats in `array('d')` at 8 B a value
+(so an int given to a `Scenario` reads back as a float), and
+`SimTrace.rows` builds each `TraceRow` only when it is read.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import NamedTuple
 
 from .config import RunConfig
 from .control import (ControllerState, Direction, MotorCommand, PositionMove,
-                      grasp_command, switch_command)
+                      _check_int, grasp_command, switch_command)
 from .mechanics import (GearGeometry, MagnetDetent, SurfaceCounts,
                         detent_coefficients, detent_peak, gc_mode_count,
                         switch_interval)
@@ -226,9 +228,7 @@ class Scenario:
         if not 0 <= self.friction_torque < math.inf:
             raise ValueError("friction_torque must be finite and >= 0")
         for name in ("initial_mode", "max_steps"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            _check_int(name, getattr(self, name))
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         # Touching _kin derives the step constants here, once; its
@@ -575,10 +575,10 @@ def _command_complete(state: GripperState, cmd: MotorCommand,
 
 
 # Runs estimated shorter than this go through `step` one increment at a
-# time.  A pass costs about as much as one or two single steps of the
-# `run_scenario` loop, and an estimate of n steps yields a run of n - 3 or
-# n - 2 steps, so a pass pays from an estimate of 5.
-_MIN_RUN = 5
+# time.  A pass probes three steps, and costs about as much as three and a
+# half single steps of the `run_scenario` loop; an estimate of n steps
+# yields a run of n - 3 or n - 2 steps, so a pass pays from an estimate of 6.
+_MIN_RUN = 6
 # Longest run computed in one pass; bounds the lists of one pass.
 _MAX_RUN = 1 << 15
 
@@ -593,26 +593,24 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario, motion: tup
     """The longest run of plain full-increment `motion` steps from this state.
 
     Returns (step count, the new rows' theta_m, tau_m, d_f_3s, theta_fb_3s
-    and theta_fb_4s lists, state after the run), or None when the run
-    would be shorter than _MIN_RUN steps, so the next step goes through
-    `step`.  A plain step consumes exactly one motor increment, lands on
-    nothing, raises no event and leaves the command incomplete; the run
-    ends before the first pre-step state that fails a condition.  Each
-    condition is monotone in the step index, as float rounding is, so the
-    states that pass form a prefix and a bisection finds its end.  A
-    rotation run also ends where the 3S switch count changes, which keeps
-    its detent offset monotone.
+    and theta_fb_4s lists, state after the run), or None when the run is
+    estimated shorter than _MIN_RUN steps or has none, so the next step
+    goes through `step`.  The step rules decide which steps are plain: from
+    the run's pre-step state the command is incomplete, `_motion` still
+    chooses `motion`, and `_advance` raises no event and no SimError.  The
+    run adds one rule of its own: the 3S switch count keeps its first
+    value, which keeps a rotation's detent offset monotone.  Every check is
+    then monotone in the step index, as float rounding is, so the plain
+    steps form a prefix and a bisection only locates its end; the bound on
+    the run's length only sizes the ramps.
     """
     kin = sc._kin
     d_inc, r = kin.d_inc, kin.radius
     kind, budget = motion
     if kind not in ("open", "close", "rotate") or budget < d_inc:
         return None
-    if isinstance(cmd, PositionMove):
-        target = cmd.target_angle
-        bound = abs(target - state.theta_m)
-    else:
-        target, bound = None, math.inf
+    position = isinstance(cmd, PositionMove)
+    bound = abs(cmd.target_angle - state.theta_m) if position else math.inf
     if kind == "open":
         bound = min(bound, state.d_f_3s / r)
     elif kind == "close":
@@ -626,55 +624,48 @@ def _plain_run(state: GripperState, cmd: MotorCommand, sc: Scenario, motion: tup
     if n < _MIN_RUN:
         return None
 
-    sign = -1.0 if kind == "close" else 1.0
-    theta = _ramp(state.theta_m, sign * d_inc, n)
-
-    def move_ok(i: int) -> bool:
-        # full increment left in the move, and the move not yet complete
-        return target is None or (sign * (target - theta[i]) >= d_inc
-                                  and abs(theta[i] - target) > _EPS_LANDING)
-
+    size = n + 1
+    theta = _ramp(state.theta_m, -d_inc if kind == "close" else d_inc, n)
     if kind == "rotate":
+        # a position move's torque enters no step rule: its probes keep the
+        # first state's, and its rows get theirs once the run is found
+        tau, d, phase = [state.tau_m] * size, [state.d_f_3s] * size, state.phase
         fb3 = _ramp(state.theta_fb_3s, kin.ratio_3s * d_inc, n)
         fb4 = _ramp(state.theta_fb_4s, kin.ratio_4s * d_inc, n)
-        k = _switch_count(state.theta_fb_3s, kin)
-        base, ratio = k * kin.pitch_bind, kin.ratio_bind
-        # _rotation_offset_motor before each step while the switch count is
-        # k; the conditional is max(x - base, 0.0) without the call
-        offset = [(x - base if x >= base else 0.0) / ratio
-                  for x in (fb3 if kin.bind_3s else fb4)[:n]]
-
-        def ok(i: int) -> bool:
-            return (move_ok(i) and _switch_count(fb3[i], kin) == k
-                    and d_inc < (kin.interval - offset[i]) - _EPS_LANDING)
     else:
-        d = _ramp(state.d_f_3s, -sign * (r * d_inc), n)  # closing adds travel
-        contact = sc.object_contact
+        tau = [0.0] * size
+        d = _ramp(state.d_f_3s, r * d_inc if kind == "close" else -(r * d_inc), n)
+        fb3, fb4 = [state.theta_fb_3s] * size, [state.theta_fb_4s] * size
+        phase = Phase.TRANSLATING_OPEN if kind == "open" else Phase.TRANSLATING_CLOSE
+    k = _switch_count(state.theta_fb_3s, kin)
+    after = {}  # the state after each plain step probed
 
-        def ok(i: int) -> bool:
-            if kind == "open":
-                return move_ok(i) and d[i] > _EPS_TRAVEL and d_inc < d[i] / r - _EPS_LANDING
-            return (move_ok(i) and d[i + 1] <= sc.stroke_limit + _EPS_TRAVEL
-                    and (contact is None
-                         or ((target is not None or d[i] < contact - _EPS_TRAVEL)
-                             and d_inc < (contact - d[i]) / r - _EPS_LANDING)))
-    m = bisect_left(range(n), True, key=lambda i: not ok(i))
+    def plain(i: int) -> bool:
+        s = state if i == 0 else GripperState(theta[i], tau[i], d[i], fb3[i], fb4[i],
+                                              state.mode_index, phase)
+        if (_switch_count(s.theta_fb_3s, kin) != k or _command_complete(s, cmd, False)
+                or _motion(s, cmd, sc) != motion):
+            return False
+        try:
+            after[i], events = _advance(s, cmd, sc, kind, d_inc)
+        except SimError:
+            return False
+        return not events
+
+    # the bound overshoots a run by two or three steps: probe below it first
+    first = n - 4
+    lo, hi = (first + 1, n) if plain(first) else (0, first)
+    m = bisect_left(range(n), True, lo, hi, key=lambda i: not plain(i))
     if m == 0:
         return None
-    if kind != "rotate":
-        phase = Phase.TRANSLATING_OPEN if kind == "open" else Phase.TRANSLATING_CLOSE
-        new = GripperState(theta[m], 0.0, d[m], state.theta_fb_3s, state.theta_fb_4s,
-                           state.mode_index, phase)
-        return m, (theta[1:m + 1], [0.0] * m, d[1:m + 1],
-                   [state.theta_fb_3s] * m, [state.theta_fb_4s] * m), new
-    if target is None:
-        tau = [state.tau_m] * m  # a torque ramp holds its torque
-    else:
-        tau = _rotation_torques([x + d_inc for x in offset[:m]], sc)
-    new = GripperState(theta[m], tau[-1], state.d_f_3s, fb3[m], fb4[m],
-                       state.mode_index, state.phase)
-    return m, (theta[1:m + 1], tau, [state.d_f_3s] * m,
-               fb3[1:m + 1], fb4[1:m + 1]), new
+    if kind == "rotate" and position:
+        base, ratio = k * kin.pitch_bind, kin.ratio_bind
+        # _rotation_offset_motor before each step, plus the step, as _rotate
+        # has it; the conditional is max(x - base, 0.0) without the call
+        tau[1:m + 1] = _rotation_torques([(x - base if x >= base else 0.0) / ratio + d_inc
+                                          for x in (fb3 if kin.bind_3s else fb4)[:m]], sc)
+    # a bisection probes the last plain step, so `after` holds the state it leaves
+    return m, tuple(col[1:m + 1] for col in (theta, tau, d, fb3, fb4)), after[m - 1]
 
 
 def run_scenario(scenario: Scenario) -> SimTrace:

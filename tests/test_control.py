@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -108,3 +109,34 @@ def test_release_then_switch_prepends_release():
     assert commands[0].target_angle == 0.5
     assert commands[1].target_angle == pytest.approx(0.5 + 2 * INTERVAL)
     assert cs2.k_now == 3
+
+
+class TestBadInputsRefused:
+    @pytest.mark.parametrize("field, value, message", [
+        # switch_command once took k_now 1.5 to a half switch
+        ("k_now", 1.5, "k_now must be an int, got 1.5"),
+        ("k_now", 2.0, "k_now must be an int, got 2.0"),
+        ("k_now", True, "k_now must be an int, got True"),
+        ("n_gc", 12.5, "n_gc must be an int, got 12.5"),
+        ("n_gc", False, "n_gc must be an int, got False"),
+        ("open_reference_angle", math.nan, "open_reference_angle must be finite, got nan"),
+        ("open_reference_angle", -math.inf, "open_reference_angle must be finite, got -inf"),
+        ("switch_interval", math.inf, "switch_interval must be positive and finite, got inf"),
+        ("switch_interval", math.nan, "switch_interval must be positive and finite, got nan"),
+        ("switch_interval", 0.0, "switch_interval must be positive and finite, got 0.0")])
+    def test_controller_state(self, field, value, message):
+        fields = dict(open_reference_angle=0.0, k_now=1, n_gc=12, switch_interval=INTERVAL)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ControllerState(**{**fields, field: value})
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, 3, 12, math.nan), "interval must be positive and finite, got nan"),
+        ((1, 3, 12, math.inf), "interval must be positive and finite, got inf"),
+        ((1, 3, 12, -INTERVAL), "interval must be positive and finite"),
+        ((1.0, 3, 12, INTERVAL), "k_now must be an int, got 1.0"),
+        ((1, 3.5, 12, INTERVAL), "k_goal must be an int, got 3.5"),
+        ((1, True, 12, INTERVAL), "k_goal must be an int, got True"),
+        ((1, 3, 12.0, INTERVAL), "n_gc must be an int, got 12.0")])
+    def test_switch_rotation(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            switch_rotation(*args)

@@ -975,6 +975,23 @@ class TestCaging:
                                              "more than 2,000,000,000 cells in all$"):
             caging_test(obj, lp, rp, (-12.0, 12.0), **{name: value})
 
+    @pytest.mark.parametrize("positions, cell, message", [
+        ((-8.0, 8.0), 1e308, r"the caging grid's span overflows a float: "
+                             r"fingers at \(-8\.0, 8\.0\), cell 1e\+308 mm"),
+        ((-1e308, 1e308), 0.5, r"the caging grid's span overflows a float: "
+                               r"fingers at \(-1e\+308, 1e\+308\), cell 0\.5 mm"),
+        ((-1e300, 1e300), 0.5, r"a finger spacing of 2e\+300 mm at cell 0\.5 mm asks for "
+                               r"up to 35 caging masks of 3\.01e\+302 cells, more than "
+                               r"2,000,000,000 cells in all"),
+        ((-12.0, 12.0), 1e-6, r"cell 1e-06 mm asks for up to 14,142,142 caging masks "
+                              r"of 2\.33e\+15 cells, more than 2,000,000,000 cells in all")])
+    def test_grid_too_large_names_its_cause(self, positions, cell, message):
+        # the refusals of test_grid_too_fine_to_build_rejected, where the
+        # grid's span overflows or the fingers stand far apart
+        lp = rp = surface_profile(flat(), 20.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            caging_test(ObjectSpec(Box(10.0, 10.0)), lp, rp, positions, cell=cell)
+
     @pytest.mark.parametrize("angle_cell_deg", [1e-6, 5e-324])
     def test_disk_has_one_slice_at_any_rotation_step(self, angle_cell_deg):
         lp = rp = surface_profile(concave(10.0), 20.0)

@@ -622,6 +622,49 @@ def _edge_scenarios(gears, counts):
     return scenarios
 
 
+def _fragile_scenarios(gears, counts, seed: int, n: int):
+    """Seeded runs that end by a hair, at random increments (0.01-10 deg)
+    and magnet strengths: held-torque rotations, and stopper, contact,
+    stroke or detent distances that are whole multiples of the increment.
+    Where a switch interval is a whole number of increments, the search
+    probes states past the detent, and the 3S switch count alone keeps a
+    run from passing it."""
+    rng = random.Random(seed)
+    r, interval = gears.input_sprocket_radius, switch_interval(gears, counts)
+    scenarios = []
+    for i in range(n):
+        if rng.random() < 0.5:
+            step_deg = 10.0 ** rng.uniform(-2.0, 1.0)
+        else:
+            step_deg = math.degrees(interval) / rng.randint(11, 2000)
+        magnet = MagnetDetent(magnet_coefficient=10.0 ** rng.uniform(-5.0, 1.3),
+                              circle_radius=rng.uniform(8.0, 20.0),
+                              nominal_gap=rng.uniform(0.5, 2.0))
+        friction = rng.choice([0.0, rng.uniform(0.0, 2.0)])
+        threshold = breakaway_motor_torque(gears, magnet) + friction
+        # a whole number of increments, at most 30 mm of travel
+        inc = r * math.radians(step_deg)
+        whole = rng.randint(1, max(1, min(40, int(30.0 / inc)))) * inc
+        common = dict(gears=gears, magnet=magnet, counts=counts, step_deg=step_deg,
+                      friction_torque=friction)
+        if i % 4 == 0:
+            ramps = [TorqueRamp(rng.uniform(1.05, 3.0) * threshold, Direction.OPEN)
+                     for _ in range(rng.randint(1, 2))]
+            scenarios.append(Scenario(**common, initial_position=whole,
+                                      commands=tuple(ramps)))
+        elif i % 4 == 1:
+            scenarios.append(Scenario(**common, object_contact=whole, commands=(
+                TorqueRamp(rng.uniform(50.0, 800.0), Direction.CLOSE),
+                PositionMove(0.0), PositionMove(rng.randint(1, 2) * interval))))
+        elif i % 4 == 2:
+            scenarios.append(Scenario(**common, initial_position=whole, commands=(
+                PositionMove(whole / r + rng.uniform(0.2, 2.0) * interval),)))
+        else:
+            scenarios.append(Scenario(**common, stroke_limit=whole, commands=(
+                TorqueRamp(rng.uniform(50.0, 800.0), Direction.CLOSE),)))
+    return scenarios
+
+
 class TestSegmentRunsMatchStep:
     """run_scenario equals the one-increment `step` replay, bit for bit."""
 
@@ -647,6 +690,10 @@ class TestSegmentRunsMatchStep:
     def test_edge_scenarios(self, gears, counts):
         for scenario in _edge_scenarios(gears, counts):
             self._check(scenario, cut=True)
+
+    def test_fragile_scenarios(self, gears, counts):
+        for i, scenario in enumerate(_fragile_scenarios(gears, counts, 20261021, 48)):
+            self._check(scenario, cut=i % 8 == 0)
 
 
 class TestRunLengthMatchesScan:
@@ -679,3 +726,37 @@ class TestRunLengthMatchesScan:
             length, first_switch = plain_run_scan(state, cmd, sc, n)
             assert m <= length
             assert m == length or first_switch == m
+
+
+class TestRunProbeCount:
+    """A run costs about three probes of the step rules: the bound's
+    estimate overshoots a run by two or three steps, so the search probes
+    just below it first and bisects the few steps above."""
+
+    def test_random_population(self, monkeypatch):
+        advance, plain_run = sim._advance, sim._plain_run
+        inside, counts = [False], {"advance": 0, "runs": 0}
+
+        def counted_advance(*args):
+            counts["advance"] += inside[0]
+            return advance(*args)
+
+        def counted_plain_run(*args):
+            inside[0] = True
+            try:
+                run = plain_run(*args)
+            finally:
+                inside[0] = False
+            counts["runs"] += run is not None
+            return run
+
+        monkeypatch.setattr(sim, "_advance", counted_advance)
+        monkeypatch.setattr(sim, "_plain_run", counted_plain_run)
+        rng = random.Random(20240901)
+        for _ in range(300):
+            try:
+                run_scenario(random_scenario(rng))
+            except ScenarioError:
+                pass
+        # a bisection over each run's whole ramp calls _advance 4010 times
+        assert counts == {"advance": 1754, "runs": 696}
