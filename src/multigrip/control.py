@@ -44,6 +44,8 @@ class TorqueRamp:
     def __post_init__(self) -> None:
         if not math.isfinite(self.target_torque) or self.target_torque < 0:
             raise ValueError(f"torque target must be finite and >= 0, got {self.target_torque}")
+        if not isinstance(self.direction, Direction):
+            raise ValueError(f"direction must be a Direction, got {self.direction!r}")
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,8 @@ class SurfaceCounts:
     n_4s: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_3s, int) and isinstance(self.n_4s, int)):
+        if not all(isinstance(n, int) and not isinstance(n, bool)
+                   for n in (self.n_3s, self.n_4s)):
             raise ValueError("surface counts must be integers")
         if not self.n_4s >= self.n_3s >= 1:
             raise ValueError(f"need n_4s >= n_3s >= 1, got ({self.n_3s}, {self.n_4s})")

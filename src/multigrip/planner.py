@@ -3,10 +3,8 @@
 Candidate finger surfaces are chosen per object face: a curved face
 prefers the complementary finger curvature, with flat as the general
 fallback surface, and convex fingers are excluded for small objects.
-Among the modes whose surface pair fits (trying both ways of assigning
-fingers to faces), the one needing the least motor rotation from the
-current mode wins.  When nothing fits, the nearest mode with a deformable
-surface is selected instead and flagged.
+A mode's surface pair fits if either way of assigning fingers to faces
+does; `select_mode` ranks the modes by fit, then by motor rotation.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ class ObjectFaces:
     height: float
 
     def __post_init__(self) -> None:
-        if not self.height > 0:
-            raise ValueError("object height must be positive")
+        if not 0 < self.height < math.inf:
+            raise ValueError(f"object height must be positive and finite, got {self.height!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +57,10 @@ class PlannerThresholds:
     """
 
     small_object_height: float = DEFAULT_SMALL_OBJECT_HEIGHT
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.small_object_height):
+            raise ValueError(f"small_object_height must be finite, got {self.small_object_height!r}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,20 @@ def candidate_surfaces(face: ObjectFace, height: float,
     return ranked
 
 
-def _feasible(entry, left_set, right_set) -> bool:
+# select_mode's rationale line per tier: {0} the tier, {1} the pick, {2} degrees.
+_TIER_RATIONALE = (
+    "modes pairing both preferred surfaces: {0}; "
+    "mode {1} needs the least rotation ({2:g} deg)",
+    "no mode pairs both preferred surfaces; feasible modes {0}; "
+    "mode {1} needs the least rotation ({2:g} deg)",
+    "no mode fits the face criteria; falling back to the nearest "
+    "deformable-surface mode {1} ({2:g} deg)")
+
+
+def _feasible(entry, left, right) -> bool:
     s3, s4 = entry
-    return ((s3.kind in left_set and s4.kind in right_set)
-            or (s3.kind in right_set and s4.kind in left_set))
+    return ((s3.kind in left and s4.kind in right)
+            or (s3.kind in right and s4.kind in left))
 
 
 def select_mode(faces: ObjectFaces, k_now: int, table: GcModeTable,
@@ -106,60 +118,32 @@ def select_mode(faces: ObjectFaces, k_now: int, table: GcModeTable,
                 thresholds: PlannerThresholds = PlannerThresholds()) -> PlanResult:
     """Pick the mode for an object, minimizing rotation from the current mode.
 
-    Preferred (shape-matched) surfaces are tried first; only if no mode
-    pairs both preferred surfaces do the full candidate sets apply.  Ties
-    on rotation break toward the lower mode index.  With no feasible mode
-    at all, the nearest deformable-surface mode is selected and flagged.
+    Three tiers in order of preference: the modes pairing both preferred
+    (shape-matched) surfaces, those pairing any candidate surfaces, and the
+    deformable-surface modes, a pick from which is flagged as the fallback.
+    The first non-empty tier decides, by least rotation; ties on rotation
+    break toward the lower mode index.
     """
-    n_gc = len(table)
     cand_left = candidate_surfaces(faces.left, faces.height, thresholds)
     cand_right = candidate_surfaces(faces.right, faces.height, thresholds)
     rationale = [
         f"left face {faces.left.value}: candidates {[k.value for k in cand_left]}",
         f"right face {faces.right.value}: candidates {[k.value for k in cand_right]}",
     ]
-
-    def pick(indices: list[int]) -> tuple[int, float]:
-        scored = [(switch_rotation(k_now, k, n_gc, switch_interval), k)
-                  for k in indices]
-        rotation, k = min(scored)
-        return k, rotation
-
-    preferred_left = set(cand_left[:1])
-    preferred_right = set(cand_right[:1])
-    tier1 = [k for k in range(1, n_gc + 1)
-             if _feasible(table.entry(k), preferred_left, preferred_right)]
-    tier2 = [k for k in range(1, n_gc + 1)
-             if _feasible(table.entry(k), set(cand_left), set(cand_right))]
-
-    if tier1:
-        k_goal, rotation = pick(tier1)
-        rationale.append(
-            f"modes pairing both preferred surfaces: {tier1}; "
-            f"mode {k_goal} needs the least rotation "
-            f"({math.degrees(rotation):g} deg)")
-        fallback = False
-    elif tier2:
-        k_goal, rotation = pick(tier2)
-        rationale.append(
-            f"no mode pairs both preferred surfaces; feasible modes {tier2}; "
-            f"mode {k_goal} needs the least rotation "
-            f"({math.degrees(rotation):g} deg)")
-        fallback = False
+    tiers = [[k for k in range(1, len(table) + 1) if _feasible(table.entry(k), left, right)]
+             for left, right in ((cand_left[:1], cand_right[:1]), (cand_left, cand_right))]
+    tiers.append(table.modes_containing(SurfaceKind.DEFORMABLE_FLAT))
+    for tier, line in zip(tiers, _TIER_RATIONALE):
+        if tier:
+            break
     else:
-        deform = list(table.modes_containing(SurfaceKind.DEFORMABLE_FLAT))
-        if not deform:
-            raise ValueError("no feasible mode and the table has no "
-                             "deformable surface to fall back to")
-        k_goal, rotation = pick(deform)
-        rationale.append(
-            f"no mode fits the face criteria; falling back to the nearest "
-            f"deformable-surface mode {k_goal} "
-            f"({math.degrees(rotation):g} deg)")
-        fallback = True
-
-    return PlanResult(k_goal=k_goal, rotation=rotation,
-                      rationale=tuple(rationale), fallback_used=fallback,
+        raise ValueError("no feasible mode and the table has no "
+                         "deformable surface to fall back to")
+    rotation, k_goal = min((switch_rotation(k_now, k, len(table), switch_interval), k)
+                           for k in tier)
+    rationale.append(line.format(tier, k_goal, math.degrees(rotation)))
+    return PlanResult(k_goal=k_goal, rotation=rotation, rationale=tuple(rationale),
+                      fallback_used=tier is tiers[-1],
                       candidates_left=cand_left, candidates_right=cand_right)
 
 

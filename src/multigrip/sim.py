@@ -231,6 +231,10 @@ class Scenario:
             _check_int(name, getattr(self, name))
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        for i, command in enumerate(self.commands):
+            if not isinstance(command, MotorCommand):
+                raise ValueError(f"commands[{i}] must be a TorqueRamp or PositionMove, "
+                                 f"got {command!r}")
         # Touching _kin derives the step constants here, once; its
         # switch_interval call refuses inconsistent gearing.
         n = self._kin.n_gc

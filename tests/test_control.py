@@ -140,3 +140,11 @@ class TestBadInputsRefused:
     def test_switch_rotation(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             switch_rotation(*args)
+
+    # TorqueRamp(400.0, "close") once closed the fingers but pressed as if
+    # opening, and failed mid-run
+    @pytest.mark.parametrize("direction", ["close", "open", None, 1])
+    def test_torque_ramp_direction(self, direction):
+        message = f"direction must be a Direction, got {direction!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TorqueRamp(400.0, direction)

@@ -225,3 +225,7 @@ class TestModeCount:
             SurfaceCounts(4, 3)
         with pytest.raises(ValueError):
             SurfaceCounts(0, 3)
+        # SurfaceCounts(True, 4) once read as n_3s = 1
+        for bad in ((True, 4), (3, True), (3.0, 4)):
+            with pytest.raises(ValueError, match="^surface counts must be integers$"):
+                SurfaceCounts(*bad)

@@ -1,10 +1,14 @@
 import math
+import random
+import re
+
+import pytest
 
 from multigrip.control import switch_rotation
 from multigrip.grasp import GraspOutcome, classify_grasp
 from multigrip.mechanics import DEFAULT_COUNTS
-from multigrip.modes import (SurfaceKind, build_mode_table, convex, deformable_flat,
-                             flat)
+from multigrip.modes import (GcModeTable, SurfaceKind, build_mode_table, concave,
+                             convex, deformable_flat, flat)
 from multigrip.objects import (Box, Circle, ObjectSpec, ThinPlate,
                                parse_object_file)
 from multigrip.planner import (ObjectFace, ObjectFaces, PlannerThresholds,
@@ -37,6 +41,18 @@ class TestCandidates:
         thr = PlannerThresholds(small_object_height=25.0)
         cands = candidate_surfaces(ObjectFace.CONCAVE, 20.0, thr)
         assert SurfaceKind.CONVEX not in cands
+
+    # a NaN threshold once silently kept convex fingers for small objects
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_refused(self, value):
+        message = f"small_object_height must be finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PlannerThresholds(small_object_height=value)
+
+    @pytest.mark.parametrize("height", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_height_refused(self, height):
+        with pytest.raises(ValueError, match="^object height must be positive"):
+            ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, height)
 
 
 class TestSelectMode:
@@ -130,6 +146,59 @@ def _fits(entry, left_set, right_set):
     s3, s4 = entry
     return ((s3.kind in left_set and s4.kind in right_set)
             or (s3.kind in right_set and s4.kind in left_set))
+
+
+_SHAPES = (flat(), convex(10.0), concave(10.0), deformable_flat())
+
+
+class TestTierOrderOnRandomTables:
+    """select_mode against the paper's order of preference on random tables.
+
+    The tiers are: modes pairing both preferred surfaces, modes pairing any
+    candidate surfaces, modes with a deformable surface.  The pick is the
+    least-rotation mode of the first non-empty tier, ties to the lower index.
+    """
+
+    def test_first_nonempty_tier_least_rotation(self):
+        rng = random.Random(34)
+        seen = {"tier1": 0, "tier2": 0, "fallback": 0, "refused": 0}
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            # a third of the tables have no deformable surface at all
+            shapes = _SHAPES[:3] if rng.random() < 1 / 3 else _SHAPES
+            table = GcModeTable(tuple((rng.choice(shapes), rng.choice(shapes))
+                                      for _ in range(n)))
+            for left in ObjectFace:
+                for right in ObjectFace:
+                    faces = ObjectFaces(left, right, rng.choice((5.0, 30.0)))
+                    for k_now in range(1, n + 1):
+                        self._check(faces, k_now, table, seen)
+        assert all(seen.values()), seen
+
+    @staticmethod
+    def _check(faces, k_now, table, seen):
+        cand_l = candidate_surfaces(faces.left, faces.height)
+        cand_r = candidate_surfaces(faces.right, faces.height)
+        modes = range(1, len(table) + 1)
+        tier1 = [k for k in modes if _fits(table.entry(k), set(cand_l[:1]), set(cand_r[:1]))]
+        tier2 = [k for k in modes if _fits(table.entry(k), set(cand_l), set(cand_r))]
+        deform = [k for k in modes
+                  if SurfaceKind.DEFORMABLE_FLAT in {s.kind for s in table.entry(k)}]
+        if not (tier1 or tier2 or deform):
+            with pytest.raises(ValueError, match="^no feasible mode and the table has no "
+                                                 "deformable surface to fall back to$"):
+                select_mode(faces, k_now, table, INTERVAL)
+            seen["refused"] += 1
+            return
+        result = select_mode(faces, k_now, table, INTERVAL)
+        tier = tier1 or tier2 or deform
+        assert result.k_goal in tier
+        assert result.fallback_used == (not tier1 and not tier2)
+        assert result.rotation == switch_rotation(k_now, result.k_goal, len(table), INTERVAL)
+        for k in tier:
+            other = switch_rotation(k_now, k, len(table), INTERVAL)
+            assert (result.rotation, result.k_goal) <= (other, k)
+        seen["tier1" if tier1 else "tier2" if tier2 else "fallback"] += 1
 
 
 class TestCrossCheckWithClassifier:

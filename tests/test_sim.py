@@ -167,6 +167,18 @@ class TestScenarioConstants:
         with pytest.raises(ValueError, match=f"^{field} {re.escape(message)}$"):
             Scenario(gears=gears, magnet=magnet, counts=counts, **{field: value})
 
+    # a float command once passed here and failed in run_scenario with an
+    # AttributeError
+    @pytest.mark.parametrize("commands, message", [
+        ((1.0,), "commands[0] must be a TorqueRamp or PositionMove, got 1.0"),
+        ((TorqueRamp(10.0), Direction.OPEN),
+         "commands[1] must be a TorqueRamp or PositionMove, got <Direction.OPEN: 'open'>"),
+        ((PositionMove(0.5), None),
+         "commands[1] must be a TorqueRamp or PositionMove, got None")])
+    def test_non_command_refused(self, gears, magnet, counts, commands, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scenario(gears=gears, magnet=magnet, counts=counts, commands=commands)
+
 
 class TestGraspScenario:
     def test_force_profile(self, gears, magnet, counts):
