@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Angles are degrees and torques N*mm at this boundary; conversion to the
-library's radians happens here.  Subcommands write CSV to --out when given,
-otherwise to stdout.  Exit status is 0 on success and nonzero with a
-one-line diagnostic on stderr otherwise; each warning raised while a
+library's radians happens here.  `dispatch` runs every subcommand: it loads
+the config once, writes the text the subcommand returns to --out when given,
+otherwise to stdout, and sets the exit status, 0 on success and 1 with a
+one-line diagnostic on stderr otherwise.  Each warning raised while a
 command runs is one stderr line, `warning: <message>`.
 
 Each subcommand imports only the layers it runs.  All of them load
@@ -21,7 +22,7 @@ import io
 import math
 import sys
 import warnings
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from . import mechanics, modes
 from .config import RunConfig, default_config, load_config, set_config_value
@@ -36,28 +37,22 @@ class CliError(Exception):
     pass
 
 
-def _load(args) -> RunConfig:
-    if args.config:
-        return load_config(args.config)
-    return default_config()
-
-
 def load_object_file(path) -> objects.ObjectDescription:
     from . import objects
     return objects.load_object_file(path)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+def _emit(args, write: Callable[[TextIO], object]) -> None:
+    """Hand the --out file, or stdout without one, to write."""
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
-def _cmd_validate_gears(args) -> int:
-    cfg = _load(args)  # a loaded config already has antipodal gearing
-    interval = mechanics.switch_interval(cfg.gears, cfg.counts)
+def _cmd_validate_gears(args, cfg: RunConfig) -> str:
+    interval = mechanics.switch_interval(cfg.gears, cfg.counts)  # gearing checked on load
     lines = [
         f"rotation_ratio_3s={cfg.gears.rotation_ratio_3s:.9g}",
         f"rotation_ratio_4s={cfg.gears.rotation_ratio_4s:.9g}",
@@ -66,12 +61,10 @@ def _cmd_validate_gears(args) -> int:
         f"delta_theta_sw_deg={math.degrees(interval):g}",
         f"n_GC={mechanics.gc_mode_count(cfg.counts)}",
     ]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_modes(args) -> int:
-    cfg = _load(args)
+def _cmd_modes(args, cfg: RunConfig) -> str:
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -84,8 +77,7 @@ def _cmd_modes(args) -> int:
     buf.write(f"distinct_pairs={len(pairs)}\n")
     for a, b in pairs:
         buf.write(f"{a} | {b}\n")
-    _emit(args, buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
 def _run_and_write(args, scenario: sim.Scenario) -> sim.SimTrace:
@@ -95,12 +87,8 @@ def _run_and_write(args, scenario: sim.Scenario) -> sim.SimTrace:
         trace = sim.run_scenario(scenario)
     except sim.SimError as exc:
         raise CliError(str(exc)) from None
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            sim.write_trace_csv(trace, fh)
-    else:
-        sim.write_trace_csv(trace, sys.stdout)
-    if getattr(args, "events", None):
+    _emit(args, lambda fh: sim.write_trace_csv(trace, fh))
+    if args.events:
         with open(args.events, "w", encoding="utf-8", newline="") as fh:
             sim.write_events_csv(trace, fh)
     return trace
@@ -146,9 +134,8 @@ def _check_gap(gap: float, cfg: RunConfig, positive: bool) -> None:
                        f"{cfg.stroke_limit:g} mm")
 
 
-def _cmd_simulate_grasp(args) -> int:
+def _cmd_simulate_grasp(args, cfg: RunConfig) -> None:
     from . import sim
-    cfg = _load(args)
     _check_flag("--force", args.force, positive=True)
     radius = cfg.gears.input_sprocket_radius
     if not math.isfinite(args.force * radius):
@@ -168,12 +155,10 @@ def _cmd_simulate_grasp(args) -> int:
     if target:
         result = _classify(cfg, target)
         print(f"classification={result.outcome.value}", file=sys.stderr)
-    return 0
 
 
-def _cmd_simulate_switch(args) -> int:
+def _cmd_simulate_switch(args, cfg: RunConfig) -> None:
     from . import sim
-    cfg = _load(args)
     _check_gap(args.gap, cfg, positive=False)   # 0 starts at the stopper
     count = mechanics.gc_mode_count(cfg.counts)
     _check_mode("--from", args.from_mode, count)
@@ -189,12 +174,10 @@ def _cmd_simulate_switch(args) -> int:
     switch_travel = math.degrees(trace.rows[-1].theta_m - open_ref)
     print(f"mode_changes={len(changes)} final_mode={trace.final_state.mode_index} "
           f"switch_travel_deg={switch_travel:g}", file=sys.stderr)
-    return 0
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args, cfg: RunConfig) -> str:
     from . import planner
-    cfg = _load(args)
     desc = load_object_file(args.object)
     table = modes.build_mode_table(cfg.counts, cfg.order_3s, cfg.order_4s)
     _check_mode("--current-mode", args.current_mode, len(table))
@@ -209,24 +192,21 @@ def _cmd_plan(args) -> int:
         f"fallback_used={str(result.fallback_used).lower()}",
     ]
     lines += [f"rationale: {r}" for r in result.rationale]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_classify(args) -> int:
-    cfg = _load(args)
+def _cmd_classify(args, cfg: RunConfig) -> None:
     result = _classify(cfg, _grasp_target(cfg, args.object, args.mode))
     report = (f"classification={result.outcome.value} "
               f"contacts={len(result.contacts)} "
               f"posture_uncertain={str(result.posture_uncertain).lower()}")
     if result.reason:
         report += f" reason={result.reason!r}"
-    _emit(args, report + "\n")
+    _emit(args, lambda fh: fh.write(report + "\n"))  # before --contacts-out
     if args.contacts_out:
         from . import grasp
         with open(args.contacts_out, "w", encoding="utf-8", newline="") as fh:
             grasp.write_contacts_csv(result.contacts, fh)
-    return 0
 
 
 # Most points one sweep may evaluate.
@@ -274,8 +254,7 @@ def _metric_values(metric: str, cfg: RunConfig) -> list[float]:
     return [math.degrees(mechanics.switch_interval(cfg.gears, cfg.counts))]
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
+def _cmd_sweep(args, cfg: RunConfig) -> str:
     values = _parse_range(args.range)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -284,8 +263,7 @@ def _cmd_sweep(args) -> int:
         point = set_config_value(cfg, args.param, value)
         writer.writerow([i, repr(value),
                          *[repr(m) for m in _metric_values(args.metric, point)]])
-    _emit(args, buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -362,7 +340,11 @@ def dispatch(argv: Sequence[str]) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
         try:
-            return args.func(args)
+            cfg = load_config(args.config) if args.config else default_config()
+            text = args.func(args, cfg)
+            if text is not None:
+                _emit(args, lambda fh: fh.write(text))
+            return 0
         except (CliError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -47,6 +47,8 @@ class SurfaceShape:
     radius: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, SurfaceKind):
+            raise ValueError(f"kind must be a SurfaceKind, got {self.kind!r}")
         curved = self.kind in (SurfaceKind.CONVEX, SurfaceKind.CONCAVE)
         if curved:
             if self.radius is None or not (self.radius > 0 and math.isfinite(self.radius)):

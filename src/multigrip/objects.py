@@ -117,6 +117,9 @@ class ObjectSpec:
     mu: float = 0.5
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shape, ObjectShape):
+            raise ValueError("shape must be a Circle, Box, ThinPlate or CompositeFaces, "
+                             f"got {self.shape!r}")
         check_friction(self.mu)
 
     @cached_property

@@ -35,6 +35,11 @@ class ObjectFace(Enum):
     COMPLEX = "complex"
 
 
+def _check_face(name: str, face: ObjectFace) -> None:
+    if not isinstance(face, ObjectFace):
+        raise ValueError(f"{name} must be an ObjectFace, got {face!r}")
+
+
 @dataclass(frozen=True)
 class ObjectFaces:
     """What the two grasped faces of the object look like, plus its height."""
@@ -44,6 +49,8 @@ class ObjectFaces:
     height: float
 
     def __post_init__(self) -> None:
+        _check_face("left face", self.left)
+        _check_face("right face", self.right)
         if not 0 < self.height < math.inf:
             raise ValueError(f"object height must be positive and finite, got {self.height!r}")
 
@@ -84,6 +91,7 @@ def candidate_surfaces(face: ObjectFace, height: float,
     deformable fallback.  Convex fingers are dropped for objects below the
     small-object height.
     """
+    _check_face("face", face)
     if face is ObjectFace.COMPLEX:
         return ()
     if face is ObjectFace.FLAT:

@@ -390,6 +390,59 @@ class TestSweep:
         assert err == "error: detent.magnet_gap_mm must be positive, got -50.0\n"
 
 
+class TestRunner:
+    """dispatch loads the config, writes a subcommand's text and sets the
+    exit status the same way for every subcommand."""
+
+    TEXT_COMMANDS = [
+        ["validate-gears"],
+        ["modes"],
+        ["plan", "--object", BOX],
+        ["classify", "--object", BOX, "--mode", "1"],
+        ["sweep", "--param", "detent.magnet_gap_mm", "--range", "0.5:2.0:0.5",
+         "--metric", "peak-detent"],
+    ]
+    ALL_COMMANDS = TEXT_COMMANDS + [
+        ["simulate", "grasp", "--force", "10", "--gap", "10"],
+        ["simulate", "switch", "--from", "1", "--to", "2"],
+    ]
+
+    @pytest.mark.parametrize("argv", TEXT_COMMANDS, ids=lambda a: a[0])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and out and err == ""
+        out_file = tmp_path / "out.txt"
+        rc, to_stdout, err = run(capsys, *argv, "--out", str(out_file))
+        assert rc == 0 and to_stdout == "" and err == ""
+        assert out_file.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", ALL_COMMANDS,
+                             ids=lambda a: " ".join(a[:2 if a[0] == "simulate" else 1]))
+    def test_bad_gearing_fails_every_subcommand(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[gears]\n"
+                       "input_sprocket_radius_mm = 20\ndrive_sprocket_radius_mm = 15\n"
+                       "shaft_gear_radius_3s_mm = 10\nshaft_gear_radius_4s_mm = 10\n"
+                       "body_gear_radius_3s_mm = 12\nbody_gear_radius_4s_mm = 12\n")
+        out_file = tmp_path / "out.txt"
+        rc, out, err = run(capsys, "--config", str(cfg), *argv, "--out", str(out_file))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: gear ratios do not keep the finger surfaces "
+                              "antipodal") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_report_is_written_before_contacts_out(self, capsys, fixtures_dir, tmp_path):
+        obj = str(fixtures_dir / "objects" / "large_cylinder.object")
+        _, report, _ = run(capsys, "classify", "--object", obj, "--mode", "3")
+        missing = tmp_path / "missing" / "contacts.csv"
+        rc, out, err = run(capsys, "classify", "--object", obj, "--mode", "3",
+                           "--contacts-out", str(missing))
+        assert rc == 1
+        assert out == report == ("classification=form_closure contacts=4 "
+                                 "posture_uncertain=false\n")
+        assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+
+
 def test_unknown_subcommand_nonzero(capsys):
     assert dispatch(["frobnicate"]) != 0
 

@@ -340,6 +340,13 @@ class TestObjectFiles:
         with pytest.raises(ValueError, match="finite"):
             build(value)
 
+    # a string shape was once built and failed only in flanks
+    @pytest.mark.parametrize("shape", ["box", None, FaceArc("flat"), 5.0])
+    def test_shape_that_is_not_an_object_shape_refused(self, shape):
+        message = f"shape must be a Circle, Box, ThinPlate or CompositeFaces, got {shape!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ObjectSpec(shape)
+
     @pytest.mark.parametrize("text, lineno, message", [
         ("shape = circle\nradius_mm = -1\n", 2, "radius_mm must be positive"),
         ("shape = box\nwidth_mm = 20\nheight_mm = 0\n", 3,

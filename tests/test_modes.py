@@ -20,6 +20,13 @@ def test_surface_shape_validation():
             SurfaceShape(kind, math.inf)
 
 
+@pytest.mark.parametrize("kind, radius", [("flat", None), ("convex", 5.0),
+                                          ("deformable_flat", None), (None, None)])
+def test_surface_kind_that_is_not_a_surface_kind_refused(kind, radius):
+    with pytest.raises(ValueError, match=f"^kind must be a SurfaceKind, got {kind!r}$"):
+        SurfaceShape(kind, radius)
+
+
 def test_reference_table_entries(table):
     assert len(table) == 12
     assert table.entry(1) == (flat(), flat())

@@ -54,6 +54,17 @@ class TestCandidates:
         with pytest.raises(ValueError, match="^object height must be positive"):
             ObjectFaces(ObjectFace.FLAT, ObjectFace.FLAT, height)
 
+    # a string face once fell through to the concave face's candidates
+    @pytest.mark.parametrize("face", ["convex", "flat", SurfaceKind.FLAT, None])
+    def test_face_that_is_not_an_object_face_refused(self, face):
+        message = f"face must be an ObjectFace, got {face!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            candidate_surfaces(face, 30.0)
+        with pytest.raises(ValueError, match=f"^left {re.escape(message)}$"):
+            ObjectFaces(face, ObjectFace.FLAT, 30.0)
+        with pytest.raises(ValueError, match=f"^right {re.escape(message)}$"):
+            ObjectFaces(ObjectFace.FLAT, face, 30.0)
+
 
 class TestSelectMode:
     def test_thin_plate_stays_flat(self, table):
